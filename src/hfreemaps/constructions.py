@@ -197,7 +197,7 @@ def verify_1d(d: Distribution, built: Composed1d, points,
     pts = np.asarray(points, dtype=float)
     matrices, svals, thresholds, ranks = freedom_matrix_many(d, built.map_spec, pts)
     dets = np.linalg.det(matrices)
-    predicted = eval_jet2_many(built.predicted_det(d.frame[0]), d.chart, pts).value
+    predicted = eval_jet2_many(built.predicted_det(d.frame[0]), d.chart, pts, order=0).value
     identity = np.abs(dets - predicted) <= tol * np.maximum(1.0, np.abs(dets))
     return PointwiseCheck(pts, dets, predicted, identity,
                           _certified(dets, ranks, 2, tol), tol,
@@ -286,10 +286,10 @@ def verify_cis(d: Distribution, built: CisMap, points,
     pts = np.asarray(points, dtype=float)
 
     L = np.empty((len(pts), n, n))  # L[:, i, j] = L_{xi_i} f^j
-    fgrads = [eval_jet2_many(f, d.chart, pts).gradient for f in built.fs]
+    fgrads = [eval_jet2_many(f, d.chart, pts, order=1).gradient for f in built.fs]
     for i, field in enumerate(d.frame):
         xivals = np.stack(
-            [eval_jet2_many(c, d.chart, pts).value for c in field.components], axis=1)
+            [eval_jet2_many(c, d.chart, pts, order=0).value for c in field.components], axis=1)
         for j in range(n):
             L[:, i, j] = np.einsum("bo,bo->b", xivals, fgrads[j])
     g = np.einsum("bii->bi", L).copy()
@@ -310,7 +310,7 @@ def verify_cis(d: Distribution, built: CisMap, points,
     dets = np.linalg.det(matrices)
     predicted = np.full(len(pts), constant)
     for i, (f, curve) in enumerate(zip(built.fs, built.curves)):
-        fvals = eval_jet2_many(f, d.chart, pts).value
+        fvals = eval_jet2_many(f, d.chart, pts, order=0).value
         predicted *= g[:, i] ** (n + 2) * curve_freeness_many(curve, fvals)
     identity = np.abs(dets - predicted) <= tol * np.maximum(1.0, np.abs(dets))
     certified = _certified(dets, ranks, n + n * (n + 1) // 2, tol)
@@ -358,7 +358,8 @@ class RPBracketSpec:
 
 
 def _gradient_rows(spec: RPBracketSpec, exprs: Sequence[Expr], pts: np.ndarray) -> np.ndarray:
-    return np.stack([eval_jet2_many(e, spec.chart, pts).gradient for e in exprs], axis=1)
+    return np.stack([eval_jet2_many(e, spec.chart, pts, order=1).gradient for e in exprs],
+                    axis=1)
 
 
 def _metric_factor(spec: RPBracketSpec, pts: np.ndarray) -> np.ndarray:
@@ -368,7 +369,7 @@ def _metric_factor(spec: RPBracketSpec, pts: np.ndarray) -> np.ndarray:
     G = np.empty((len(pts), n, n))
     for i in range(n):
         for j in range(n):
-            G[:, i, j] = eval_jet2_many(spec.metric[i][j], spec.chart, pts).value
+            G[:, i, j] = eval_jet2_many(spec.metric[i][j], spec.chart, pts, order=0).value
     detg = np.linalg.det(G)
     if np.any(detg <= 0.0):
         raise DomainError("metric determinant must be positive")

@@ -13,19 +13,28 @@ Built-in functions: ``sin cos exp log sqrt tanh``.  Identifiers that are
 not function names are coordinate references, resolved against a
 :class:`Chart` at evaluation time.
 
-Evaluation produces second-order jets (:class:`~hfreemaps.jet.Jet2`)
-with exact propagation rules; there is no numerical differencing
-anywhere in this module.
+One evaluator produces jets (:class:`~hfreemaps.jet.Jet2`) with exact
+propagation rules, truncated at the order the caller reads: 0 for
+values (``eval_value``, ``eval_value_many``, the right-hand side of the
+linearized system), 1 for gradients (``lie``, frame fields, brackets,
+transversality), 2 for Hessians (freedom matrices, curve freeness).
+There is no numerical differencing anywhere in this module.  The
+evaluator walks a tree without recursion, so depth is unbounded; it
+evaluates a subtree shared by identity once per call and frees every
+intermediate result after its last use, so memory stays at the size of
+the results still awaited.  A single point is evaluated as a batch of
+one, so its jet equals the batched one bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ExprSyntaxError, UnknownCoordinate, UnknownFunction
+from .errors import ExprSyntaxError, UnknownCoordinate, UnknownFunction
 from .jet import Jet2, jcos, jexp, jlog, jpow, jsin, jsqrt, jtanh
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
@@ -339,6 +348,9 @@ def coordinates(e: Expr) -> set[str]:
 _UNARY = {"sin": jsin, "cos": jcos, "exp": jexp, "log": jlog,
           "sqrt": jsqrt, "tanh": jtanh}
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
 
 def _constant_exponent(e: Expr) -> float | None:
     if isinstance(e, Num):
@@ -348,109 +360,113 @@ def _constant_exponent(e: Expr) -> float | None:
     return None
 
 
-def _eval(e: Expr, chart: Chart, pts: np.ndarray) -> Jet2:
-    m = chart.dim
-    batch = pts.shape[:-1]
-    if isinstance(e, Num):
-        return Jet2.constant(e.value, m, batch)
-    if isinstance(e, Coord):
-        return Jet2.coordinate(pts[..., chart.index(e.name)], chart.index(e.name), m)
-    if isinstance(e, Neg):
-        return -_eval(e.arg, chart, pts)
-    if isinstance(e, Call):
-        return _UNARY[e.func](_eval(e.arg, chart, pts))
-    if isinstance(e, Bin):
-        if e.op == "^":
-            c = _constant_exponent(e.right)
-            base = _eval(e.left, chart, pts)
-            if c is not None:
-                if float(c).is_integer():
-                    return base.powi(int(c))
-                return base.powf(c)
-            return jpow(base, _eval(e.right, chart, pts))
-        left = _eval(e.left, chart, pts)
-        right = _eval(e.right, chart, pts)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        return left / right
-    raise TypeError(f"not an expression node: {e!r}")
+def _schedule(root: Expr):
+    """``(node, operands)`` for each node below ``root`` that is distinct by
+    identity, in the order a recursive left-to-right evaluation finishes
+    them, and the number of readers of each node.  A constant exponent is
+    read from the tree, so it is no operand."""
+    schedule = []
+    readers: dict[int, int] = {}
+    expanded: set[int] = set()
+    stack = [root]   # nodes to expand, and (node, operands) once expanded
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:  # its operands are scheduled
+            schedule.append(node)
+            continue
+        if id(node) in expanded:
+            continue
+        expanded.add(id(node))
+        if kind is Bin:
+            if node.op == "^" and _constant_exponent(node.right) is not None:
+                operands = (node.left,)
+            else:
+                operands = (node.left, node.right)
+        elif kind is Neg or kind is Call:
+            operands = (node.arg,)
+        elif kind is Num or kind is Coord:
+            schedule.append((node, ()))
+            continue
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        stack.append((node, operands))
+        for arg in reversed(operands):
+            key = id(arg)
+            readers[key] = readers.get(key, 0) + 1
+            if key not in expanded:
+                stack.append(arg)
+    return schedule, readers
 
 
-def eval_jet2(e: Expr, chart: Chart, p) -> Jet2:
-    """Exact second-order jet of ``e`` at a single point ``p``."""
+def _evaluate(root: Expr, chart: Chart, pts: np.ndarray, order: int) -> Jet2:
+    """Jet of ``root`` at ``pts`` truncated at ``order``: each scheduled
+    node is evaluated once, and its result is dropped once its last
+    reader has taken it."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    schedule, readers = _schedule(root)
+    m, batch = chart.dim, pts.shape[:-1]
+    results: dict[int, Jet2] = {}
+    for node, operands in schedule:
+        kind = type(node)
+        if kind is Num:
+            jet = Jet2.constant(node.value, m, batch, order)
+        elif kind is Coord:
+            index = chart.index(node.name)
+            jet = Jet2.coordinate(pts[..., index], index, m, order)
+        else:
+            args = []
+            for arg in operands:
+                key = id(arg)
+                args.append(results[key])
+                readers[key] -= 1
+                if not readers[key]:
+                    del results[key]
+            if kind is Neg:
+                jet = -args[0]
+            elif kind is Call:
+                jet = _UNARY[node.func](args[0])
+            elif node.op != "^":
+                jet = _BINARY[node.op](*args)
+            elif len(args) == 2:
+                jet = jpow(*args)
+            else:
+                c = _constant_exponent(node.right)
+                jet = args[0].powi(int(c)) if float(c).is_integer() else args[0].powf(c)
+        results[id(node)] = jet
+    return results[id(root)]
+
+
+def eval_jet2(e: Expr, chart: Chart, p, order: int = 2) -> Jet2:
+    """Exact jet of ``e`` at a single point ``p``, truncated at ``order``
+    (0: value, 1: value and gradient, 2: value, gradient and Hessian)."""
     pts = np.asarray(p, dtype=float)
     if pts.shape != (chart.dim,):
         raise ValueError(f"point must have {chart.dim} entries, got shape {pts.shape}")
-    return _eval(e, chart, pts)
+    # a batch of one, so that numpy takes the same paths as for a batch
+    jet = _evaluate(e, chart, pts[None, :], order)
+    return Jet2(*[None if part is None else part[0]
+                  for part in (jet.value, jet.gradient, jet.hessian)])
 
 
-def eval_jet2_many(e: Expr, chart: Chart, points) -> Jet2:
+def eval_jet2_many(e: Expr, chart: Chart, points, order: int = 2) -> Jet2:
     """Batched jets: ``points (B, m)`` gives value ``(B,)``, gradient
-    ``(B, m)``, Hessian ``(B, m, m)``."""
+    ``(B, m)``, Hessian ``(B, m, m)``, up to ``order``."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != chart.dim:
         raise ValueError(f"points must have shape (B, {chart.dim})")
-    return _eval(e, chart, pts)
+    return _evaluate(e, chart, pts, order)
 
 
 def eval_value(e: Expr, chart: Chart, p) -> float:
-    return float(eval_jet2(e, chart, p).value)
-
-
-def _eval_values(e: Expr, chart: Chart, pts: np.ndarray) -> np.ndarray:
-    if isinstance(e, Num):
-        return np.full(pts.shape[:-1], e.value)
-    if isinstance(e, Coord):
-        return pts[..., chart.index(e.name)]
-    if isinstance(e, Neg):
-        return -_eval_values(e.arg, chart, pts)
-    if isinstance(e, Call):
-        v = _eval_values(e.arg, chart, pts)
-        if e.func == "log":
-            if np.any(v <= 0.0):
-                raise DomainError("log of a non-positive argument")
-            return np.log(v)
-        if e.func == "sqrt":
-            if np.any(v < 0.0):
-                raise DomainError("sqrt of a negative argument")
-            return np.sqrt(v)
-        return getattr(np, e.func)(v)
-    if isinstance(e, Bin):
-        if e.op == "^":
-            c = _constant_exponent(e.right)
-            base = _eval_values(e.left, chart, pts)
-            if c is not None and float(c).is_integer():
-                if c < 0 and np.any(base == 0.0):
-                    raise DomainError("zero raised to a negative power")
-                with np.errstate(divide="ignore"):
-                    return base ** int(c)
-            if np.any(base <= 0.0):
-                raise DomainError("non-integer power of a non-positive base")
-            if c is not None:
-                return base ** c
-            return base ** _eval_values(e.right, chart, pts)
-        left = _eval_values(e.left, chart, pts)
-        right = _eval_values(e.right, chart, pts)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if np.any(right == 0.0):
-            raise DomainError("division by zero")
-        return left / right
-    raise TypeError(f"not an expression node: {e!r}")
+    """Value of ``e`` at a single point (the order-0 jet)."""
+    return float(eval_jet2(e, chart, p, order=0).value)
 
 
 def eval_value_many(e: Expr, chart: Chart, points) -> np.ndarray:
-    """Values only, skipping jet propagation; ``points (B, m) -> (B,)``."""
-    pts = np.asarray(points, dtype=float)
-    return _eval_values(e, chart, pts)
+    """Values only, the order-0 jet; ``points (B, m) -> (B,)``."""
+    return _evaluate(e, chart, np.asarray(points, dtype=float), 0).value
 
 
 # ---------------------------------------------------------------------------

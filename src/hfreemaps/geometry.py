@@ -56,7 +56,7 @@ def frame_values(d: Distribution, points) -> np.ndarray:
     """Component values of the frame at ``points (B, m)`` as ``(B, k, m)``."""
     pts = np.asarray(points, dtype=float)
     cols = [
-        [eval_jet2_many(comp, d.chart, pts).value for comp in field.components]
+        [eval_jet2_many(comp, d.chart, pts, order=0).value for comp in field.components]
         for field in d.frame
     ]
     return np.stack([np.stack(col, axis=-1) for col in cols], axis=1)

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .expr import Chart, Expr, as_expr, coordinates, eval_jet2_many, parse
 from .geometry import DEFAULT_RANK_TOL, Distribution
-from .lie import lie
 
 __all__ = [
     "MapSpec",
@@ -132,14 +131,13 @@ class InducedMetric:
 # batched jet assembly
 
 
-def _map_jets(F: MapSpec, points: np.ndarray):
-    """Stacked jets of the map components: values ``(B, q)``, gradients
-    ``(B, q, m)``, Hessians ``(B, q, m, m)``."""
-    jets = [eval_jet2_many(comp, F.chart, points) for comp in F.components]
-    vals = np.stack([j.value for j in jets], axis=1)
+def _map_jets(F: MapSpec, points: np.ndarray, order: int = 2):
+    """Stacked derivatives of the map components: gradients ``(B, q, m)``
+    and, at ``order`` 2, Hessians ``(B, q, m, m)`` (else ``None``)."""
+    jets = [eval_jet2_many(comp, F.chart, points, order=order) for comp in F.components]
     grads = np.stack([j.gradient for j in jets], axis=1)
-    hesses = np.stack([j.hessian for j in jets], axis=1)
-    return vals, grads, hesses
+    hesses = np.stack([j.hessian for j in jets], axis=1) if order == 2 else None
+    return grads, hesses
 
 
 def _frame_jets(d: Distribution, points: np.ndarray):
@@ -147,7 +145,7 @@ def _frame_jets(d: Distribution, points: np.ndarray):
     ``XG (B, k, m, m)`` with ``XG[b, a, alpha, beta] = d_beta xi_a^alpha``."""
     vals, grads = [], []
     for field in d.frame:
-        jets = [eval_jet2_many(comp, d.chart, points) for comp in field.components]
+        jets = [eval_jet2_many(comp, d.chart, points, order=1) for comp in field.components]
         vals.append(np.stack([j.value for j in jets], axis=1))
         grads.append(np.stack([j.gradient for j in jets], axis=1))
     return np.stack(vals, axis=1), np.stack(grads, axis=1)
@@ -165,17 +163,18 @@ def _lie2_tensor(XV, XG, Fgrads, Fhesses):
     return first + second
 
 
-def _second_block(L2, k: int, doubled_diagonal: bool):
-    rows = []
-    for a, b in pair_order(k):
+def _stack_rows(first, L2, doubled_diagonal: bool):
+    """The first-order rows followed by one row per pair ``(a, b)``."""
+    rows = [first]
+    for a, b in pair_order(first.shape[1]):
         if a == b:
             row = L2[:, a, a, :]
             if doubled_diagonal:
                 row = 2.0 * row
-            rows.append(row)
         else:
-            rows.append(L2[:, a, b, :] + L2[:, b, a, :])
-    return np.stack(rows, axis=1)
+            row = L2[:, a, b, :] + L2[:, b, a, :]
+        rows.append(row[:, None, :])
+    return np.concatenate(rows, axis=1)
 
 
 def _certify_ranks(matrices: np.ndarray, tol: float):
@@ -199,20 +198,25 @@ def _check_frame(d: Distribution, XV: np.ndarray, tol: float):
             f"(first batch index {int(bad[0])})")
 
 
-def _assemble_many(d: Distribution, F: MapSpec, points: np.ndarray,
-                   tol: float, doubled_diagonal: bool = False):
+def _lie_rows(d: Distribution, F: MapSpec, points: np.ndarray, tol: float):
+    """Frame values ``XV``, first-order rows ``L_a F^i (B, k, q)`` and the
+    iterated derivatives ``L_a L_c F^i (B, k, k, q)``, from one evaluation
+    of the map and frame jets."""
     if F.chart != d.chart:
         raise ValueError("map and distribution must share one chart")
-    Fvals, Fgrads, Fhesses = _map_jets(F, points)
+    Fgrads, Fhesses = _map_jets(F, points)
     XV, XG = _frame_jets(d, points)
     if not (np.all(np.isfinite(XV)) and np.all(np.isfinite(Fgrads))
             and np.all(np.isfinite(Fhesses)) and np.all(np.isfinite(XG))):
         raise DomainError("non-finite jet values while assembling rows")
     _check_frame(d, XV, tol)
-    first = _first_block(XV, Fgrads)
-    L2 = _lie2_tensor(XV, XG, Fgrads, Fhesses)
-    second = _second_block(L2, d.k, doubled_diagonal)
-    return np.concatenate([first, second], axis=1)
+    return XV, _first_block(XV, Fgrads), _lie2_tensor(XV, XG, Fgrads, Fhesses)
+
+
+def _assemble_many(d: Distribution, F: MapSpec, points: np.ndarray,
+                   tol: float, doubled_diagonal: bool = False):
+    _, first, L2 = _lie_rows(d, F, points, tol)
+    return _stack_rows(first, L2, doubled_diagonal)
 
 
 def freedom_matrix_many(d: Distribution, F: MapSpec, points,
@@ -248,12 +252,17 @@ def required_rank(k: int) -> int:
     return k + k * (k + 1) // 2
 
 
-def is_hfree_at(d: Distribution, F: MapSpec, p,
-                tol: float = DEFAULT_RANK_TOL) -> HFreeCertificate:
-    """Full-rank certificate, with the assembled matrix as evidence."""
+def _required_targets(d: Distribution, F: MapSpec) -> int:
     need = required_rank(d.k)
     if F.q < need:
         raise TooFewTargets(f"need q >= {need} target components, got q={F.q}")
+    return need
+
+
+def is_hfree_at(d: Distribution, F: MapSpec, p,
+                tol: float = DEFAULT_RANK_TOL) -> HFreeCertificate:
+    """Full-rank certificate, with the assembled matrix as evidence."""
+    need = _required_targets(d, F)
     matrix = freedom_matrix(d, F, p, tol)
     return HFreeCertificate(free=matrix.certified_rank == need, matrix=matrix)
 
@@ -262,7 +271,7 @@ def is_h_immersion_at(d: Distribution, F: MapSpec, p,
                       tol: float = DEFAULT_RANK_TOL) -> bool:
     """True when the first-order block ``(L_a F^i)`` has rank ``k``."""
     pts = np.asarray(p, dtype=float)[None, :]
-    _, Fgrads, _ = _map_jets(F, pts)
+    Fgrads, _ = _map_jets(F, pts, order=1)
     XV, _ = _frame_jets(d, pts)
     _check_frame(d, XV, tol)
     block = _first_block(XV, Fgrads)
@@ -273,7 +282,7 @@ def is_h_immersion_at(d: Distribution, F: MapSpec, p,
 def induced_metric(d: Distribution, F: MapSpec, p) -> InducedMetric:
     """Gram matrix ``g_ab = sum_i L_a F^i L_b F^i`` at ``p``."""
     pts = np.asarray(p, dtype=float)[None, :]
-    _, Fgrads, _ = _map_jets(F, pts)
+    Fgrads, _ = _map_jets(F, pts, order=1)
     XV, _ = _frame_jets(d, pts)
     block = _first_block(XV, Fgrads)[0]
     g = block @ block.T
@@ -308,19 +317,24 @@ def infinitesimal_invert(d: Distribution, F: MapSpec, p, dg, psi,
             if dg[a][b] != dg[b][a]:
                 raise ValueError("dg must be symmetric")
 
-    cert = is_hfree_at(d, F, p, tol)
-    if not cert.free:
-        raise NotHFree(
-            f"certified rank {cert.matrix.certified_rank} < {required_rank(k)} at {p}")
-
+    need = _required_targets(d, F)
+    # one evaluation of the map and frame jets gives both the certified
+    # freedom matrix and the system with doubled diagonal rows
     pts = np.asarray(p, dtype=float)[None, :]
-    system = _assemble_many(d, F, pts, tol, doubled_diagonal=True)[0]
+    XV, first, L2 = _lie_rows(d, F, pts, tol)
+    _, _, ranks = _certify_ranks(_stack_rows(first, L2, False), tol)
+    if int(ranks[0]) != need:
+        raise NotHFree(f"certified rank {int(ranks[0])} < {need} at {p}")
+    system = _stack_rows(first, L2, True)[0]
 
-    psi_vals = [float(eval_jet2_many(e, d.chart, pts).value[0]) for e in psi]
-    rhs = list(psi_vals)
+    # the right-hand side reads values of psi and dg and gradients of psi
+    psi_jets = [eval_jet2_many(e, d.chart, pts, order=1) for e in psi]
+    rhs = [float(j.value[0]) for j in psi_jets]
     for a, b in pair_order(k):
-        lhs = lie(d.frame[a], psi[b], p) + lie(d.frame[b], psi[a], p)
-        rhs.append(lhs - float(eval_jet2_many(dg[a][b], d.chart, pts).value[0]))
+        # L_a psi_b = xi_a . grad psi_b, contracted as lie() does
+        lhs = (float(XV[0, a] @ psi_jets[b].gradient[0])
+               + float(XV[0, b] @ psi_jets[a].gradient[0]))
+        rhs.append(lhs - float(eval_jet2_many(dg[a][b], d.chart, pts, order=0).value[0]))
     rhs = np.array(rhs)
 
     df, *_ = np.linalg.lstsq(system, rhs, rcond=None)
@@ -336,11 +350,14 @@ def wintergarten_rank(d: Distribution, F: MapSpec, p,
     """Rank of the normal-to-symmetric-tensor map built from the
     anticommutator rows; equals ``k(k+1)/2`` exactly when the map is
     H-free at ``p``."""
-    if not is_h_immersion_at(d, F, p, tol):
-        raise NotImmersion(f"first-order rows are rank deficient at {p}")
-    pts = np.asarray(p, dtype=float)[None, :]
-    rows = _assemble_many(d, F, pts, tol, doubled_diagonal=True)[0]
     k = d.k
+    pts = np.asarray(p, dtype=float)[None, :]
+    _, first, L2 = _lie_rows(d, F, pts, tol)
+    # the H-immersion test of is_h_immersion_at, on the same jets
+    _, _, ranks = _certify_ranks(first, tol)
+    if int(ranks[0]) != k:
+        raise NotImmersion(f"first-order rows are rank deficient at {p}")
+    rows = _stack_rows(first, L2, doubled_diagonal=True)[0]
     first, second = rows[:k], rows[k:]
     # orthonormal basis of the normal space from the full SVD of the
     # first-order block

@@ -1,19 +1,24 @@
-"""Second-order jets and their arithmetic.
+"""Jets of order 0, 1 or 2 and their arithmetic.
 
 A :class:`Jet2` packs the value, gradient and Hessian of a scalar
-function at a point.  All propagation rules are exact (no numerical
-differencing), and every rule assembles the Hessian from entrywise
-symmetric operations, so ``hessian[i, j] == hessian[j, i]`` holds
-bit-for-bit.
+function at a point, truncated at its order: order 0 keeps the value,
+order 1 adds the gradient, order 2 the Hessian; missing parts are
+``None``.  Each rule is written once and stops at the order of its
+operands (forward-mode Taylor arithmetic truncated at the needed order;
+Griewank & Walther, *Evaluating Derivatives*, SIAM 2008), so a lower
+order keeps the leading parts of the full jet bit for bit.  All rules
+are exact (no numerical differencing), and every rule assembles the
+Hessian from entrywise symmetric operations, so
+``hessian[i, j] == hessian[j, i]`` holds bit-for-bit.  Domain checks
+read values only, so they fire at every order.
 
 Arrays may carry a leading batch axis: ``value (B,)``,
 ``gradient (B, m)``, ``hessian (B, m, m)`` evaluate a whole point set in
-one pass.  Scalar jets use shapes ``()``, ``(m,)``, ``(m, m)``.
+one pass.  Scalar jets use shapes ``()``, ``(m,)``, ``(m, m)``.  Both
+operands of a binary operation have the same order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,45 +35,70 @@ def _sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _outer(a, b) + _outer(b, a)
 
 
-@dataclass(frozen=True)
+def _zero_parts(shape: tuple[int, ...], m: int, order: int):
+    """Gradient and Hessian of a constant, ``None`` above ``order``."""
+    return (np.zeros(shape + (m,)) if order >= 1 else None,
+            np.zeros(shape + (m, m)) if order == 2 else None)
+
+
 class Jet2:
-    """Value, gradient and symmetric Hessian of a scalar at a point."""
+    """Value, gradient and symmetric Hessian of a scalar at a point, up to
+    :attr:`order`; never modified once built."""
 
-    value: np.ndarray
-    gradient: np.ndarray
-    hessian: np.ndarray
+    __slots__ = ("value", "gradient", "hessian")
+
+    def __init__(self, value, gradient=None, hessian=None):
+        self.value, self.gradient, self.hessian = value, gradient, hessian
+
+    def __repr__(self) -> str:
+        return f"Jet2(value={self.value!r}, gradient={self.gradient!r}, hessian={self.hessian!r})"
+
+    @property
+    def order(self) -> int:
+        return 0 if self.gradient is None else 1 if self.hessian is None else 2
 
     @staticmethod
-    def constant(c, m: int, batch: tuple[int, ...] = ()) -> "Jet2":
+    def constant(c, m: int, batch: tuple[int, ...] = (), order: int = 2) -> "Jet2":
         value = np.full(batch, float(c))
-        return Jet2(value, np.zeros(batch + (m,)), np.zeros(batch + (m, m)))
+        return Jet2(value, *_zero_parts(batch, m, order)) if order else Jet2(value)
 
     @staticmethod
-    def coordinate(values: np.ndarray, index: int, m: int) -> "Jet2":
+    def coordinate(values: np.ndarray, index: int, m: int, order: int = 2) -> "Jet2":
         values = np.asarray(values, dtype=float)
-        grad = np.zeros(values.shape + (m,))
+        if order == 0:
+            return Jet2(values)
+        grad, hess = _zero_parts(values.shape, m, order)
         grad[..., index] = 1.0
-        return Jet2(values, grad, np.zeros(values.shape + (m, m)))
+        return Jet2(values, grad, hess)
 
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.gradient, -self.hessian)
+        if self.gradient is None:
+            return Jet2(-self.value)
+        hess = None if self.hessian is None else -self.hessian
+        return Jet2(-self.value, -self.gradient, hess)
 
     def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value + other.value,
-                    self.gradient + other.gradient,
-                    self.hessian + other.hessian)
+        if self.gradient is None:
+            return Jet2(self.value + other.value)
+        hess = None if self.hessian is None else self.hessian + other.hessian
+        return Jet2(self.value + other.value, self.gradient + other.gradient, hess)
 
     def __sub__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value - other.value,
-                    self.gradient - other.gradient,
-                    self.hessian - other.hessian)
+        if self.gradient is None:
+            return Jet2(self.value - other.value)
+        hess = None if self.hessian is None else self.hessian - other.hessian
+        return Jet2(self.value - other.value, self.gradient - other.gradient, hess)
 
     def __mul__(self, other: "Jet2") -> "Jet2":
-        u, v = self.value[..., None], other.value[..., None]
         value = self.value * other.value
+        if self.gradient is None:
+            return Jet2(value)
+        u, v = self.value[..., None], other.value[..., None]
         grad = u * other.gradient + v * self.gradient
+        if self.hessian is None:
+            return Jet2(value, grad)
         hess = (self.value[..., None, None] * other.hessian
                 + other.value[..., None, None] * self.hessian
                 + _sym_outer(self.gradient, other.gradient))
@@ -78,7 +108,11 @@ class Jet2:
         if np.any(other.value == 0.0):
             raise DomainError("division by zero")
         q = self.value / other.value
+        if self.gradient is None:
+            return Jet2(q)
         grad = (self.gradient - q[..., None] * other.gradient) / other.value[..., None]
+        if self.hessian is None:
+            return Jet2(q, grad)
         hess = (self.hessian
                 - q[..., None, None] * other.hessian
                 - _sym_outer(grad, other.gradient)) / other.value[..., None, None]
@@ -87,75 +121,82 @@ class Jet2:
     def powi(self, n: int) -> "Jet2":
         """Integer power; valid for any base sign."""
         if n == 0:
-            return Jet2(np.ones_like(self.value),
-                        np.zeros_like(self.gradient),
-                        np.zeros_like(self.hessian))
+            zeros = [np.zeros_like(p) for p in (self.gradient, self.hessian) if p is not None]
+            return Jet2(np.ones_like(self.value), *zeros)
         if n == 1:
             return self
         if n < 0 and np.any(self.value == 0.0):
             raise DomainError("zero raised to a negative power")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v1 = self.value ** (n - 1)
-            v2 = self.value ** (n - 2)
-        g0 = self.value ** n
-        g1 = n * v1
-        g2 = n * (n - 1) * v2
-        return self._chain(g0, g1, g2)
+        v = self.value
+        return self._chain(v ** n, lambda: n * v ** (n - 1),
+                           lambda: n * (n - 1) * v ** (n - 2))
 
     def powf(self, r: float) -> "Jet2":
         """Real power; requires a strictly positive base."""
         if np.any(self.value <= 0.0):
             raise DomainError("non-integer power of a non-positive base")
-        g0 = self.value ** r
-        g1 = r * self.value ** (r - 1.0)
-        g2 = r * (r - 1.0) * self.value ** (r - 2.0)
-        return self._chain(g0, g1, g2)
+        v = self.value
+        return self._chain(v ** r, lambda: r * v ** (r - 1.0),
+                           lambda: r * (r - 1.0) * v ** (r - 2.0))
 
     # -- chain rule --------------------------------------------------------
 
-    def _chain(self, g0: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> "Jet2":
-        grad = g1[..., None] * self.gradient
-        hess = (g1[..., None, None] * self.hessian
-                + g2[..., None, None] * _outer(self.gradient, self.gradient))
+    def _chain(self, g0: np.ndarray, g1, g2) -> "Jet2":
+        """Compose with a scalar function ``g``: ``g0`` is its value at
+        ``self.value``; ``g1`` and ``g2`` return its first and second
+        derivatives there and are called only at the orders that use them."""
+        if self.gradient is None:
+            return Jet2(g0)
+        d1 = g1()
+        grad = d1[..., None] * self.gradient
+        if self.hessian is None:
+            return Jet2(g0, grad)
+        hess = (d1[..., None, None] * self.hessian
+                + g2()[..., None, None] * _outer(self.gradient, self.gradient))
         return Jet2(g0, grad, hess)
 
 
 def jsin(j: Jet2) -> Jet2:
-    s, c = np.sin(j.value), np.cos(j.value)
-    return j._chain(s, c, -s)
+    v = j.value
+    s = np.sin(v)
+    return j._chain(s, lambda: np.cos(v), lambda: -s)
 
 
 def jcos(j: Jet2) -> Jet2:
-    s, c = np.sin(j.value), np.cos(j.value)
-    return j._chain(c, -s, -c)
+    v = j.value
+    c = np.cos(v)
+    return j._chain(c, lambda: -np.sin(v), lambda: -c)
 
 
 def jexp(j: Jet2) -> Jet2:
     e = np.exp(j.value)
-    return j._chain(e, e, e)
+    return j._chain(e, lambda: e, lambda: e)
 
 
 def jlog(j: Jet2) -> Jet2:
     if np.any(j.value <= 0.0):
         raise DomainError("log of a non-positive argument")
     v = j.value
-    return j._chain(np.log(v), 1.0 / v, -1.0 / (v * v))
+    return j._chain(np.log(v), lambda: 1.0 / v, lambda: -1.0 / (v * v))
 
 
 def jsqrt(j: Jet2) -> Jet2:
     if np.any(j.value < 0.0):
         raise DomainError("sqrt of a negative argument")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sqrt(j.value)
+    v = j.value
+    s = np.sqrt(v)
+    if j.order == 0:
+        return Jet2(s)
+    with np.errstate(divide="ignore", invalid="ignore"):  # infinite slope at 0
         g1 = 0.5 / s
-        g2 = -0.25 / (s * j.value)
-    return j._chain(s, g1, g2)
+        g2 = -0.25 / (s * v) if j.order == 2 else None
+    return j._chain(s, lambda: g1, lambda: g2)
 
 
 def jtanh(j: Jet2) -> Jet2:
     t = np.tanh(j.value)
-    sech2 = 1.0 - t * t
-    return j._chain(t, sech2, -2.0 * t * sech2)
+    sech2 = 1.0 - t * t if j.order else None
+    return j._chain(t, lambda: sech2, lambda: -2.0 * t * sech2)
 
 
 def jpow(base: Jet2, exponent: Jet2) -> Jet2:

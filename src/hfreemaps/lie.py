@@ -2,7 +2,10 @@
 
 Everything here is pointwise and exact: ``lie2`` composes the jets of
 the function and of the second field's components in a single pass
-rather than differentiating through a closure.
+rather than differentiating through a closure.  Each jet is evaluated
+at the lowest order the formula reads: values of the first field,
+gradients of the second field, and the jet of ``f`` to order 1 in
+``lie`` and order 2 in ``lie2``.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ def _check_shared_chart(*objs):
 def lie(xi: VectorField, f: Expr, p) -> float:
     """Directional derivative of ``f`` along ``xi`` at ``p``."""
     chart = xi.chart
-    jf = eval_jet2(f, chart, p)
-    values = np.array([float(eval_jet2(c, chart, p).value) for c in xi.components])
+    jf = eval_jet2(f, chart, p, order=1)
+    values = np.array([float(eval_jet2(c, chart, p, order=0).value) for c in xi.components])
     return float(values @ jf.gradient)
 
 
@@ -58,8 +61,8 @@ def lie2(xi: VectorField, eta: VectorField, f: Expr, p) -> float:
     _check_shared_chart(xi, eta)
     chart = xi.chart
     jf = eval_jet2(f, chart, p)
-    xv = np.array([float(eval_jet2(c, chart, p).value) for c in xi.components])
-    eta_jets = [eval_jet2(c, chart, p) for c in eta.components]
+    xv = np.array([float(eval_jet2(c, chart, p, order=0).value) for c in xi.components])
+    eta_jets = [eval_jet2(c, chart, p, order=1) for c in eta.components]
     ev = np.array([float(j.value) for j in eta_jets])
     eg = np.stack([j.gradient for j in eta_jets])  # eg[b, a] = d_a eta^b
     first = np.einsum("a,ba,b->", xv, eg, jf.gradient)

@@ -548,7 +548,7 @@ def verify_transversal(xi: VectorField, f, window: Window) -> TransversalReport:
     """Exact jet-based directional derivative of ``f`` on the window grid;
     returns the minimum and where it is attained."""
     nodes = window.nodes()
-    jf = eval_jet2_many(f, xi.chart, nodes)
+    jf = eval_jet2_many(f, xi.chart, nodes, order=1)
     comp = np.stack([eval_value_many(c, xi.chart, nodes) for c in xi.components], axis=-1)
     lie_vals = np.einsum("nd,nd->n", comp, jf.gradient)
     idx = int(np.argmin(lie_vals))

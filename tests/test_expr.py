@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hfreemaps.expr import (
     eval_jet2,
     eval_jet2_many,
     eval_value,
+    eval_value_many,
     parse,
     render,
     substitute,
@@ -161,15 +163,19 @@ def _leaf(draw_names):
     )
 
 
-def _exprs(names=("x", "y")):
+def _exprs(names=("x", "y"), partial=False):
+    """Random trees; ``partial`` adds operations with a restricted domain:
+    ``/``, ``exp``, ``log``, ``sqrt`` and powers with any exponent."""
+    binary = "+-*/^" if partial else "+-*"
+    unary = ["sin", "cos", "tanh"] + (["exp", "log", "sqrt"] if partial else [])
     return st.recursive(
         _leaf(names),
         lambda sub: st.one_of(
-            st.tuples(st.sampled_from("+-*"), sub, sub).map(
+            st.tuples(st.sampled_from(binary), sub, sub).map(
                 lambda t: Bin(t[0], t[1], t[2])),
             sub.map(lambda e: -e),
             sub.map(lambda e: Bin("^", e, Num(2.0))),
-            st.tuples(st.sampled_from(["sin", "cos", "tanh"]), sub).map(
+            st.tuples(st.sampled_from(unary), sub).map(
                 lambda t: Call(t[0], t[1])),
         ),
         max_leaves=12,
@@ -232,3 +238,96 @@ def test_derivative_matches_jet_gradient(plane, rng):
                               rtol=1e-12, atol=1e-12)
             assert np.isclose(eval_value(dy, plane, p), j.gradient[1],
                               rtol=1e-12, atol=1e-12)
+
+
+# -- evaluation orders -------------------------------------------------------
+
+
+def _outcome(e, chart, pts, order):
+    """The batched jet, or None when the batch leaves the domain."""
+    try:
+        return eval_jet2_many(e, chart, pts, order=order)
+    except DomainError:
+        return None
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+_points = st.lists(
+    st.tuples(*[st.floats(min_value=-3, max_value=3, allow_nan=False)] * 2),
+    min_size=1, max_size=4).map(lambda rows: np.array(rows, dtype=float))
+
+
+@given(e=_exprs(partial=True), pts=_points)
+@settings(max_examples=300, deadline=None)
+def test_orders_agree_bit_for_bit(e, pts):
+    plane = Chart(("x", "y"))
+    with np.errstate(all="ignore"):
+        jets = [_outcome(e, plane, pts, order) for order in (0, 1, 2)]
+        # a domain error at one order is raised at every order
+        assert len({j is None for j in jets}) == 1
+        if jets[0] is None:
+            for order in (0, 1, 2):
+                failing = [_outcome(e, plane, p[None, :], order) is None for p in pts]
+                assert any(failing)
+            return
+        j0, j1, j2 = jets
+        assert (j0.order, j1.order, j2.order) == (0, 1, 2)
+        assert _bits(j0.value) == _bits(j1.value) == _bits(j2.value)
+        assert _bits(j1.gradient) == _bits(j2.gradient)
+        assert np.array_equal(j2.hessian, np.swapaxes(j2.hessian, -1, -2), equal_nan=True)
+        assert _bits(eval_value_many(e, plane, pts)) == _bits(j0.value)
+        # a batched result equals the single-point results
+        for order, batch in enumerate(jets):
+            for i, p in enumerate(pts):
+                single = eval_jet2(e, plane, p, order=order)
+                assert _bits(single.value) == _bits(batch.value[i])
+                if order >= 1:
+                    assert _bits(single.gradient) == _bits(batch.gradient[i])
+                if order == 2:
+                    assert _bits(single.hessian) == _bits(batch.hessian[i])
+
+
+def test_variable_exponent_values_match_jets(plane, rng):
+    # a^b with a non-constant exponent is exp(b log a) at every order
+    e = parse("x^y")
+    pts = rng.uniform([0.1, -3.0], [3.0, 3.0], size=(1000, 2))
+    values = eval_value_many(e, plane, pts)
+    assert _bits(values) == _bits(eval_jet2_many(e, plane, pts).value)
+    assert _bits(values) == _bits(np.exp(pts[:, 1] * np.log(pts[:, 0])))
+    for p, v in zip(pts[:20], values):
+        assert eval_value(e, plane, p) == v
+
+
+def test_deep_tree_evaluates_without_recursion(plane):
+    e = parse("+".join(["x"] * 3000))
+    pts = np.array([[0.5, -1.0], [2.0, 3.0]])
+    assert np.array_equal(eval_value_many(e, plane, pts), [1500.0, 6000.0])
+    for order in (2, 1, 0):
+        jet = eval_jet2_many(e, plane, pts, order=order)
+        assert np.array_equal(jet.value, [1500.0, 6000.0])
+        if order >= 1:
+            assert np.array_equal(jet.gradient, [[3000.0, 0.0]] * 2)
+        if order == 2:
+            assert not jet.hessian.any()
+
+
+def test_shared_subtrees_are_evaluated_once(plane):
+    # 20 squarings: 2^21 - 1 tree nodes below the root, 22 distinct nodes
+    e = Call("cos", Coord("x") * Coord("y"))
+    for _ in range(20):
+        e = e * e
+    pts = np.array([[0.0, 0.7], [0.01, 0.3]])
+    start = time.perf_counter()
+    jets = [eval_jet2_many(e, plane, pts, order=order) for order in (0, 1, 2)]
+    assert time.perf_counter() - start < 1.0
+    assert jets[2].value[0] == 1.0 and not jets[2].gradient[0].any()
+    assert _bits(jets[0].value) == _bits(jets[2].value)
+    assert _bits(jets[1].gradient) == _bits(jets[2].gradient)
+
+
+def test_order_is_validated(plane):
+    with pytest.raises(ValueError):
+        eval_jet2(parse("x"), plane, (0.0, 0.0), order=3)

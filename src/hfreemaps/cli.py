@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .artifacts import write_text
 from .constructions import (
     FreeCurve,
     RPBracketSpec,
@@ -34,7 +35,7 @@ from .genericity import genericity_trial, write_trials_csv
 from .geometry import DEFAULT_RANK_TOL
 from .hfree import induced_metric, infinitesimal_invert, freedom_matrix_many, required_rank
 from .contours import render_levels
-from .scenario import Scenario, _box, load_scenario
+from .scenario import Scenario, _box, _int, load_scenario
 from .transversal import (
     BumpProfile,
     build_tube,
@@ -46,16 +47,9 @@ from .transversal import (
 __all__ = ["run", "main"]
 
 
-def _write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
-
-
 def _write_report(outdir: str, report: dict) -> None:
-    _write_text(os.path.join(outdir, "report.json"),
-                json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_text(os.path.join(outdir, "report.json"),
+               json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _curve_from_text(sc: Scenario, text: str, line: int | None = None) -> FreeCurve:
@@ -351,13 +345,16 @@ def _run_render_levels(sc: Scenario, outdir, seed, tol, threads):
     expr_entries = sc.task_get_all("expr")
     if not expr_entries:
         sc.fail("render-levels needs 'expr = ...' lines")
-    n_levels = int(sc.task_get("levels", "15"))
+    levels = sc.task_get_all("levels")
+    n_levels = _int(levels[-1].value, sc, levels[-1].line) if levels else 15
+    if n_levels < 1:
+        sc.fail(f"levels must be a positive integer, got {n_levels}", levels[-1].line)
     files, warnings, skipped = [], [], 0
     for i, e in enumerate(expr_entries):
         render = render_levels(sc.expr(e.value, e.line), sc.chart, sc.window, n_levels)
         name = e.value if e.value in sc.names else f"expr{i}"
         filename = f"levels_{name}.svg"
-        _write_text(os.path.join(outdir, filename), render.svg(sc.window))
+        write_text(os.path.join(outdir, filename), render.svg(sc.window))
         files.append(filename)
         warnings.extend(render.warnings)
         skipped += len(render.skipped_cells)

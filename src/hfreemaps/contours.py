@@ -19,45 +19,32 @@ from .transversal import Window
 __all__ = ["LevelRender", "marching_squares", "render_levels", "contour_svg"]
 
 
-def _interp(p0, p1, v0, v1, level):
-    t = 0.0 if v1 == v0 else (level - v0) / (v1 - v0)
-    t = min(1.0, max(0.0, t))
-    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+# Cell corners 0..3 are (x0, y0), (x1, y0), (x1, y1), (x0, y1); bit i of a
+# cell's code is set when corner i lies above the level.  Edge e runs from
+# corner _EDGES[e][0] to corner _EDGES[e][1].
+_EDGES = ((0, 1), (1, 2), (3, 2), (0, 3))
+_EDGE_START, _EDGE_END = np.array(_EDGES).T
 
 
-def _cell_segments(x0, x1, y0, y1, v00, v10, v01, v11, level):
-    """Segments of one cell; corner values v[xy] with x fastest."""
-    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
-    values = (v00, v10, v11, v01)
-    code = sum(1 << i for i, v in enumerate(values) if v > level)
-    if code in (0, 15):
-        return []
-    edges = {
-        0: _interp(corners[0], corners[1], values[0], values[1], level),
-        1: _interp(corners[1], corners[2], values[1], values[2], level),
-        2: _interp(corners[3], corners[2], values[3], values[2], level),
-        3: _interp(corners[0], corners[3], values[0], values[3], level),
+def _case_table() -> np.ndarray:
+    """Edge pairs of each code, ``[code, centre_above, pair, end]``;
+    -1 marks a missing second pair.  Only the saddle codes 5 and 10 depend
+    on whether the cell-centre average lies above the level."""
+    single = {
+        1: (3, 0), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2), 7: (3, 2),
+        8: (2, 3), 9: (0, 2), 11: (1, 2), 12: (1, 3), 13: (0, 1), 14: (3, 0),
     }
-    table = {
-        1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-        6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
-        11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(3, 0)],
-    }
-    if code in (5, 10):
-        # saddle: disambiguate with the cell-centre average
-        centre_above = (values[0] + values[1] + values[2] + values[3]) / 4.0 > level
-        if code == 5:
-            pairs = [(3, 0), (1, 2)] if centre_above else [(3, 2), (1, 0)]
-        else:
-            pairs = [(0, 1), (2, 3)] if centre_above else [(0, 3), (2, 1)]
-    else:
-        pairs = table[code]
-    out = []
-    for a, b in pairs:
-        seg = (edges[a], edges[b])
-        if seg[0] != seg[1]:
-            out.append(seg)
-    return out
+    table = np.full((16, 2, 2, 2), -1, dtype=np.intp)
+    for code, pair in single.items():
+        table[code, :, 0] = pair
+    table[5, 1] = [(3, 0), (1, 2)]
+    table[5, 0] = [(3, 2), (1, 0)]
+    table[10, 1] = [(0, 1), (2, 3)]
+    table[10, 0] = [(0, 3), (2, 1)]
+    return table
+
+
+_CASES = _case_table()
 
 
 def _merge_segments(segments):
@@ -105,22 +92,48 @@ def _merge_segments(segments):
 def marching_squares(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
                      level: float):
     """Polylines of ``values == level``; NaN cells are skipped and their
-    indices returned separately."""
-    ny, nx = values.shape
-    segments = []
-    skipped = []
+    indices returned separately.
+
+    One pass over all cells: segments come out in row-major cell order,
+    and each edge point is interpolated as ``p0 + t*(p1 - p0)`` with
+    ``t = (level - v0) / (v1 - v0)`` clamped to [0, 1] (0 when
+    ``v1 == v0``)."""
     finite = np.isfinite(values)
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            if not (finite[iy, ix] and finite[iy, ix + 1]
-                    and finite[iy + 1, ix] and finite[iy + 1, ix + 1]):
-                skipped.append((iy, ix))
-                continue
-            segments.extend(_cell_segments(
-                xs[ix], xs[ix + 1], ys[iy], ys[iy + 1],
-                values[iy, ix], values[iy, ix + 1],
-                values[iy + 1, ix], values[iy + 1, ix + 1], level))
-    return _merge_segments(segments), skipped
+    cell_finite = finite[:-1, :-1] & finite[:-1, 1:] & finite[1:, 1:] & finite[1:, :-1]
+    skipped = list(zip(*(i.tolist() for i in np.nonzero(~cell_finite))))
+
+    above = values > level
+    code = (above[:-1, :-1] | above[:-1, 1:] << 1 | above[1:, 1:] << 2
+            | above[1:, :-1] << 3)
+    iy, ix = np.nonzero(cell_finite & (code != 0) & (code != 15))
+    if iy.size == 0:
+        return [], skipped
+    code = code[iy, ix]
+    x0, x1 = xs[ix], xs[ix + 1]
+    y0, y1 = ys[iy], ys[iy + 1]
+    # corner values and positions in corner order, shape (4, cells)
+    v = np.stack([values[iy, ix], values[iy, ix + 1],
+                  values[iy + 1, ix + 1], values[iy + 1, ix]])
+    cx = np.stack([x0, x1, x1, x0])
+    cy = np.stack([y0, y0, y1, y1])
+    start, end = _EDGE_START, _EDGE_END
+    v0, v1 = v[start], v[end]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.where(v1 == v0, 0.0, (level - v0) / (v1 - v0))
+        t = np.where(t > 0.0, t, 0.0)
+        t = np.where(t < 1.0, t, 1.0)
+        ex = cx[start] + t * (cx[end] - cx[start])
+        ey = cy[start] + t * (cy[end] - cy[start])
+        centre_above = (v[0] + v[1] + v[2] + v[3]) / 4.0 > level
+    points = np.stack([ex.T, ey.T], axis=-1)              # (cells, edge, xy)
+    pairs = _CASES[code, centre_above.astype(np.intp)]    # (cells, pair, end)
+    cells = np.arange(code.size)[:, None, None]
+    segs = points[cells, np.maximum(pairs, 0)]            # (cells, pair, end, xy)
+    keep = (pairs[..., 0] >= 0) & (segs[:, :, 0] != segs[:, :, 1]).any(axis=-1)
+    # tuples of numpy scalars, as _merge_segments keys them
+    flat = iter(segs[keep].reshape(-1))
+    ends = list(zip(flat, flat))
+    return _merge_segments(list(zip(ends[0::2], ends[1::2]))), skipped
 
 
 @dataclass(frozen=True)
@@ -140,6 +153,8 @@ def render_levels(f: Expr, chart: Chart, window: Window,
     between the grid minimum and maximum."""
     if chart.dim != 2:
         raise ValueError("level rendering needs a two-dimensional chart")
+    if n_levels < 1:
+        raise ValueError(f"need at least one level, got {n_levels}")
     nodes = window.nodes()
     try:
         values = eval_value_many(f, chart, nodes).reshape(window.ny, window.nx)

@@ -13,6 +13,7 @@ from itertools import product
 
 import numpy as np
 
+from .artifacts import write_text
 from .expr import Bin, Chart, Coord, Expr, Num
 from .geometry import DEFAULT_RANK_TOL, Distribution
 from .hfree import MapSpec, freedom_matrix_many, required_rank
@@ -165,5 +166,4 @@ def write_trials_csv(path, results: list[GenericityResult]) -> None:
     for r in results:
         lines.append(f"{r.q},{r.degree},{r.n_pairs},{r.successes},{r.marginals},"
                      f"{r.fraction!r},{r.ci_low!r},{r.ci_high!r},{r.seed}")
-    with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

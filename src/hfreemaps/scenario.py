@@ -257,6 +257,8 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
                 vals = [_int(v, sc, e.line) for v in e.value.split(",")]
                 if len(vals) != 2:
                     sc.fail("grid needs two resolutions", e.line)
+                if min(vals) < 2:
+                    sc.fail(f"grid resolutions must be at least 2, got {e.value!r}", e.line)
                 grid = (vals[0], vals[1])
             else:
                 sc.fail(f"unknown key {e.key!r} in [window]", e.line)

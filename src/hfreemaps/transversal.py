@@ -16,6 +16,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.spatial import cKDTree
 
+from .artifacts import write_text
 from .errors import BlowUp, CoverageGap, OutsideTube
 from .expr import eval_jet2_many, eval_value_many
 from .lie import VectorField
@@ -563,12 +564,14 @@ def verify_transversal(xi: VectorField, f, window: Window) -> TransversalReport:
 
 def write_grid_csv(path, window: Window, values: np.ndarray,
                    lie_values: np.ndarray) -> None:
-    """Write ``x,y,f,lie_f`` rows (header line, ``.`` decimals, LF)."""
-    xs, ys = window.xs(), window.ys()
+    """Write ``x,y,f,lie_f`` rows (header line, ``.`` decimals, LF),
+    y outer, each number as the ``repr`` of a Python float."""
+    shape = (window.ny, window.nx)
+    xs = [repr(x) for x in window.xs().tolist()]
+    f_rows = np.asarray(values, dtype=float).reshape(shape)
+    lie_rows = np.asarray(lie_values, dtype=float).reshape(shape)
     lines = ["x,y,f,lie_f"]
-    for iy in range(window.ny):
-        for ix in range(window.nx):
-            lines.append(f"{float(xs[ix])!r},{float(ys[iy])!r},"
-                         f"{float(values[iy, ix])!r},{float(lie_values[iy, ix])!r}")
-    with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    for y, f_row, lie_row in zip(map(repr, window.ys().tolist()), f_rows, lie_rows):
+        lines.extend(f"{x},{y},{f!r},{lie!r}"
+                     for x, f, lie in zip(xs, f_row.tolist(), lie_row.tolist()))
+    write_text(path, "\n".join(lines) + "\n")

@@ -1,8 +1,160 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfreemaps.expr import parse
-from hfreemaps.contours import marching_squares, render_levels
+from hfreemaps.contours import _merge_segments, marching_squares, render_levels
 from hfreemaps.transversal import Window
+
+
+# -- reference implementation: one cell at a time ----------------------------
+
+def _interp(p0, p1, v0, v1, level):
+    t = 0.0 if v1 == v0 else (level - v0) / (v1 - v0)
+    t = min(1.0, max(0.0, t))
+    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+
+
+def _cell_segments(x0, x1, y0, y1, v00, v10, v01, v11, level):
+    """Segments of one cell; corner values v[xy] with x fastest."""
+    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+    values = (v00, v10, v11, v01)
+    code = sum(1 << i for i, v in enumerate(values) if v > level)
+    if code in (0, 15):
+        return []
+    edges = {
+        0: _interp(corners[0], corners[1], values[0], values[1], level),
+        1: _interp(corners[1], corners[2], values[1], values[2], level),
+        2: _interp(corners[3], corners[2], values[3], values[2], level),
+        3: _interp(corners[0], corners[3], values[0], values[3], level),
+    }
+    table = {
+        1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+        6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
+        11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(3, 0)],
+    }
+    if code in (5, 10):
+        # saddle: disambiguate with the cell-centre average
+        centre_above = (values[0] + values[1] + values[2] + values[3]) / 4.0 > level
+        if code == 5:
+            pairs = [(3, 0), (1, 2)] if centre_above else [(3, 2), (1, 0)]
+        else:
+            pairs = [(0, 1), (2, 3)] if centre_above else [(0, 3), (2, 1)]
+    else:
+        pairs = table[code]
+    out = []
+    for a, b in pairs:
+        seg = (edges[a], edges[b])
+        if seg[0] != seg[1]:
+            out.append(seg)
+    return out
+
+
+def _reference_marching_squares(xs, ys, values, level):
+    ny, nx = values.shape
+    segments = []
+    skipped = []
+    finite = np.isfinite(values)
+    with np.errstate(all="ignore"):  # the huge corner values overflow
+        for iy in range(ny - 1):
+            for ix in range(nx - 1):
+                if not (finite[iy, ix] and finite[iy, ix + 1]
+                        and finite[iy + 1, ix] and finite[iy + 1, ix + 1]):
+                    skipped.append((iy, ix))
+                    continue
+                segments.extend(_cell_segments(
+                    xs[ix], xs[ix + 1], ys[iy], ys[iy + 1],
+                    values[iy, ix], values[iy, ix + 1],
+                    values[iy + 1, ix], values[iy + 1, ix + 1], level))
+    return _merge_segments(segments), skipped
+
+
+def _assert_matches_reference(xs, ys, values, level):
+    lines, skipped = marching_squares(xs, ys, values, level)
+    ref_lines, ref_skipped = _reference_marching_squares(xs, ys, values, level)
+    assert skipped == ref_skipped
+    assert len(lines) == len(ref_lines)
+    for line, ref in zip(lines, ref_lines):
+        assert np.array_equal(line, ref)
+        assert np.array_equal(np.signbit(line), np.signbit(ref))
+    return lines, skipped
+
+
+# corner values on a coarse lattice, so that corners often sit exactly on
+# a level and saddle centres land on either side of it; the huge values
+# make the order of the centre sum matter (it overflows one way only)
+_corner = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, np.nan,
+                           -1e308, 1e308])
+_steps = st.sampled_from([0.1, 0.25, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def _grids(draw):
+    ny = draw(st.integers(2, 6))
+    nx = draw(st.integers(2, 6))
+    x0 = draw(st.sampled_from([-1.0, -0.0, 0.0, 2.0]))
+    y0 = draw(st.sampled_from([-2.0, -0.0, 0.5]))
+    xs = np.append(x0, x0 + np.cumsum(draw(st.lists(_steps, min_size=nx - 1,
+                                                    max_size=nx - 1))))
+    ys = np.append(y0, y0 + np.cumsum(draw(st.lists(_steps, min_size=ny - 1,
+                                                    max_size=ny - 1))))
+    values = np.array(draw(st.lists(_corner, min_size=nx * ny, max_size=nx * ny)))
+    level = draw(st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5, 0.1, -1e308]))
+    return xs, ys, values.reshape(ny, nx), level
+
+
+@given(grid=_grids())
+@settings(max_examples=400, deadline=None)
+def test_marching_squares_matches_cell_loop(grid):
+    _assert_matches_reference(*grid)
+
+
+def test_marching_squares_matches_cell_loop_on_smooth_grids():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        xs = np.cumsum(rng.uniform(0.05, 1.0, 12))
+        ys = np.cumsum(rng.uniform(0.05, 1.0, 9))
+        X, Y = np.meshgrid(xs, ys)
+        values = np.sin(X * rng.uniform(0.5, 2)) * np.cos(Y) + rng.normal(0, 0.1, X.shape)
+        for level in np.linspace(values.min(), values.max(), 7)[1:-1]:
+            _assert_matches_reference(xs, ys, values, float(level))
+
+
+XS = np.array([0.0, 1.0])
+YS = np.array([0.0, 2.0])
+
+
+@pytest.mark.parametrize("values, n_lines", [
+    ([[1.0, -0.5], [-0.5, 1.0]], 2),    # code 5, centre above
+    ([[1.0, -1.5], [-1.5, 1.0]], 2),    # code 5, centre below
+    ([[-0.5, 1.0], [1.0, -0.5]], 2),    # code 10, centre above
+    ([[-1.5, 1.0], [1.0, -1.5]], 2),    # code 10, centre below
+])
+def test_saddle_cells_match_cell_loop(values, n_lines):
+    lines, _ = _assert_matches_reference(XS, YS, np.array(values), 0.0)
+    assert len(lines) == n_lines
+
+
+def test_corners_on_the_level_match_cell_loop():
+    for values in ([[0.0, 1.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]],
+                   [[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.0], [0.0, 1.0]]):
+        _assert_matches_reference(XS, YS, np.array(values), 0.0)
+
+
+def test_zero_length_segment_is_dropped():
+    # code 7 whose only segment collapses onto the corner (x0, y1)
+    values = np.array([[1.0, 1.0], [0.0, 1.0]])
+    lines, skipped = _assert_matches_reference(XS, YS, values, 0.0)
+    assert lines == [] and skipped == []
+
+
+def test_nan_cells_are_skipped_like_cell_loop():
+    values = np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0], [0.0, 1.0, 2.0]])
+    lines, skipped = _assert_matches_reference(
+        np.array([0.0, 0.5, 2.0]), np.array([-1.0, 0.0, 1.0]), values, 0.5)
+    assert skipped == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert lines == []
 
 
 def test_linear_function_three_vertical_lines(plane):
@@ -70,3 +222,9 @@ def test_marching_squares_level_crossing():
     assert not skipped
     assert len(lines) == 1
     assert np.allclose(lines[0][:, 0], 0.5)
+
+
+@pytest.mark.parametrize("n_levels", [0, -3])
+def test_render_levels_needs_a_level(plane, n_levels):
+    with pytest.raises(ValueError, match="at least one level"):
+        render_levels(parse("x"), plane, Window(0, 1, 0, 1, 5, 5), n_levels=n_levels)

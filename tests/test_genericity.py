@@ -98,3 +98,19 @@ def test_csv_output(tmp_path, line_dist):
     fields = lines[1].split(",")
     assert fields[0] == "5" and fields[2] == "50"
     float(fields[5])  # fraction parses with '.' decimals
+
+
+def test_csv_write_is_atomic(tmp_path, line_dist, monkeypatch):
+    res = genericity_trial(line_dist, q=5, degree=3, n_maps=2, n_points=5,
+                           seed=2, box=BOX)
+    path = tmp_path / "trials.csv"
+    path.write_text("old contents\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_trials_csv(path, [res])
+    assert path.read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.csv"]

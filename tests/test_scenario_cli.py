@@ -443,3 +443,45 @@ expr = g
         run(path, tmp_path / "out2")
         assert ((tmp_path / "out2" / "levels_g.svg").read_bytes()
                 == (out / "levels_g.svg").read_bytes())
+
+
+RENDER = """
+[chart]
+coords = x, y
+
+[window]
+box = -1:1, -1:1
+grid = 11, 11
+
+[task]
+kind = render-levels
+expr = x*y
+levels = {levels}
+"""
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("levels", ["many", "0", "-3"])
+    def test_render_levels_needs_positive_levels(self, tmp_path, capsys, levels):
+        path = write(tmp_path, "lv.ini", RENDER.format(levels=levels))
+        out = tmp_path / "out"
+        assert run(path, out) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:12:" in err
+        assert "Traceback" not in err
+        assert not any(out.iterdir())
+
+    def test_render_levels_accepts_one_level(self, tmp_path):
+        path = write(tmp_path, "lv.ini", RENDER.format(levels="1"))
+        out = tmp_path / "out"
+        assert run(path, out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["summary"]["n_levels"] == 1
+
+    @pytest.mark.parametrize("grid", ["1, 5", "5, 0"])
+    def test_window_grid_below_two(self, tmp_path, capsys, grid):
+        text = RENDER.format(levels="3").replace("grid = 11, 11", f"grid = {grid}")
+        path = write(tmp_path, "lv.ini", text)
+        assert run(path, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"{path}:7:" in err and "at least 2" in err

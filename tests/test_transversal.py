@@ -244,3 +244,48 @@ def test_grid_csv_format(tmp_path, stripe):
     assert raw.count("\r") == 0
     first = lines[1].split(",")
     assert float(first[0]) == -1.0 and float(first[1]) == -1.0
+
+
+def _reference_grid_csv(window, values, lie_values) -> str:
+    """Per-node formatting of the grid CSV, one numpy scalar at a time."""
+    xs, ys = window.xs(), window.ys()
+    lines = ["x,y,f,lie_f"]
+    for iy in range(window.ny):
+        for ix in range(window.nx):
+            lines.append(f"{float(xs[ix])!r},{float(ys[iy])!r},"
+                         f"{float(values[iy, ix])!r},{float(lie_values[iy, ix])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("window", [
+    Window(-1, 1, -1, 1, 5, 4),
+    Window(-0.0, 3e-300, -1e300, 1e300, 7, 3),
+    Window(0.1, 0.7, -2.5, 1.0 / 3.0, 2, 9),
+])
+def test_grid_csv_matches_per_node_formatting(tmp_path, window):
+    rng = np.random.default_rng(window.nx * window.ny)
+    special = np.array([-0.0, 0.0, 5e-324, -2.2250738585072e-310, 1e308,
+                        -1.7976931348623157e308, 1e-300, 123456789.0,
+                        np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0])
+    shape = (window.ny, window.nx)
+    values = rng.choice(special, size=shape)
+    lie_values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    lie_values.flat[0] = -0.0
+    path = tmp_path / "grid.csv"
+    write_grid_csv(path, window, values, lie_values)
+    assert path.read_bytes() == _reference_grid_csv(window, values, lie_values).encode()
+
+
+def test_grid_csv_write_is_atomic(tmp_path, monkeypatch):
+    w = Window(-1, 1, -1, 1, 3, 2)
+    path = tmp_path / "grid.csv"
+    path.write_text("old contents\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_grid_csv(path, w, np.zeros((2, 3)), np.ones((2, 3)))
+    assert path.read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv"]

@@ -35,7 +35,7 @@ from .genericity import genericity_trial, write_trials_csv
 from .geometry import DEFAULT_RANK_TOL
 from .hfree import induced_metric, infinitesimal_invert, freedom_matrix_many, required_rank
 from .contours import render_levels
-from .scenario import Scenario, _box, _int, load_scenario
+from .scenario import Scenario, _box, _floats, _int, load_scenario
 from .transversal import (
     BumpProfile,
     build_tube,
@@ -50,6 +50,21 @@ __all__ = ["run", "main"]
 def _write_report(outdir: str, report: dict) -> None:
     write_text(os.path.join(outdir, "report.json"),
                json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def _task_int(sc: Scenario, key: str, default: int) -> int:
+    entries = sc.task_get_all(key)
+    return _int(entries[-1].value, sc, entries[-1].line) if entries else default
+
+
+def _task_float(sc: Scenario, key: str, default: float) -> float:
+    entries = sc.task_get_all(key)
+    if not entries:
+        return default
+    values = _floats(entries[-1].value, sc, entries[-1].line)
+    if len(values) != 1:
+        sc.fail(f"{key} takes one number, got {entries[-1].value!r}", entries[-1].line)
+    return values[0]
 
 
 def _curve_from_text(sc: Scenario, text: str, line: int | None = None) -> FreeCurve:
@@ -142,10 +157,12 @@ def _run_invert(sc: Scenario, outdir, seed, tol, threads):
     dist = sc.distribution()
     F = sc.map_spec()
     k = dist.k
-    point_text = sc.task_get("point")
-    if point_text is None:
+    point_entries = sc.task_get_all("point")
+    if not point_entries:
         sc.fail("invert task needs 'point = ...'")
-    p = [float(v) for v in point_text.split(",")]
+    p = _floats(point_entries[-1].value, sc, point_entries[-1].line)
+    if len(p) != sc.chart.dim:
+        sc.fail(f"point needs {sc.chart.dim} coordinates", point_entries[-1].line)
     psi_entries = sc.task_get_all("psi")
     if len(psi_entries) != 1:
         sc.fail("invert task needs one 'psi = expr, ...' line")
@@ -219,7 +236,10 @@ def _run_construct_cis(sc: Scenario, outdir, seed, tol, threads):
 def _rp_spec(sc: Scenario) -> RPBracketSpec:
     casimir_entries = sc.task_get_all("casimir")
     casimirs = tuple(sc.expr(e.value, e.line) for e in casimir_entries)
-    orientation = int(sc.task_get("orientation", "1"))
+    orientation = _task_int(sc, "orientation", 1)
+    if orientation not in (1, -1):
+        sc.fail(f"orientation must be 1 or -1, got {orientation}",
+                sc.task_get_all("orientation")[-1].line)
     return RPBracketSpec(sc.chart, casimirs, orientation=orientation)
 
 
@@ -280,7 +300,6 @@ def _run_transversal(sc: Scenario, outdir, seed, tol, threads):
     window = sc.window
     seeds = sc.task_get_all("seed")
     f_text = sc.task_get("f")
-    profile = BumpProfile()
     if f_text is not None and not seeds:
         rep = verify_transversal(xi, sc.expr(f_text), window)
         write_grid_csv(os.path.join(outdir, "grid.csv"), window,
@@ -292,15 +311,20 @@ def _run_transversal(sc: Scenario, outdir, seed, tol, threads):
         return rep.min_value > 0.0, report
     if not seeds:
         sc.fail("transversal task needs 'f = ...' or tube 'seed = x, y' lines")
-    weights_text = sc.task_get("weights")
-    weights = ([float(v) for v in weights_text.split(",")]
-               if weights_text else [1.0] * len(seeds))
-    if len(weights) != len(seeds):
-        sc.fail("need one weight per tube seed")
-    t_span = float(sc.task_get("t_span", "3.0"))
-    tubes = [build_tube(xi, [float(v) for v in e.value.split(",")], window,
-                        t_span=t_span) for e in seeds]
-    result = glue(xi, tubes, weights, profile, window)
+    weight_entries = sc.task_get_all("weights")
+    weights = [1.0] * len(seeds)
+    if weight_entries and weight_entries[-1].value:
+        weights = _floats(weight_entries[-1].value, sc, weight_entries[-1].line)
+        if len(weights) != len(seeds):
+            sc.fail("need one weight per tube seed", weight_entries[-1].line)
+    t_span = _task_float(sc, "t_span", 3.0)
+    points = []
+    for e in seeds:
+        points.append(_floats(e.value, sc, e.line))
+        if len(points[-1]) != 2:
+            sc.fail("tube seed looks like 'seed = x, y'", e.line)
+    tubes = [build_tube(xi, p, window, t_span=t_span) for p in points]
+    result = glue(xi, tubes, weights, BumpProfile(), window)
     write_grid_csv(os.path.join(outdir, "grid.csv"), window,
                    result.values, result.lie_values)
     report = {"task": "transversal", "tolerance": tol, "seed": 0, "mode": "glue",
@@ -312,17 +336,17 @@ def _run_transversal(sc: Scenario, outdir, seed, tol, threads):
 
 def _run_genericity(sc: Scenario, outdir, seed, tol, threads):
     dist = sc.distribution()
-    q = int(sc.task_get("q", "0"))
-    degree = int(sc.task_get("degree", "3"))
-    n_maps = int(sc.task_get("n_maps", "100"))
-    n_points = int(sc.task_get("n_points", "100"))
+    q = _task_int(sc, "q", 0)
+    degree = _task_int(sc, "degree", 3)
+    n_maps = _task_int(sc, "n_maps", 100)
+    n_points = _task_int(sc, "n_points", 100)
     if q < 1:
         sc.fail("genericity needs 'q = ...'")
-    box_text = sc.task_get("box")
-    if box_text is None:
+    box_entries = sc.task_get_all("box")
+    if not box_entries:
         sc.fail("genericity needs 'box = lo:hi, ...'")
-    box = _box(box_text, sc.chart.dim, sc, None)
-    seed_used = seed if seed is not None else int(sc.task_get("seed", "0"))
+    box = _box(box_entries[-1].value, sc.chart.dim, sc, box_entries[-1].line)
+    seed_used = seed if seed is not None else _task_int(sc, "seed", 0)
     result = genericity_trial(dist, q, degree, n_maps, n_points, seed_used, box,
                               threads=threads or 1, tol=tol)
     write_trials_csv(os.path.join(outdir, "genericity.csv"), [result])

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.spatial import cKDTree
 
 from .artifacts import write_text
 from .errors import BlowUp, CoverageGap, OutsideTube
@@ -183,11 +181,47 @@ def flow(xi: VectorField, p, t: float, h_max: float = np.inf, *,
 # monotone step and bump profiles
 
 
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients ``(c0, c1, c2, c3)`` of the monotone cubic Hermite
+    interpolant of ``(x, y)`` on each interval, highest power first.
+
+    Interior slopes are the weighted harmonic mean of the neighbouring
+    secants, 0 where those change sign or vanish (Fritsch & Butland,
+    SIAM J. Sci. Stat. Comput. 5, 1984); end slopes use the one-sided
+    three-point rule (Moler, Numerical Computing with MATLAB, 2004).
+    Needs at least three points.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.zeros_like(y)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+
+    def end_slope(h0, h1, m0, m1):
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return e
+
+    d[0] = end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
 class BumpProfile:
     """The classical ``exp(-1/(1-t^2))`` bump and its normalized integral.
 
     ``step`` rises from 0 to 1 across ``(-1, 1)``, equals 1/2 at 0
     exactly, and has the closed-form derivative ``bump(t) / (2 c)``.
+    The integral is tabulated by the trapezoid rule and interpolated by
+    a monotone piecewise cubic.
     """
 
     def __init__(self, resolution: int = 4001):
@@ -196,7 +230,8 @@ class BumpProfile:
         cumulative = np.concatenate(
             [[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(u))])
         self._half_mass = float(cumulative[-1])
-        self._cumulative = PchipInterpolator(u, cumulative)
+        self._u = u
+        self._coeffs = _pchip_coefficients(u, cumulative)
 
     @staticmethod
     def bump(t) -> np.ndarray:
@@ -206,6 +241,15 @@ class BumpProfile:
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
             out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
         return out
+
+    def _cumulative(self, u: np.ndarray) -> np.ndarray:
+        """The interpolated integral at ``u`` in ``[0, 1]``; intervals
+        are half-open, the last one closed."""
+        i = np.clip(np.searchsorted(self._u, u, side="right") - 1, 0, len(self._u) - 2)
+        s = u - self._u[i]
+        c0, c1, c2, c3 = self._coeffs[:, i]
+        s2 = s * s
+        return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
 
     def step(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -425,6 +469,26 @@ def _locate_times(tube: Tube, nodes: np.ndarray, window: Window) -> np.ndarray:
     return best_t
 
 
+_PAIRS_PER_CHUNK = 1 << 18
+
+
+def _nearest(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the target nearest to each 2-D point, by brute force over
+    chunks of at most about ``_PAIRS_PER_CHUNK`` (point, target) pairs;
+    the first index wins a tie."""
+    nearest = np.empty(len(points), dtype=np.intp)
+    rows = max(1, _PAIRS_PER_CHUNK // len(targets))
+    for start in range(0, len(points), rows):
+        block = points[start:start + rows]
+        d2 = block[:, :1] - targets[:, 0]
+        d2 *= d2
+        dy = block[:, 1:] - targets[:, 1]
+        dy *= dy
+        d2 += dy
+        nearest[start:start + rows] = np.argmin(d2, axis=1)
+    return nearest
+
+
 @dataclass(frozen=True)
 class TubeValues:
     """Tube function sampled on the window grid.
@@ -459,9 +523,7 @@ def tube_function(xi: VectorField, tube: Tube, profile: BumpProfile,
         # saturated side rule: compare against the flow direction at the
         # nearest transversal point
         missing = np.nonzero(~located)[0]
-        trans_tree = cKDTree(tube.transversal)
-        _, nearest = trans_tree.query(nodes[missing])
-        base = tube.transversal[nearest]
+        base = tube.transversal[_nearest(nodes[missing], tube.transversal)]
         flow_dir = np.stack(
             [eval_value_many(c, xi.chart, base) for c in xi.components], axis=-1)
         side = np.einsum("nd,nd->n", nodes[missing] - base, flow_dir)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hfreemaps
 from hfreemaps.cli import run
 from hfreemaps.errors import ScenarioError
 from hfreemaps.scenario import parse_scenario
@@ -485,3 +489,89 @@ class TestInputErrors:
         assert run(path, tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert f"{path}:7:" in err and "at least 2" in err
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("genericity", "q = many"),
+        ("genericity", "n_points = 2.5"),
+        ("genericity", "seed = twelve"),
+        ("genericity", "box = 2:-2, -2:2"),
+        ("transversal", "t_span = long"),
+        ("transversal", "t_span = 1, 2"),
+        ("transversal", "weights = 1, heavy, 1"),
+        ("transversal", "seed = 0, zero"),
+        ("transversal", "seed = 0, 0, 0"),
+        ("invert", "point = 0, 0, a"),
+        ("invert", "point = 0, 0"),
+        ("rp-bracket", "orientation = up"),
+        ("rp-bracket", "orientation = 2"),
+    ])
+    def test_malformed_task_numbers(self, tmp_path, capsys, kind, bad):
+        text = TASK_TEXTS[kind].rstrip("\n") + f"\n{bad}\n"
+        line = text.splitlines().index(bad) + 1
+        path = write(tmp_path, "bad.ini", text)
+        out = tmp_path / "out"
+        assert run(path, out) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:{line}:" in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+
+TASK_TEXTS = {
+    "genericity": """
+[chart]
+coords = x, y
+
+[distribution]
+field = 1, 0
+
+[task]
+kind = genericity
+q = 5
+n_maps = 2
+n_points = 3
+box = -2:2, -2:2
+""",
+    "transversal": """
+[chart]
+coords = x, y
+
+[distribution]
+field = 2*y, 1-y^2
+
+[window]
+box = -1:1, -1:1
+grid = 11, 11
+
+[task]
+kind = transversal
+seed = 0, -0.9
+seed = 0, 0
+seed = 0, 0.9
+""",
+    "invert": CONTACT.replace("kind = check-hfree",
+                              "kind = invert\npsi = 0, 0\ndg = 1, 0\ndg = 0, 1"),
+    "rp-bracket": """
+[chart]
+coords = x, y, z
+
+[points]
+point = 0, 0, 0
+
+[task]
+kind = rp-bracket
+casimir = x
+f = y
+g = z
+""",
+}
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(hfreemaps.__file__))
+    code = ("import sys, hfreemaps.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"

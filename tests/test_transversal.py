@@ -7,6 +7,8 @@ from hfreemaps.lie import parse_field
 from hfreemaps.transversal import (
     BumpProfile,
     Window,
+    _nearest,
+    _pchip_coefficients,
     build_tube,
     flow,
     glue,
@@ -113,6 +115,69 @@ class TestBumpProfile:
         ts = np.linspace(0.05, 0.95, 19)
         assert np.allclose(profile.step(ts) + profile.step(-ts), 1.0,
                            rtol=0, atol=1e-15)
+
+
+def _scipy_step(resolution=4001):
+    """``BumpProfile.step`` as it was written on scipy's PCHIP."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    u = np.linspace(0.0, 1.0, resolution)
+    values = BumpProfile.bump(u)
+    cumulative = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(u))])
+    pchip = interpolate.PchipInterpolator(u, cumulative)
+
+    def step(t):
+        t = np.asarray(t, dtype=float)
+        return 0.5 + 0.5 * np.sign(t) * pchip(np.minimum(np.abs(t), 1.0)) / cumulative[-1]
+
+    return step, u
+
+
+class TestScipyOracle:
+    def test_step_bit_identical_to_pchip(self, profile, rng):
+        step, u = _scipy_step()
+        ts = np.concatenate([
+            rng.uniform(-1.0, 1.0, 200_000), rng.uniform(-50.0, 50.0, 1000),
+            u, -u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf),
+            np.nextafter(-u, -np.inf), np.nextafter(-u, np.inf),
+            [0.0, -0.0, 1.0, -1.0, 1.5, -1.5, 1e300, -1e300, np.inf, -np.inf]])
+        assert np.array_equal(profile.step(ts), step(ts))
+        assert np.array_equal(profile.step(ts.reshape(-1, 2)), step(ts.reshape(-1, 2)))
+        for t in (0.3, -0.7, np.asarray(0.25), 2.0):
+            got = profile.step(t)
+            assert np.shape(got) == () and got == step(t)
+        assert np.isnan(profile.step(np.nan)) and np.isnan(step(np.nan))
+
+    def test_coefficients_match_pchip(self, rng):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        for trial in range(200):
+            n = int(rng.integers(3, 30))
+            x = np.cumsum(rng.uniform(0.01, 2.0, n)) - 3.0
+            # quantized values give zero secants and flat runs; signed
+            # jumps exercise both end-slope corrections
+            y = np.round(rng.normal(size=n) * (2 if trial % 2 else 50)) / 4
+            want = interpolate.PchipInterpolator(x, y).c
+            assert np.array_equal(_pchip_coefficients(x, y), want), trial
+
+    @pytest.mark.parametrize("n_points, n_targets", [(7, 1), (50, 3), (3000, 257)])
+    def test_nearest_matches_kdtree(self, rng, n_points, n_targets):
+        spatial = pytest.importorskip("scipy.spatial")
+        points = rng.uniform(-2.0, 2.0, (n_points, 2))
+        targets = rng.uniform(-1.0, 1.0, (n_targets, 2))
+        # 3000 x 257 pairs take several chunks of at most 2**18
+        _, want = spatial.cKDTree(targets).query(points)
+        assert np.array_equal(_nearest(points, targets), want)
+
+    def test_nearest_takes_first_of_ties(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        xs = np.linspace(-1.0, 1.0, 11)
+        targets = np.column_stack([xs, np.zeros_like(xs)])
+        points = Window(-1.0, 1.0, -1.0, 1.0, 41, 41).nodes()
+        got = _nearest(points, targets)
+        d2 = ((points[:, None, :] - targets[None, :, :]) ** 2).sum(axis=-1)
+        assert np.array_equal(got, np.argmin(d2, axis=1))
+        dist, _ = spatial.cKDTree(targets).query(points)
+        assert np.array_equal(np.sqrt(d2[np.arange(len(points)), got]), dist)
 
 
 class TestTubes:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -47,9 +48,29 @@ from .transversal import (
 __all__ = ["run", "main"]
 
 
-def _write_report(outdir: str, report: dict) -> None:
-    write_text(os.path.join(outdir, "report.json"),
-               json.dumps(report, indent=2, sort_keys=True) + "\n")
+def _finite_json(value):
+    """``value`` with every non-finite float replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
+def _write_report(outdir: str, report: dict) -> bool:
+    """Write ``report.json`` as strict JSON.  Non-finite numbers are
+    written as ``null``; returns False when there were any."""
+    finite = True
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        finite = False
+        text = json.dumps(_finite_json(report), indent=2, sort_keys=True,
+                          allow_nan=False)
+    write_text(os.path.join(outdir, "report.json"), text + "\n")
+    return finite
 
 
 def _task_int(sc: Scenario, key: str, default: int) -> int:
@@ -221,6 +242,11 @@ def _run_construct_cis(sc: Scenario, outdir, seed, tol, threads):
     if not f_entries:
         sc.fail("construct-cis needs 'f = ...' lines, one per frame field")
     fs = [sc.expr(e.value, e.line) for e in f_entries]
+    if curve_entries and len(curve_entries) != len(f_entries):
+        extra = max(f_entries, curve_entries, key=len)[min(len(f_entries),
+                                                           len(curve_entries))]
+        sc.fail(f"need one 'curve = ...' line per 'f = ...' line, got "
+                f"{len(f_entries)} f and {len(curve_entries)} curve lines", extra.line)
     curves = [_curve_from_text(sc, e.value, e.line) for e in curve_entries]
     if not curves:
         curves = [FreeCurve.exp()] * len(fs)
@@ -235,6 +261,13 @@ def _run_construct_cis(sc: Scenario, outdir, seed, tol, threads):
 
 def _rp_spec(sc: Scenario) -> RPBracketSpec:
     casimir_entries = sc.task_get_all("casimir")
+    n = sc.chart.dim
+    if n < 2:
+        sc.fail(f"brackets need dimension >= 2, got {n}", sc.task_line)
+    if len(casimir_entries) != n - 2:
+        line = casimir_entries[-1].line if casimir_entries else sc.task_line
+        sc.fail(f"need {n - 2} 'casimir = ...' lines for dimension {n}, "
+                f"got {len(casimir_entries)}", line)
     casimirs = tuple(sc.expr(e.value, e.line) for e in casimir_entries)
     orientation = _task_int(sc, "orientation", 1)
     if orientation not in (1, -1):
@@ -307,8 +340,9 @@ def _run_transversal(sc: Scenario, outdir, seed, tol, threads):
         report = {"task": "transversal", "tolerance": tol, "seed": 0,
                   "mode": "verify",
                   "summary": {"min_lie": rep.min_value,
-                              "argmin": [float(v) for v in rep.argmin]}}
-        return rep.min_value > 0.0, report
+                              "argmin": [float(v) for v in rep.argmin],
+                              "n_nonfinite": rep.n_nonfinite}}
+        return rep.n_nonfinite == 0 and rep.min_value > 0.0, report
     if not seeds:
         sc.fail("transversal task needs 'f = ...' or tube 'seed = x, y' lines")
     weight_entries = sc.task_get_all("weights")
@@ -342,6 +376,11 @@ def _run_genericity(sc: Scenario, outdir, seed, tol, threads):
     n_points = _task_int(sc, "n_points", 100)
     if q < 1:
         sc.fail("genericity needs 'q = ...'")
+    for key, value, low in (("degree", degree, 2), ("n_maps", n_maps, 0),
+                            ("n_points", n_points, 0)):
+        if value < low:
+            sc.fail(f"{key} must be at least {low}, got {value}",
+                    sc.task_get_all(key)[-1].line)
     box_entries = sc.task_get_all("box")
     if not box_entries:
         sc.fail("genericity needs 'box = lo:hi, ...'")
@@ -424,7 +463,10 @@ def run(scenario_path, output_dir, *, seed: int | None = None,
         print(f"error: {sc.path}: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     report["versions"] = {"hfreemaps": __version__}
-    _write_report(output_dir, report)
+    if not _write_report(output_dir, report):
+        print(f"error: {sc.path}: non-finite numbers, written as null in "
+              f"report.json", file=sys.stderr)
+        ok = False
     return 0 if ok else 2
 
 
@@ -441,7 +483,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, default=None,
                         help="override the rank tolerance")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for point sweeps")
+                        help="accepted and ignored: every task runs in "
+                             "one thread")
     args = parser.parse_args(argv)
     code = run(args.scenario, args.out, seed=args.seed, tol=args.tol,
                threads=args.threads)

@@ -1,13 +1,16 @@
 """Monte-Carlo estimation of how often random maps are rank-certified.
 
 Random polynomial maps are generated from a counter-based generator
-(Philox) keyed by ``(seed, stream)``, so every worker regenerates its
-own stream and results are bit-identical for any thread count.
+(Philox) keyed by ``(seed, stream)``: map ``i`` of a sweep draws its
+coefficients from stream ``i + 1`` and its points from stream
+``2**32 + i + 1``.  The sweep runs in blocks of whole maps.  Each block
+evaluates the jets of every monomial once at all of its points and
+contracts them with the maps' coefficients, so no expression is built;
+results do not depend on how the maps are split into blocks.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -16,9 +19,13 @@ import numpy as np
 from .artifacts import write_text
 from .expr import Bin, Chart, Coord, Expr, Num
 from .geometry import DEFAULT_RANK_TOL, Distribution
-from .hfree import MapSpec, freedom_matrix_many, required_rank
+from .hfree import MapSpec, _certify_ranks, _jet_rows, _stack_rows, required_rank
 
 _Z95 = 1.959963984540054
+
+# (map, point) pairs per block of a sweep; bounds the memory of the
+# basis jets, which grows with the pairs times the monomials
+_BLOCK_PAIRS = 4096
 
 __all__ = ["RandomMapSpec", "GenericityResult", "random_poly_map",
            "genericity_trial", "write_trials_csv"]
@@ -55,6 +62,52 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _coefficients(seed: int, stream: int, q: int, n_terms: int) -> np.ndarray:
+    """``(q, n_terms)`` coefficients, one row per component, in the order
+    of :func:`_monomials`."""
+    return _generator(seed, stream).uniform(-1.0, 1.0, size=(q, n_terms))
+
+
+def _poly_jets(coeffs: np.ndarray, exponents: np.ndarray, pts: np.ndarray):
+    """Gradients ``(K*P, q, m)`` and Hessians ``(K*P, q, m, m)`` of the
+    polynomial maps ``F_k^i = sum_n coeffs[k, i, n] x^exponents[n]`` at
+    the points ``pts[k] (P, m)`` of each map ``k``, pairs in map-major
+    order."""
+    K, P, m = pts.shape
+    q, N = coeffs.shape[1:]
+    powers = np.arange(int(exponents.max()) + 1)
+    # table[j, o, k, e, p]: the o-th derivative of x_j^e at point p of map k
+    x = pts.transpose(2, 0, 1)[:, :, None, :]
+    table = np.zeros((m, 3, K, powers.size, P))
+    table[:, 0] = x ** powers[:, None]
+    table[:, 1, :, 1:] = powers[1:, None] * table[:, 0, :, :-1]
+    table[:, 2, :, 2:] = (powers[2:] * (powers[2:] - 1))[:, None] * table[:, 0, :, :-2]
+    # factors[j][o]: (K, N, P), the o-th derivative of x_j^(exponent of x_j)
+    factors = [table[j][:, :, exponents[:, j]] for j in range(m)]
+
+    def basis(orders):
+        out = factors[0][orders[0]]
+        for j in range(1, m):
+            out = out * factors[j][orders[j]]
+        return out
+
+    pairs = [(a, b) for a in range(m) for b in range(a, m)]
+    unit = np.eye(m, dtype=int)
+    G = np.stack([basis(unit[j]) for j in range(m)], axis=-1)
+    H = np.stack([basis(unit[a] + unit[b]) for a, b in pairs], axis=-1)
+
+    def contract(basis_jets):
+        # one matmul per map: (q, N) @ (N, P * width)
+        width = basis_jets.shape[-1]
+        out = coeffs @ basis_jets.reshape(K, N, P * width)
+        return out.reshape(K, q, P, width).transpose(0, 2, 1, 3).reshape(K * P, q, width)
+
+    upper = np.empty((m, m), dtype=int)
+    for i, (a, b) in enumerate(pairs):
+        upper[a, b] = upper[b, a] = i
+    return contract(G), contract(H)[..., upper]
+
+
 def _poly_expr(coeffs: np.ndarray, exponents: list[tuple[int, ...]],
                chart: Chart) -> Expr:
     terms: list[Expr] = []
@@ -78,8 +131,7 @@ def random_poly_map(spec: RandomMapSpec, chart: Chart) -> MapSpec:
     if chart.dim != spec.dim:
         raise ValueError(f"chart dimension {chart.dim} != spec dimension {spec.dim}")
     exponents = _monomials(spec.dim, spec.degree)
-    rng = _generator(spec.seed, spec.stream)
-    coeffs = rng.uniform(-1.0, 1.0, size=(spec.q, len(exponents)))
+    coeffs = _coefficients(spec.seed, spec.stream, spec.q, len(exponents))
     return MapSpec(chart, tuple(_poly_expr(row, exponents, chart) for row in coeffs))
 
 
@@ -110,6 +162,28 @@ def _wilson(successes: int, n: int) -> tuple[float, float]:
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
+def _sweep(d: Distribution, q: int, degree: int, n_maps: int, n_points: int,
+           seed: int, box: np.ndarray, tol: float):
+    """Certify the sweep's maps in blocks of whole maps, at most
+    ``_BLOCK_PAIRS`` pairs each (one map when it alone has more points).
+    Yields ``(first map index, points (K, P, m), singular values
+    (K*P, R), thresholds (K*P,))`` per block, pairs in map-major order."""
+    m = d.chart.dim
+    if n_maps > 0:
+        RandomMapSpec(m, q, degree, seed)  # validates the degree
+    exponents = np.array(_monomials(m, degree))
+    per_block = max(1, _BLOCK_PAIRS // max(n_points, 1))
+    for start in range(0, n_maps, per_block):
+        maps = range(start, min(start + per_block, n_maps))
+        coeffs = np.stack([_coefficients(seed, i + 1, q, len(exponents)) for i in maps])
+        pts = np.stack([_generator(seed, (1 << 32) + i + 1).uniform(
+            box[:, 0], box[:, 1], size=(n_points, m)) for i in maps])
+        Fgrads, Fhesses = _poly_jets(coeffs, exponents, pts)
+        _, first, L2 = _jet_rows(d, pts.reshape(-1, m), Fgrads, Fhesses, tol)
+        svals, thresholds, _ = _certify_ranks(_stack_rows(first, L2, False), tol)
+        yield start, pts, svals, thresholds
+
+
 def genericity_trial(d: Distribution, q: int, degree: int, n_maps: int,
                      n_points: int, seed: int, box,
                      threads: int = 1, tol: float = DEFAULT_RANK_TOL) -> GenericityResult:
@@ -118,6 +192,8 @@ def genericity_trial(d: Distribution, q: int, degree: int, n_maps: int,
     ``box`` is an ``(m, 2)`` array of per-coordinate bounds.  Pairs whose
     smallest required singular value lands within a factor 10 of the
     rank threshold are counted as marginal, not as successes.
+    ``threads`` is accepted and ignored: the sweep is one numpy pass,
+    and its results never depended on the thread count.
     """
     box = np.asarray(box, dtype=float)
     m = d.chart.dim
@@ -129,31 +205,22 @@ def genericity_trial(d: Distribution, q: int, degree: int, n_maps: int,
         return GenericityResult(q, degree, n_pairs, 0, 0, 0.0, 0.0, 0.0, seed,
                                 too_few_targets=True)
 
-    def run_map(index: int):
-        spec = RandomMapSpec(m, q, degree, seed, stream=index + 1)
-        F = random_poly_map(spec, d.chart)
-        rng = _generator(seed, (1 << 32) + index + 1)
-        pts = rng.uniform(box[:, 0], box[:, 1], size=(n_points, m))
-        _, svals, thresholds, _ = freedom_matrix_many(d, F, pts, tol)
+    successes = marginals = 0
+    failures, marginal_pairs = [], []
+    for start, pts, svals, thresholds in _sweep(d, q, degree, n_maps, n_points,
+                                                seed, box, tol):
         smallest = svals[:, need - 1]
         clear_success = smallest > 10.0 * thresholds
         clear_failure = smallest < 0.1 * thresholds
         marginal = ~clear_success & ~clear_failure
-        return (int(np.count_nonzero(clear_success)),
-                int(np.count_nonzero(marginal)),
-                [(index, pts[i].copy()) for i in np.nonzero(clear_failure)[0]],
-                [(index, pts[i].copy()) for i in np.nonzero(marginal)[0]])
+        successes += int(np.count_nonzero(clear_success))
+        marginals += int(np.count_nonzero(marginal))
+        flat = pts.reshape(-1, m)
+        failures += [(start + i // n_points, flat[i].copy())
+                     for i in np.nonzero(clear_failure)[0].tolist()]
+        marginal_pairs += [(start + i // n_points, flat[i].copy())
+                           for i in np.nonzero(marginal)[0].tolist()]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_map, range(n_maps)))
-    else:
-        results = [run_map(i) for i in range(n_maps)]
-
-    successes = sum(r[0] for r in results)
-    marginals = sum(r[1] for r in results)
-    failures = [pair for r in results for pair in r[2]]
-    marginal_pairs = [pair for r in results for pair in r[3]]
     fraction = successes / n_pairs if n_pairs else 0.0
     ci_low, ci_high = _wilson(successes, n_pairs)
     return GenericityResult(q, degree, n_pairs, successes, marginals, fraction,

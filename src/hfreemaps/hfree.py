@@ -205,6 +205,15 @@ def _lie_rows(d: Distribution, F: MapSpec, points: np.ndarray, tol: float):
     if F.chart != d.chart:
         raise ValueError("map and distribution must share one chart")
     Fgrads, Fhesses = _map_jets(F, points)
+    return _jet_rows(d, points, Fgrads, Fhesses, tol)
+
+
+def _jet_rows(d: Distribution, points: np.ndarray, Fgrads: np.ndarray,
+              Fhesses: np.ndarray, tol: float):
+    """:func:`_lie_rows` from map jets ``Fgrads (B, q, m)`` and
+    ``Fhesses (B, q, m, m)`` at ``points (B, m)``; the frame jets are
+    evaluated here.  Raises :class:`DomainError` on non-finite jets and
+    :class:`DegenerateFrame` where the frame drops rank."""
     XV, XG = _frame_jets(d, points)
     if not (np.all(np.isfinite(XV)) and np.all(np.isfinite(Fgrads))
             and np.all(np.isfinite(Fhesses)) and np.all(np.isfinite(XG))):

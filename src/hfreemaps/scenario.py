@@ -75,6 +75,7 @@ class Scenario:
     task_entries: list[Entry]
     points_entries: list[Entry] = field(default_factory=list)
     window: Window | None = None
+    task_line: int | None = None  # line of the task's 'kind = ...'
 
     # -- helpers used by the task runners ----------------------------------
 
@@ -278,6 +279,7 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
             f"unknown task kind {kinds[0].value!r} (expected one of "
             f"{', '.join(TASK_KINDS)})", path, kinds[0].line)
     sc.task = kinds[0].value
+    sc.task_line = kinds[0].line
     sc.task_entries = [e for e in task_entries if e.key != "kind"]
     return sc
 

@@ -601,26 +601,35 @@ def glue(xi: VectorField, tubes: list[Tube], weights, profile: BumpProfile,
 
 @dataclass(frozen=True)
 class TransversalReport:
-    min_value: float
+    min_value: float            # over the finite nodes; NaN when there are none
     argmin: np.ndarray
     values: np.ndarray
     lie_values: np.ndarray
+    n_nonfinite: int = 0        # nodes where L_xi f is NaN or infinite
 
 
 def verify_transversal(xi: VectorField, f, window: Window) -> TransversalReport:
     """Exact jet-based directional derivative of ``f`` on the window grid;
-    returns the minimum and where it is attained."""
+    returns the minimum over the nodes where it is finite, where it is
+    attained, and how many nodes are not finite."""
     nodes = window.nodes()
     jf = eval_jet2_many(f, xi.chart, nodes, order=1)
     comp = np.stack([eval_value_many(c, xi.chart, nodes) for c in xi.components], axis=-1)
     lie_vals = np.einsum("nd,nd->n", comp, jf.gradient)
-    idx = int(np.argmin(lie_vals))
+    finite = np.isfinite(lie_vals)
+    n_finite = int(np.count_nonzero(finite))
+    if n_finite:
+        idx = int(np.argmin(np.where(finite, lie_vals, np.inf)))
+        min_value, argmin = float(lie_vals[idx]), nodes[idx].copy()
+    else:
+        min_value, argmin = float("nan"), np.full(nodes.shape[1], np.nan)
     shape = (window.ny, window.nx)
     return TransversalReport(
-        min_value=float(lie_vals[idx]),
-        argmin=nodes[idx].copy(),
+        min_value=min_value,
+        argmin=argmin,
         values=jf.value.reshape(shape),
         lie_values=lie_vals.reshape(shape),
+        n_nonfinite=lie_vals.size - n_finite,
     )
 
 

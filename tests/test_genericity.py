@@ -1,6 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from hfreemaps import genericity
+from hfreemaps.errors import DegenerateFrame, DomainError
 from hfreemaps.expr import render
 from hfreemaps.geometry import Distribution
 from hfreemaps.genericity import (
@@ -9,7 +16,7 @@ from hfreemaps.genericity import (
     random_poly_map,
     write_trials_csv,
 )
-from hfreemaps.hfree import is_hfree_at
+from hfreemaps.hfree import freedom_matrix_many, is_hfree_at, required_rank
 from hfreemaps.lie import parse_field
 
 BOX = np.array([[-2.0, 2.0], [-2.0, 2.0]])
@@ -114,3 +121,104 @@ def test_csv_write_is_atomic(tmp_path, line_dist, monkeypatch):
         write_trials_csv(path, [res])
     assert path.read_text() == "old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.csv"]
+
+
+# ---------------------------------------------------------------------------
+# the blocked sweep against the per-map path through expression maps
+
+
+def per_map_sweep(d, q, degree, n_maps, n_points, seed, box, tol):
+    """The sweep one map at a time: ``freedom_matrix_many`` on the
+    expression map of ``random_poly_map``, at the points of the map's
+    own stream.  Returns the singular values of every pair and the
+    classified pairs, map by map."""
+    m = d.chart.dim
+    need = required_rank(d.k)
+    svals, successes, marginals, failures, marginal_pairs = [], 0, 0, [], []
+    for index in range(n_maps):
+        F = random_poly_map(RandomMapSpec(m, q, degree, seed, stream=index + 1), d.chart)
+        rng = genericity._generator(seed, (1 << 32) + index + 1)
+        pts = rng.uniform(box[:, 0], box[:, 1], size=(n_points, m))
+        _, s, thresholds, _ = freedom_matrix_many(d, F, pts, tol)
+        svals.append(s)
+        smallest = s[:, need - 1]
+        success = smallest > 10.0 * thresholds
+        failure = smallest < 0.1 * thresholds
+        marginal = ~success & ~failure
+        successes += int(np.count_nonzero(success))
+        marginals += int(np.count_nonzero(marginal))
+        failures += [(index, pts[i]) for i in np.nonzero(failure)[0]]
+        marginal_pairs += [(index, pts[i]) for i in np.nonzero(marginal)[0]]
+    return svals, successes, marginals, failures, marginal_pairs
+
+
+def same_pairs(got, want):
+    return (len(got) == len(want)
+            and all(i == j and type(i) is int and np.array_equal(p, r)
+                    for (i, p), (j, r) in zip(got, want)))
+
+
+@pytest.mark.parametrize("dim, q, degree, n_maps, n_points, tol, blocks", [
+    (2, 5, 2, 6, 40, 1e-9, 1),
+    (2, 5, 3, 6, 40, 1e-9, 1),
+    (2, 4, 4, 6, 40, 1e-9, 1),
+    (2, 2, 3, 20, 50, 1e-2, 1),        # the q=2 probe: marginals and failures
+    (3, 5, 3, 5, 30, 1e-9, 1),         # contact frame, k=2: need = 5
+    (3, 7, 4, 4, 30, 1e-3, 1),
+    (2, 2, 3, 45, 100, 1e-2, 2),       # 40 maps, then 5
+    (2, 2, 2, 3, 5000, 1e-2, 3),       # one map per block, above the budget
+])
+def test_blocked_sweep_matches_per_map_path(line_dist, contact, dim, q, degree, n_maps,
+                                            n_points, tol, blocks):
+    d = line_dist if dim == 2 else contact[0]
+    box = np.array([[-2.0, 2.0]] * dim)
+    svals, successes, marginals, failures, marginal_pairs = per_map_sweep(
+        d, q, degree, n_maps, n_points, 11, box, tol)
+    swept = list(genericity._sweep(d, q, degree, n_maps, n_points, 11, box, tol))
+    assert len(swept) == blocks
+    got, want = np.concatenate([s for *_, s, _ in swept]), np.concatenate(svals)
+    # rounding moves every singular value by a multiple of the matrix norm
+    # sigma_max, so the tolerance is relative to it, not to each value
+    assert np.all(np.abs(got - want) <= 1e-12 * want[:, :1])
+    res = genericity_trial(d, q, degree, n_maps, n_points, 11, box, tol=tol)
+    assert (res.successes, res.marginals) == (successes, marginals)
+    assert same_pairs(res.failures, failures)
+    assert same_pairs(res.marginal_pairs, marginal_pairs)
+    if (q, tol) == (2, 1e-2):
+        assert res.marginals > 0 and res.failures
+
+
+def test_sweep_below_needed_targets_and_empty_sweeps(contact, line_dist):
+    res = genericity_trial(contact[0], q=4, degree=3, n_maps=3, n_points=3,
+                           seed=1, box=np.array([[-1.0, 1.0]] * 3))
+    assert res.too_few_targets and res.successes == 0 and res.n_pairs == 9
+    for n_maps, n_points in ((0, 10), (10, 0), (0, 0)):
+        res = genericity_trial(line_dist, q=5, degree=3, n_maps=n_maps,
+                               n_points=n_points, seed=1, box=BOX)
+        assert (res.n_pairs, res.successes, res.marginals) == (0, 0, 0)
+        assert res.failures == [] and res.marginal_pairs == []
+        assert not res.too_few_targets
+
+
+def test_sweep_raises_domain_errors_and_degenerate_frames(plane, line_dist):
+    # overflowing map jets, and a frame that cannot be evaluated
+    with pytest.raises(DomainError), np.errstate(over="ignore", invalid="ignore"):
+        genericity_trial(line_dist, q=3, degree=3, n_maps=2, n_points=5, seed=1,
+                         box=np.array([[1e200, 2e200], [-1.0, 1.0]]))
+    with pytest.raises(DomainError):
+        genericity_trial(Distribution(plane, (parse_field(plane, "log(x)", "1"),)),
+                         q=3, degree=3, n_maps=2, n_points=5, seed=1, box=BOX)
+    with pytest.raises(DegenerateFrame):
+        genericity_trial(Distribution(plane, (parse_field(plane, "0", "0"),)), q=3,
+                         degree=3, n_maps=2, n_points=5, seed=1, box=BOX)
+
+
+def test_demo_08_runs(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, str(root / "demos/08_genericity_and_contours.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    for name in ("genericity.csv", "levels_f.svg", "levels_g.svg"):
+        assert (tmp_path / name).is_file()

@@ -495,6 +495,9 @@ class TestInputErrors:
         ("genericity", "n_points = 2.5"),
         ("genericity", "seed = twelve"),
         ("genericity", "box = 2:-2, -2:2"),
+        ("genericity", "degree = 1"),
+        ("genericity", "n_maps = -1"),
+        ("genericity", "n_points = -2"),
         ("transversal", "t_span = long"),
         ("transversal", "t_span = 1, 2"),
         ("transversal", "weights = 1, heavy, 1"),
@@ -504,6 +507,9 @@ class TestInputErrors:
         ("invert", "point = 0, 0"),
         ("rp-bracket", "orientation = up"),
         ("rp-bracket", "orientation = 2"),
+        ("rp-bracket", "casimir = y"),
+        ("construct-cis", "curve = circle"),
+        ("construct-cis", "f = y"),
     ])
     def test_malformed_task_numbers(self, tmp_path, capsys, kind, bad):
         text = TASK_TEXTS[kind].rstrip("\n") + f"\n{bad}\n"
@@ -515,6 +521,88 @@ class TestInputErrors:
         assert f"{path}:{line}:" in err
         assert "Traceback" not in err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("casimir = x\n", "", "need 1 'casimir"),
+        ("coords = x, y, z\n", "coords = x\n", "brackets need dimension >= 2"),
+    ])
+    def test_rp_counts_name_the_task_line(self, tmp_path, capsys, old, new, message):
+        text = TASK_TEXTS["rp-bracket"].replace(old, new)
+        path = write(tmp_path, "bad.ini", text)
+        assert run(path, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        line = text.splitlines().index("kind = rp-bracket") + 1
+        assert f"{path}:{line}: {message}" in err
+
+    @pytest.mark.parametrize("empty", ["n_maps = 0", "n_points = 0"])
+    def test_empty_genericity_sweep(self, tmp_path, empty):
+        path = write(tmp_path, "gen.ini", TASK_TEXTS["genericity"] + empty + "\n")
+        out = tmp_path / "out"
+        assert run(path, out) == 0
+        summary = json.loads((out / "report.json").read_text())["summary"]
+        assert (summary["n_pairs"], summary["successes"]) == (0, 0)
+
+
+def _strict(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("box, min_lie", [("-1:1, -1:1", 0.0), ("1:2, -1:1", None)])
+    def test_non_finite_lie_values(self, tmp_path, box, min_lie):
+        text = f"""
+[chart]
+coords = x, y
+
+[distribution]
+field = 2*y, 1-y^2
+
+[window]
+box = {box}
+grid = 5, 5
+
+[task]
+kind = transversal
+f = y*exp(800*x)
+"""
+        path = write(tmp_path, "tv.ini", text)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run(path, out) == 2
+        summary = _strict((out / "report.json").read_text())["summary"]
+        assert summary["min_lie"] == min_lie
+        # exp(800 x) overflows for x >= 1: 5 of 25 nodes on [-1, 1], all on [1, 2]
+        assert summary["n_nonfinite"] == (5 if min_lie is not None else 25)
+        if min_lie is not None:
+            assert summary["argmin"] == [-1.0, -1.0]
+
+    def test_non_finite_report_values_are_null(self, tmp_path, capsys):
+        text = """
+[chart]
+coords = x, y
+
+[distribution]
+field = 1, 0
+
+[map]
+component = x
+component = exp(800*x)
+
+[points]
+point = 1, 0
+
+[task]
+kind = induced-metric
+"""
+        path = write(tmp_path, "im.ini", text)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run(path, out) == 2
+        report = _strict((out / "report.json").read_text())
+        assert report["points"][0]["metric"] == [[None]]
+        assert "written as null" in capsys.readouterr().err
 
 
 TASK_TEXTS = {
@@ -548,6 +636,21 @@ kind = transversal
 seed = 0, -0.9
 seed = 0, 0
 seed = 0, 0.9
+""",
+    "construct-cis": """
+[chart]
+coords = x, y
+
+[distribution]
+field = 1, 0
+
+[points]
+point = 0.1, 0.2
+
+[task]
+kind = construct-cis
+f = x
+curve = exp
 """,
     "invert": CONTACT.replace("kind = check-hfree",
                               "kind = invert\npsi = 0, 0\ndg = 1, 0\ndg = 0, 1"),

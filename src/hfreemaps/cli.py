@@ -33,8 +33,9 @@ from .constructions import (
 )
 from .errors import HfreeError, ScenarioError
 from .genericity import genericity_trial, write_trials_csv
-from .geometry import DEFAULT_RANK_TOL
-from .hfree import induced_metric, infinitesimal_invert, freedom_matrix_many, required_rank
+from .geometry import DEFAULT_RANK_TOL, Distribution
+from .hfree import (InducedMetric, _retained, freedom_matrix_many, induced_metric_many,
+                    infinitesimal_invert, required_rank)
 from .contours import render_levels
 from .scenario import Scenario, _box, _floats, _int, load_scenario
 from .transversal import (
@@ -105,32 +106,31 @@ def _curve_from_text(sc: Scenario, text: str, line: int | None = None) -> FreeCu
     sc.fail(f"unknown curve {text!r} (expected exp, circle or custom: a, b)", line)
 
 
+def _rank_records(points, svals, thresholds, ranks, need: int) -> list[dict]:
+    """Rank, smallest retained singular value and threshold at each point."""
+    return [{"point": [float(v) for v in p], "certified_rank": int(rank),
+             "smallest_retained_sv": float(retained), "threshold": float(thr),
+             "hfree": int(rank) == need}
+            for p, rank, retained, thr in zip(points, ranks, _retained(svals, ranks),
+                                              thresholds)]
+
+
 def _point_records(dist, F, points, tol):
     matrices, svals, thresholds, ranks = freedom_matrix_many(dist, F, points, tol)
     need = required_rank(dist.k)
     square = matrices.shape[1] == matrices.shape[2]
     dets = np.linalg.det(matrices) if square else None
-    records = []
-    for i, p in enumerate(points):
+    records = _rank_records(points, svals, thresholds, ranks, need)
+    for i, rec in enumerate(records):
         critical = float(svals[i, need - 1]) if svals.shape[1] >= need else 0.0
-        rank = int(ranks[i])
-        retained = float(svals[i, rank - 1]) if rank > 0 else 0.0
-        thr = float(thresholds[i])
-        rec = {
-            "point": [float(v) for v in p],
-            "certified_rank": rank,
-            "smallest_retained_sv": retained,
-            "threshold": thr,
-            "hfree": rank == need,
-            "uncertain": bool(0.1 * thr < critical < 10.0 * thr),
-        }
+        thr = rec["threshold"]
+        rec["uncertain"] = bool(0.1 * thr < critical < 10.0 * thr)
         if dets is not None:
             rec["det"] = float(dets[i])
-        records.append(rec)
     return records, dets
 
 
-def _run_check_hfree(sc: Scenario, outdir: str, seed, tol, threads) -> tuple[bool, dict]:
+def _run_check_hfree(sc: Scenario, outdir: str, seed, tol) -> tuple[bool, dict]:
     dist = sc.distribution()
     F = sc.map_spec()
     if F.q < required_rank(dist.k):
@@ -154,18 +154,13 @@ def _run_check_hfree(sc: Scenario, outdir: str, seed, tol, threads) -> tuple[boo
     return not failures, report
 
 
-def _run_induced_metric(sc: Scenario, outdir, seed, tol, threads):
+def _run_induced_metric(sc: Scenario, outdir, seed, tol):
     dist = sc.distribution()
     F = sc.map_spec()
     points, seed_used = sc.points(seed)
-    records = []
-    for p in points:
-        g = induced_metric(dist, F, p)
-        records.append({
-            "point": [float(v) for v in p],
-            "metric": [[float(x) for x in row] for row in g.matrix],
-            "positive_definite": g.is_positive_definite(),
-        })
+    records = [{"point": [float(v) for v in p], "metric": g.tolist(),
+                "positive_definite": InducedMetric(g, p).is_positive_definite()}
+               for p, g in zip(points, induced_metric_many(dist, F, points))]
     report = {"task": "induced-metric", "tolerance": tol, "seed": seed_used,
               "points": records,
               "summary": {"n_points": len(records),
@@ -174,7 +169,7 @@ def _run_induced_metric(sc: Scenario, outdir, seed, tol, threads):
     return True, report
 
 
-def _run_invert(sc: Scenario, outdir, seed, tol, threads):
+def _run_invert(sc: Scenario, outdir, seed, tol):
     dist = sc.distribution()
     F = sc.map_spec()
     k = dist.k
@@ -219,7 +214,7 @@ def _verification_report(task: str, check, tol, seed_used) -> tuple[bool, dict]:
     return failures == 0, report
 
 
-def _run_construct_1d(sc: Scenario, outdir, seed, tol, threads):
+def _run_construct_1d(sc: Scenario, outdir, seed, tol):
     dist = sc.distribution()
     if dist.k != 1:
         sc.fail("construct-1d needs a one-field distribution")
@@ -235,7 +230,7 @@ def _run_construct_1d(sc: Scenario, outdir, seed, tol, threads):
     return ok, report
 
 
-def _run_construct_cis(sc: Scenario, outdir, seed, tol, threads):
+def _run_construct_cis(sc: Scenario, outdir, seed, tol):
     dist = sc.distribution()
     f_entries = sc.task_get_all("f")
     curve_entries = sc.task_get_all("curve")
@@ -276,7 +271,7 @@ def _rp_spec(sc: Scenario) -> RPBracketSpec:
     return RPBracketSpec(sc.chart, casimirs, orientation=orientation)
 
 
-def _run_construct_rp(sc: Scenario, outdir, seed, tol, threads):
+def _run_construct_rp(sc: Scenario, outdir, seed, tol):
     spec = _rp_spec(sc)
     h_text, f_text = sc.task_get("h"), sc.task_get("f")
     if h_text is None or f_text is None:
@@ -284,21 +279,10 @@ def _run_construct_rp(sc: Scenario, outdir, seed, tol, threads):
     curve = _curve_from_text(sc, sc.task_get("curve", "exp"))
     points, seed_used = sc.points(seed)
     built = build_rp(spec, sc.expr(h_text), sc.expr(f_text), curve, points, tol)
-    from .geometry import Distribution
-    from .hfree import is_hfree_at
     dist = Distribution(spec.chart, (built.field,))
-    records = []
-    failures = 0
-    for p in points:
-        cert = is_hfree_at(dist, built.map_spec, p, tol)
-        M = cert.matrix
-        retained = (float(M.singular_values[M.certified_rank - 1])
-                    if M.certified_rank > 0 else 0.0)
-        records.append({"point": [float(v) for v in p], "hfree": cert.free,
-                        "certified_rank": M.certified_rank,
-                        "smallest_retained_sv": retained,
-                        "threshold": M.threshold})
-        failures += 0 if cert.free else 1
+    _, svals, thresholds, ranks = freedom_matrix_many(dist, built.map_spec, points, tol)
+    records = _rank_records(points, svals, thresholds, ranks, required_rank(1))
+    failures = sum(not r["hfree"] for r in records)
     report = {"task": "construct-rp", "tolerance": tol, "seed": seed_used,
               "points": records,
               "map": [str(c) for c in built.map_spec.components],
@@ -307,7 +291,7 @@ def _run_construct_rp(sc: Scenario, outdir, seed, tol, threads):
     return failures == 0, report
 
 
-def _run_rp_bracket(sc: Scenario, outdir, seed, tol, threads):
+def _run_rp_bracket(sc: Scenario, outdir, seed, tol):
     spec = _rp_spec(sc)
     f_text, g_text = sc.task_get("f"), sc.task_get("g")
     if f_text is None or g_text is None:
@@ -323,7 +307,7 @@ def _run_rp_bracket(sc: Scenario, outdir, seed, tol, threads):
     return True, report
 
 
-def _run_transversal(sc: Scenario, outdir, seed, tol, threads):
+def _run_transversal(sc: Scenario, outdir, seed, tol):
     dist = sc.distribution()
     if dist.k != 1:
         sc.fail("transversal task needs a one-field distribution")
@@ -368,7 +352,7 @@ def _run_transversal(sc: Scenario, outdir, seed, tol, threads):
     return result.ok, report
 
 
-def _run_genericity(sc: Scenario, outdir, seed, tol, threads):
+def _run_genericity(sc: Scenario, outdir, seed, tol):
     dist = sc.distribution()
     q = _task_int(sc, "q", 0)
     degree = _task_int(sc, "degree", 3)
@@ -386,8 +370,7 @@ def _run_genericity(sc: Scenario, outdir, seed, tol, threads):
         sc.fail("genericity needs 'box = lo:hi, ...'")
     box = _box(box_entries[-1].value, sc.chart.dim, sc, box_entries[-1].line)
     seed_used = seed if seed is not None else _task_int(sc, "seed", 0)
-    result = genericity_trial(dist, q, degree, n_maps, n_points, seed_used, box,
-                              threads=threads or 1, tol=tol)
+    result = genericity_trial(dist, q, degree, n_maps, n_points, seed_used, box, tol=tol)
     write_trials_csv(os.path.join(outdir, "genericity.csv"), [result])
     report = {"task": "genericity", "tolerance": tol, "seed": seed_used,
               "summary": {"q": q, "degree": degree, "n_pairs": result.n_pairs,
@@ -402,7 +385,7 @@ def _run_genericity(sc: Scenario, outdir, seed, tol, threads):
     return True, report
 
 
-def _run_render_levels(sc: Scenario, outdir, seed, tol, threads):
+def _run_render_levels(sc: Scenario, outdir, seed, tol):
     if sc.window is None:
         sc.fail("render-levels needs a [window] section")
     expr_entries = sc.task_get_all("expr")
@@ -443,7 +426,8 @@ _RUNNERS = {
 
 def run(scenario_path, output_dir, *, seed: int | None = None,
         tol: float | None = None, threads: int | None = None) -> int:
-    """Execute a scenario; returns the process exit code."""
+    """Execute a scenario; returns the process exit code.  ``threads`` is
+    accepted and ignored: every task runs in one thread."""
     try:
         sc = load_scenario(scenario_path)
     except OSError as err:
@@ -455,7 +439,7 @@ def run(scenario_path, output_dir, *, seed: int | None = None,
     os.makedirs(output_dir, exist_ok=True)
     effective_tol = tol if tol is not None else DEFAULT_RANK_TOL
     try:
-        ok, report = _RUNNERS[sc.task](sc, output_dir, seed, effective_tol, threads)
+        ok, report = _RUNNERS[sc.task](sc, output_dir, seed, effective_tol)
     except ScenarioError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

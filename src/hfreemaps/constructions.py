@@ -33,14 +33,15 @@ from .expr import (
     as_expr,
     derivative,
     eval_jet2_many,
+    eval_value_many,
     fold_add,
     fold_mul,
     fold_sub,
     parse,
     substitute,
 )
-from .geometry import DEFAULT_RANK_TOL, Distribution
-from .hfree import MapSpec, freedom_matrix_many, is_hfree_at
+from .geometry import DEFAULT_RANK_TOL, Distribution, certified_ranks, frame_values
+from .hfree import MapSpec, _retained, freedom_matrix_many, required_rank
 from .lie import VectorField, lie_expr
 
 CURVE_VAR = "t"
@@ -173,19 +174,19 @@ class PointwiseCheck:
         return float(np.max(np.abs(self.determinants - self.predicted)))
 
 
-def _retained(svals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(ranks))
-    positive = ranks > 0
-    out[positive] = svals[positive, ranks[positive] - 1]
-    return out
-
-
-def _certified(dets: np.ndarray, ranks: np.ndarray, need: int,
-               tol: float) -> np.ndarray:
+def _pointwise_check(d: Distribution, F: MapSpec, pts: np.ndarray,
+                     predicted: np.ndarray, tol: float) -> PointwiseCheck:
+    """Determinants and rank certificates of ``F`` at ``pts`` against ``predicted``."""
+    matrices, svals, thresholds, ranks = freedom_matrix_many(d, F, pts)
+    dets = np.linalg.det(matrices)
+    identity = np.abs(dets - predicted) <= tol * np.maximum(1.0, np.abs(dets))
     # a determinant within the identity tolerance of zero certifies
     # nothing: with degenerate inputs the assembled entries are pure
     # rounding noise and their relative-threshold rank is meaningless
-    return (ranks == need) & (np.abs(dets) > tol * np.maximum(1.0, np.abs(dets)))
+    certified = ((ranks == required_rank(d.k))
+                 & (np.abs(dets) > tol * np.maximum(1.0, np.abs(dets))))
+    return PointwiseCheck(pts, dets, predicted, identity, certified, tol,
+                          ranks, _retained(svals, ranks), thresholds)
 
 
 def verify_1d(d: Distribution, built: Composed1d, points,
@@ -195,13 +196,8 @@ def verify_1d(d: Distribution, built: Composed1d, points,
     if d.k != 1:
         raise ValueError("one-dimensional verification needs k = 1")
     pts = np.asarray(points, dtype=float)
-    matrices, svals, thresholds, ranks = freedom_matrix_many(d, built.map_spec, pts)
-    dets = np.linalg.det(matrices)
-    predicted = eval_jet2_many(built.predicted_det(d.frame[0]), d.chart, pts, order=0).value
-    identity = np.abs(dets - predicted) <= tol * np.maximum(1.0, np.abs(dets))
-    return PointwiseCheck(pts, dets, predicted, identity,
-                          _certified(dets, ranks, 2, tol), tol,
-                          ranks, _retained(svals, ranks), thresholds)
+    predicted = eval_value_many(built.predicted_det(d.frame[0]), d.chart, pts)
+    return _pointwise_check(d, built.map_spec, pts, predicted, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +281,9 @@ def verify_cis(d: Distribution, built: CisMap, points,
         constant = cis_determinant_constant(n)
     pts = np.asarray(points, dtype=float)
 
-    L = np.empty((len(pts), n, n))  # L[:, i, j] = L_{xi_i} f^j
-    fgrads = [eval_jet2_many(f, d.chart, pts, order=1).gradient for f in built.fs]
-    for i, field in enumerate(d.frame):
-        xivals = np.stack(
-            [eval_jet2_many(c, d.chart, pts, order=0).value for c in field.components], axis=1)
-        for j in range(n):
-            L[:, i, j] = np.einsum("bo,bo->b", xivals, fgrads[j])
+    fgrads = np.stack([eval_jet2_many(f, d.chart, pts, order=1).gradient for f in built.fs],
+                      axis=1)
+    L = np.einsum("bio,bjo->bij", frame_values(d, pts), fgrads)  # L_{xi_i} f^j
     g = np.einsum("bii->bi", L).copy()
     scale = np.maximum(1.0, np.max(np.abs(g), axis=1))[:, None, None]
     off = ~np.eye(n, dtype=bool)
@@ -306,16 +298,11 @@ def verify_cis(d: Distribution, built: CisMap, points,
         raise CommutationViolation(
             f"g_{i+1} = {g[b, i]:.3e} <= 0 at {pts[b]}")
 
-    matrices, svals, thresholds, ranks = freedom_matrix_many(d, built.map_spec, pts)
-    dets = np.linalg.det(matrices)
     predicted = np.full(len(pts), constant)
     for i, (f, curve) in enumerate(zip(built.fs, built.curves)):
-        fvals = eval_jet2_many(f, d.chart, pts, order=0).value
+        fvals = eval_value_many(f, d.chart, pts)
         predicted *= g[:, i] ** (n + 2) * curve_freeness_many(curve, fvals)
-    identity = np.abs(dets - predicted) <= tol * np.maximum(1.0, np.abs(dets))
-    certified = _certified(dets, ranks, n + n * (n + 1) // 2, tol)
-    return PointwiseCheck(pts, dets, predicted, identity, certified, tol,
-                          ranks, _retained(svals, ranks), thresholds)
+    return _pointwise_check(d, built.map_spec, pts, predicted, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +363,20 @@ def _metric_factor(spec: RPBracketSpec, pts: np.ndarray) -> np.ndarray:
     return np.sqrt(detg)
 
 
+def _dependent(spec: RPBracketSpec, exprs: Sequence[Expr], pts: np.ndarray,
+               tol: float) -> np.ndarray:
+    """Indices of the points where the gradients of ``exprs`` are
+    dependent, by the unsized rule of :func:`certified_ranks`."""
+    rows = _gradient_rows(spec, exprs, pts)
+    _, ranks = certified_ranks(np.linalg.svd(rows, compute_uv=False), rows.shape, tol,
+                               sized=False)
+    return np.nonzero(ranks < len(exprs))[0]
+
+
 def _check_casimirs(spec: RPBracketSpec, pts: np.ndarray, tol: float):
     if not spec.casimirs:
         return
-    rows = _gradient_rows(spec, spec.casimirs, pts)
-    svals = np.linalg.svd(rows, compute_uv=False)
-    with np.errstate(invalid="ignore"):
-        ranks = np.count_nonzero(svals > tol * svals[..., 0:1], axis=-1)
-    bad = np.nonzero(ranks < len(spec.casimirs))[0]
+    bad = _dependent(spec, spec.casimirs, pts, tol)
     if bad.size:
         raise DegenerateCasimirs(
             f"casimir differentials dependent at {pts[int(bad[0])]}")
@@ -477,11 +470,7 @@ def build_rp(spec: RPBracketSpec, h, f, curve: FreeCurve, check_points,
     h = parse(h) if isinstance(h, str) else as_expr(h)
     f = parse(f) if isinstance(f, str) else as_expr(f)
     pts = np.asarray(check_points, dtype=float)
-    rows = _gradient_rows(spec, tuple(spec.casimirs) + (h,), pts)
-    svals = np.linalg.svd(rows, compute_uv=False)
-    with np.errstate(invalid="ignore"):
-        ranks = np.count_nonzero(svals > tol * svals[..., 0:1], axis=-1)
-    if np.any(ranks < spec.n - 1):
+    if _dependent(spec, tuple(spec.casimirs) + (h,), pts, tol).size:
         raise DegenerateCasimirs("h is not independent from the casimirs")
     brackets = rp_bracket_many(spec, h, f, pts, tol)
     if np.any(brackets <= 0.0):
@@ -497,8 +486,5 @@ def verify_rp(spec: RPBracketSpec, built: RpMap, points,
     """Full-rank certification of the built map along ``span{xi_h}`` at
     each point; returns the boolean mask."""
     dist = Distribution(spec.chart, (built.field,))
-    pts = np.asarray(points, dtype=float)
-    out = np.empty(len(pts), dtype=bool)
-    for i, p in enumerate(pts):
-        out[i] = bool(is_hfree_at(dist, built.map_spec, p, tol))
-    return out
+    _, _, _, ranks = freedom_matrix_many(dist, built.map_spec, points, tol)
+    return ranks == required_rank(1)

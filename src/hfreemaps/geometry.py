@@ -6,10 +6,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Chart, Expr, as_expr, eval_jet2_many
+from .expr import Chart, Expr, as_expr
 from .lie import VectorField
 
 DEFAULT_RANK_TOL = 1e-9
+
+
+def certified_ranks(svals: np.ndarray, shape, tol: float, sized: bool = True):
+    """Thresholds and ranks for singular values ``svals (..., r)`` of
+    matrices of ``shape (..., rows, cols)``: the rank counts the values
+    above ``tol * sigma_max``, times ``max(rows, cols)`` when ``sized``."""
+    if sized:
+        thresholds = tol * svals[..., 0] * max(shape[-2], shape[-1])
+        return thresholds, (svals > thresholds[..., None]).sum(axis=-1)
+    with np.errstate(invalid="ignore"):
+        thresholds = tol * svals[..., 0]
+        return thresholds, (svals > thresholds[..., None]).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -54,21 +66,14 @@ class FrameChange:
 
 def frame_values(d: Distribution, points) -> np.ndarray:
     """Component values of the frame at ``points (B, m)`` as ``(B, k, m)``."""
-    pts = np.asarray(points, dtype=float)
-    cols = [
-        [eval_jet2_many(comp, d.chart, pts, order=0).value for comp in field.components]
-        for field in d.frame
-    ]
-    return np.stack([np.stack(col, axis=-1) for col in cols], axis=1)
+    return np.stack([field.values(points) for field in d.frame], axis=1)
 
 
 def frame_rank(d: Distribution, p, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the ``k x m`` frame component matrix at ``p``."""
     matrix = frame_values(d, np.asarray(p, dtype=float)[None, :])[0]
     svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > tol * svals[0]))
+    return int(certified_ranks(svals, matrix.shape, tol, sized=False)[1])
 
 
 def change_frame(d: Distribution, lam: FrameChange) -> Distribution:

@@ -8,6 +8,13 @@ anticommutator ``L_a L_b F + L_b L_a F``.  A map is H-free at a point
 when this ``(k + k(k+1)/2) x q`` matrix has full row rank; the rank is
 certified through singular values with a relative threshold.
 
+Both threshold rules live in :func:`~hfreemaps.geometry.certified_ranks`.
+Certificates (the freedom matrix, the H-immersion test, both ranks of
+:func:`wintergarten_rank`) use ``tol * sigma_max * max(rows, cols)``;
+checks that the inputs are independent (the frame check, ``frame_rank``,
+the casimir and Hamiltonian checks of Riemann-Poisson brackets) use
+``tol * sigma_max``.
+
 All assemblies are batched over point sets; single-point entry points
 wrap the batch of size one.
 """
@@ -26,7 +33,8 @@ from .errors import (
     TooFewTargets,
 )
 from .expr import Chart, Expr, as_expr, coordinates, eval_jet2_many, parse
-from .geometry import DEFAULT_RANK_TOL, Distribution
+from .geometry import DEFAULT_RANK_TOL, Distribution, certified_ranks
+from .lie import _value_gradients
 
 __all__ = [
     "MapSpec",
@@ -40,6 +48,7 @@ __all__ = [
     "is_hfree_at",
     "is_h_immersion_at",
     "induced_metric",
+    "induced_metric_many",
     "infinitesimal_invert",
     "wintergarten_rank",
 ]
@@ -120,6 +129,8 @@ class InducedMetric:
     point: np.ndarray
 
     def is_positive_definite(self) -> bool:
+        if not np.all(np.isfinite(self.matrix)):
+            return False
         try:
             np.linalg.cholesky(self.matrix)
         except np.linalg.LinAlgError:
@@ -143,11 +154,7 @@ def _map_jets(F: MapSpec, points: np.ndarray, order: int = 2):
 def _frame_jets(d: Distribution, points: np.ndarray):
     """Frame component values ``XV (B, k, m)`` and their derivatives
     ``XG (B, k, m, m)`` with ``XG[b, a, alpha, beta] = d_beta xi_a^alpha``."""
-    vals, grads = [], []
-    for field in d.frame:
-        jets = [eval_jet2_many(comp, d.chart, points, order=1) for comp in field.components]
-        vals.append(np.stack([j.value for j in jets], axis=1))
-        grads.append(np.stack([j.gradient for j in jets], axis=1))
+    vals, grads = zip(*(_value_gradients(field, points) for field in d.frame))
     return np.stack(vals, axis=1), np.stack(grads, axis=1)
 
 
@@ -179,18 +186,22 @@ def _stack_rows(first, L2, doubled_diagonal: bool):
 
 def _certify_ranks(matrices: np.ndarray, tol: float):
     """Singular values, thresholds and certified ranks for a stack of
-    matrices; threshold is ``tol * sigma_max * max(rows, cols)``."""
+    matrices, by the sized rule of :func:`certified_ranks`."""
     svals = np.linalg.svd(matrices, compute_uv=False)
-    dim_factor = max(matrices.shape[-2], matrices.shape[-1])
-    thresholds = tol * svals[..., 0] * dim_factor
-    ranks = np.count_nonzero(svals > thresholds[..., None], axis=-1)
-    return svals, thresholds, ranks
+    return (svals, *certified_ranks(svals, matrices.shape, tol))
+
+
+def _retained(svals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Smallest retained singular value of each matrix, 0 at rank 0."""
+    out = np.zeros(len(ranks))
+    positive = ranks > 0
+    out[positive] = svals[positive, ranks[positive] - 1]
+    return out
 
 
 def _check_frame(d: Distribution, XV: np.ndarray, tol: float):
-    svals = np.linalg.svd(XV, compute_uv=False)
-    with np.errstate(invalid="ignore"):
-        ranks = np.count_nonzero(svals > tol * svals[..., 0:1], axis=-1)
+    _, ranks = certified_ranks(np.linalg.svd(XV, compute_uv=False), XV.shape, tol,
+                               sized=False)
     bad = np.nonzero(ranks < d.k)[0]
     if bad.size:
         raise DegenerateFrame(
@@ -288,16 +299,22 @@ def is_h_immersion_at(d: Distribution, F: MapSpec, p,
     return int(ranks[0]) == d.k
 
 
-def induced_metric(d: Distribution, F: MapSpec, p) -> InducedMetric:
-    """Gram matrix ``g_ab = sum_i L_a F^i L_b F^i`` at ``p``."""
-    pts = np.asarray(p, dtype=float)[None, :]
+def induced_metric_many(d: Distribution, F: MapSpec, points) -> np.ndarray:
+    """Gram matrices ``g_ab = sum_i L_a F^i L_b F^i`` at ``points (B, m)``
+    as ``(B, k, k)``."""
+    pts = np.asarray(points, dtype=float)
     Fgrads, _ = _map_jets(F, pts, order=1)
     XV, _ = _frame_jets(d, pts)
-    block = _first_block(XV, Fgrads)[0]
-    g = block @ block.T
+    block = _first_block(XV, Fgrads)
+    g = block @ np.swapaxes(block, -1, -2)
     # mirror the upper triangle so symmetry is exact
-    g = np.triu(g) + np.triu(g, 1).T
-    return InducedMetric(matrix=g, point=np.asarray(p, dtype=float))
+    return np.triu(g) + np.swapaxes(np.triu(g, 1), -1, -2)
+
+
+def induced_metric(d: Distribution, F: MapSpec, p) -> InducedMetric:
+    """Gram matrix ``g_ab = sum_i L_a F^i L_b F^i`` at ``p``."""
+    point = np.asarray(p, dtype=float)
+    return InducedMetric(matrix=induced_metric_many(d, F, point[None, :])[0], point=point)
 
 
 def infinitesimal_invert(d: Distribution, F: MapSpec, p, dg, psi,
@@ -371,12 +388,9 @@ def wintergarten_rank(d: Distribution, F: MapSpec, p,
     # orthonormal basis of the normal space from the full SVD of the
     # first-order block
     _, svals, vh = np.linalg.svd(first, full_matrices=True)
-    keep = svals > tol * svals[0] * max(first.shape)
-    normal_basis = vh[int(np.count_nonzero(keep)):]
+    normal_basis = vh[int(certified_ranks(svals, first.shape, tol)[1]):]
     if normal_basis.shape[0] == 0:
         return 0
     image = second @ normal_basis.T  # (s_k, q - k)
     svals = np.linalg.svd(image, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > tol * svals[0] * max(image.shape)))
+    return int(certified_ranks(svals, image.shape, tol)[1])

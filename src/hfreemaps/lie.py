@@ -5,7 +5,8 @@ the function and of the second field's components in a single pass
 rather than differentiating through a closure.  Each jet is evaluated
 at the lowest order the formula reads: values of the first field,
 gradients of the second field, and the jet of ``f`` to order 1 in
-``lie`` and order 2 in ``lie2``.
+``lie`` and order 2 in ``lie2``.  Field components are evaluated only
+here, by :meth:`VectorField.values` and ``_value_gradients``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Chart, Expr, coordinates, derivative, eval_jet2, fold_add, fold_mul, parse
+from .expr import (Chart, Expr, coordinates, derivative, eval_jet2, eval_jet2_many,
+                   eval_value_many, fold_add, fold_mul, parse)
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,26 @@ class VectorField:
             if undeclared:
                 raise ValueError(f"undeclared coordinates {sorted(undeclared)}")
 
+    def values(self, points) -> np.ndarray:
+        """Component values at ``points (B, m)`` as ``(B, m)``."""
+        pts = np.asarray(points, dtype=float)
+        # filled in place: at one point np.stack costs as much as a component
+        out = np.empty((pts.shape[0], self.chart.dim))
+        for b, comp in enumerate(self.components):
+            out[:, b] = eval_value_many(comp, self.chart, pts)
+        return out
+
+
+def _value_gradients(xi: VectorField, points: np.ndarray):
+    """Component values ``(B, m)`` and gradients ``(B, m, m)`` of ``xi``,
+    the gradient of component ``b`` in row ``b``."""
+    m = xi.chart.dim
+    values, gradients = np.empty((points.shape[0], m)), np.empty((points.shape[0], m, m))
+    for b, comp in enumerate(xi.components):
+        jet = eval_jet2_many(comp, xi.chart, points, order=1)
+        values[:, b], gradients[:, b] = jet.value, jet.gradient
+    return values, gradients
+
 
 def parse_field(chart: Chart, *component_texts: str) -> VectorField:
     return VectorField(chart, tuple(parse(t) for t in component_texts))
@@ -49,22 +71,18 @@ def _check_shared_chart(*objs):
 
 def lie(xi: VectorField, f: Expr, p) -> float:
     """Directional derivative of ``f`` along ``xi`` at ``p``."""
-    chart = xi.chart
-    jf = eval_jet2(f, chart, p, order=1)
-    values = np.array([float(eval_jet2(c, chart, p, order=0).value) for c in xi.components])
-    return float(values @ jf.gradient)
+    jf = eval_jet2(f, xi.chart, p, order=1)
+    return float(xi.values(np.asarray(p, dtype=float)[None, :])[0] @ jf.gradient)
 
 
 def lie2(xi: VectorField, eta: VectorField, f: Expr, p) -> float:
     """Iterated derivative along ``xi`` then ``eta``:
     ``sum_ab [xi^a (d_a eta^b) d_b f + xi^a eta^b d_ab f]``."""
     _check_shared_chart(xi, eta)
-    chart = xi.chart
-    jf = eval_jet2(f, chart, p)
-    xv = np.array([float(eval_jet2(c, chart, p, order=0).value) for c in xi.components])
-    eta_jets = [eval_jet2(c, chart, p, order=1) for c in eta.components]
-    ev = np.array([float(j.value) for j in eta_jets])
-    eg = np.stack([j.gradient for j in eta_jets])  # eg[b, a] = d_a eta^b
+    jf = eval_jet2(f, xi.chart, p)
+    pts = np.asarray(p, dtype=float)[None, :]
+    xv = xi.values(pts)[0]
+    ev, eg = (part[0] for part in _value_gradients(eta, pts))  # eg[b, a] = d_a eta^b
     first = np.einsum("a,ba,b->", xv, eg, jf.gradient)
     second = np.einsum("a,b,ab->", xv, ev, jf.hessian)
     return float(first + second)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifacts import write_text
 from .errors import BlowUp, CoverageGap, OutsideTube
-from .expr import eval_jet2_many, eval_value_many
+from .expr import eval_jet2_many
 from .lie import VectorField
 
 __all__ = [
@@ -145,12 +145,8 @@ def _integrate(fun, y0: np.ndarray, t_total: float, rtol: float, atol: float,
 
 
 def _field_fun(xi: VectorField):
-    chart = xi.chart
-
     def fun(y: np.ndarray) -> np.ndarray:
-        pts = y if y.ndim == 2 else y[None, :]
-        vals = np.stack([eval_value_many(c, chart, pts) for c in xi.components], axis=-1)
-        return vals if y.ndim == 2 else vals[0]
+        return xi.values(y) if y.ndim == 2 else xi.values(y[None, :])[0]
 
     return fun
 
@@ -524,9 +520,7 @@ def tube_function(xi: VectorField, tube: Tube, profile: BumpProfile,
         # nearest transversal point
         missing = np.nonzero(~located)[0]
         base = tube.transversal[_nearest(nodes[missing], tube.transversal)]
-        flow_dir = np.stack(
-            [eval_value_many(c, xi.chart, base) for c in xi.components], axis=-1)
-        side = np.einsum("nd,nd->n", nodes[missing] - base, flow_dir)
+        side = np.einsum("nd,nd->n", nodes[missing] - base, xi.values(base))
         if np.any(side == 0.0):
             bad = nodes[missing[side == 0.0][0]]
             raise OutsideTube(f"cannot classify node {bad} against the tube")
@@ -549,10 +543,8 @@ def _centered_lie_grid(xi: VectorField, values: np.ndarray, window: Window) -> n
     fy = np.full_like(values, np.nan)
     fx[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * hx)
     fy[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * hy)
-    nodes = window.nodes()
-    comp = [eval_value_many(c, xi.chart, nodes).reshape(values.shape)
-            for c in xi.components]
-    return comp[0] * fx + comp[1] * fy
+    comp = xi.values(window.nodes())
+    return comp[:, 0].reshape(values.shape) * fx + comp[:, 1].reshape(values.shape) * fy
 
 
 @dataclass(frozen=True)
@@ -614,8 +606,7 @@ def verify_transversal(xi: VectorField, f, window: Window) -> TransversalReport:
     attained, and how many nodes are not finite."""
     nodes = window.nodes()
     jf = eval_jet2_many(f, xi.chart, nodes, order=1)
-    comp = np.stack([eval_value_many(c, xi.chart, nodes) for c in xi.components], axis=-1)
-    lie_vals = np.einsum("nd,nd->n", comp, jf.gradient)
+    lie_vals = np.einsum("nd,nd->n", xi.values(nodes), jf.gradient)
     finite = np.isfinite(lie_vals)
     n_finite = int(np.count_nonzero(finite))
     if n_finite:

@@ -19,6 +19,7 @@ from hfreemaps.constructions import (
 from hfreemaps.errors import CommutationViolation, DegenerateCasimirs, NonTransversal
 from hfreemaps.expr import Chart, eval_value, parse, render
 from hfreemaps.geometry import Distribution
+from hfreemaps.hfree import is_hfree_at
 from hfreemaps.lie import parse_field
 
 
@@ -295,6 +296,18 @@ class TestBuildRp:
         built = build_rp(spec, "t1", "t2", FreeCurve.circle(), pts)
         assert built.curve.domain == "circle"
         assert verify_rp(spec, built, pts).all()
+
+    def test_verify_matches_pointwise_certificates(self, space, rng):
+        spec = RPBracketSpec(space, (parse("x"),))
+        # {h, f} = 2 z: transversal where the map is built, zero on z = 0
+        pts = rng.uniform(-2, 2, size=(60, 3))
+        built = build_rp(spec, "y", "z^2", FreeCurve.exp(), np.abs(pts) + 0.1)
+        pts[::3, 2] = 0.0
+        dist = Distribution(space, (built.field,))
+        oracle = np.array([bool(is_hfree_at(dist, built.map_spec, p)) for p in pts])
+        got = verify_rp(spec, built, pts)
+        assert got.dtype == bool and np.array_equal(got, oracle)
+        assert not oracle[::3].any() and oracle.sum() == 40
 
     def test_dependent_hamiltonian_rejected(self, space, rng):
         spec = RPBracketSpec(space, (parse("x"),))

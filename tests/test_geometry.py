@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from hfreemaps.expr import Num, eval_value, parse
-from hfreemaps.geometry import Distribution, FrameChange, change_frame, frame_rank
-from hfreemaps.hfree import freedom_matrix
+from hfreemaps.constructions import FreeCurve, RPBracketSpec, build_rp, rp_bracket
+from hfreemaps.expr import Chart, Num, eval_value, parse
+from hfreemaps.geometry import (
+    DEFAULT_RANK_TOL,
+    Distribution,
+    FrameChange,
+    certified_ranks,
+    change_frame,
+    frame_rank,
+    frame_values,
+)
+from hfreemaps.hfree import _check_frame, freedom_matrix, is_h_immersion_at, parse_map
 from hfreemaps.lie import parse_field
 
 
@@ -22,6 +31,69 @@ def test_colinear_frame_rank(plane):
     dist = Distribution(plane, (parse_field(plane, "1", "0"),
                                 parse_field(plane, "2", "0")))
     assert frame_rank(dist, (1.0, -1.0)) == 1
+
+
+# sigma_min / sigma_max of the rows (1, 0), (1, 3e-9) is about 1.5e-9: above
+# tol = 1e-9, below tol * max(rows, cols) = 2e-9
+NEAR = np.array([[1.0, 0.0], [1.0, 3e-9]])
+
+
+def _near_frame():
+    plane = Chart(("x", "y"))
+    return Distribution(plane, (parse_field(plane, "1", "0"),
+                                parse_field(plane, "1", "3e-9")))
+
+
+def _rank_two(matrix, sized):
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return certified_ranks(svals, matrix.shape, DEFAULT_RANK_TOL, sized)[1] == 2
+
+
+def _frame_check_passes():
+    d = _near_frame()
+    # raises DegenerateFrame when the frame rank drops
+    _check_frame(d, frame_values(d, np.zeros((1, 2))), DEFAULT_RANK_TOL)
+    return True
+
+
+def _casimirs_independent():
+    chart = Chart(("w", "x", "y", "z"))
+    spec = RPBracketSpec(chart, (parse("x"), parse("x + 3e-9*y")))
+    rp_bracket(spec, "w", "z", (0.0, 0.0, 0.0, 0.0))  # or DegenerateCasimirs
+    return True
+
+
+def _hamiltonian_independent():
+    space = Chart(("x", "y", "z"))
+    spec = RPBracketSpec(space, (parse("x"),))
+    # raises DegenerateCasimirs when h depends on the casimir
+    build_rp(spec, "x + 3e-9*y", "z", FreeCurve.exp(), np.zeros((1, 3)))
+    return True
+
+
+RANK_CHECKS = {
+    # unsized: tol * sigma_max
+    "unsized rule": lambda: _rank_two(NEAR, sized=False),
+    "frame_rank": lambda: frame_rank(_near_frame(), (0.0, 0.0)) == 2,
+    "frame check": _frame_check_passes,
+    "casimir check": _casimirs_independent,
+    "hamiltonian check": _hamiltonian_independent,
+    # sized: tol * sigma_max * max(rows, cols)
+    "sized rule": lambda: _rank_two(NEAR, sized=True),
+    "immersion certificate": lambda: is_h_immersion_at(
+        _near_frame(), parse_map(Chart(("x", "y")), "x", "y"), (0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("check, counts_small", [
+    ("unsized rule", True), ("frame_rank", True), ("frame check", True),
+    ("casimir check", True), ("hamiltonian check", True),
+    ("sized rule", False), ("immersion certificate", False)])
+def test_rank_rule_of_each_check(check, counts_small):
+    """Frame, casimir and Hamiltonian checks keep a singular value above
+    tol * sigma_max; certificates drop it unless it is above
+    tol * sigma_max * max(rows, cols)."""
+    assert RANK_CHECKS[check]() == counts_small
 
 
 def test_frame_size_bounds(plane):

@@ -9,6 +9,7 @@ from hfreemaps.hfree import (
     freedom_matrix,
     freedom_matrix_many,
     induced_metric,
+    induced_metric_many,
     infinitesimal_invert,
     is_h_immersion_at,
     is_hfree_at,
@@ -144,6 +145,23 @@ class TestInducedMetric:
                     == is_h_immersion_at(dist, immersed, p))
             assert (induced_metric(dist, flat, p).is_positive_definite()
                     == is_h_immersion_at(dist, flat, p))
+
+    def test_batch_equals_single_point(self, contact, rng):
+        dist, F = contact
+        pts = rng.uniform(-2, 2, size=(40, 3))
+        many = induced_metric_many(dist, F, pts)
+        assert many.shape == (40, 2, 2)
+        for p, g in zip(pts, many):
+            assert np.array_equal(g, induced_metric(dist, F, p).matrix)
+
+    def test_non_finite_metric_is_not_positive_definite(self, plane):
+        dist = Distribution(plane, (parse_field(plane, "1", "0"),))
+        F = parse_map(plane, "x", "exp(800*x)")
+        with np.errstate(all="ignore"):
+            g = induced_metric(dist, F, (1.0, 0.0))
+        assert not np.all(np.isfinite(g.matrix))
+        assert not g.is_positive_definite()
+        assert induced_metric(dist, F, (0.0, 0.0)).is_positive_definite()
 
     def test_symmetry_exact(self, contact, rng):
         dist, F = contact

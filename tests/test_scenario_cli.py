@@ -340,6 +340,50 @@ g = z
         assert report["summary"]["n_failures"] == 0
         assert report["hamiltonian_field"] == ["0", "0", "1"]
 
+    def test_construct_rp_records_match_pointwise_certificates(self, tmp_path):
+        from hfreemaps.constructions import FreeCurve, RPBracketSpec, build_rp
+        from hfreemaps.expr import Chart, parse
+        from hfreemaps.geometry import Distribution
+        from hfreemaps.hfree import is_hfree_at
+
+        text = """
+[chart]
+coords = x, y, z
+
+[points]
+count = 200
+box = -2:2, -2:2, -2:2
+seed = 1
+
+[task]
+kind = construct-rp
+casimir = x
+h = y
+f = z + 0.3*x*y
+curve = exp
+"""
+        # a coarse tolerance, so that some points fail
+        tol = 0.1
+        path = write(tmp_path, "rpc.ini", text)
+        out = tmp_path / "out"
+        assert run(path, out, tol=tol) == 2
+        records = json.loads((out / "report.json").read_text())["points"]
+        points = np.array([r["point"] for r in records])
+        space = Chart(("x", "y", "z"))
+        built = build_rp(RPBracketSpec(space, (parse("x"),)), "y", "z + 0.3*x*y",
+                         FreeCurve.exp(), points, tol)
+        dist = Distribution(space, (built.field,))
+        for rec, p in zip(records, points):
+            cert = is_hfree_at(dist, built.map_spec, p, tol)
+            M = cert.matrix
+            rank = M.certified_rank
+            assert rec["hfree"] is cert.free
+            assert rec["certified_rank"] == rank
+            assert rec["threshold"] == M.threshold
+            retained = M.singular_values[rank - 1] if rank else 0.0
+            assert rec["smallest_retained_sv"] == retained
+        assert 0 < sum(r["hfree"] for r in records) < len(records)
+
     def test_transversal_verify(self, tmp_path):
         text = """
 [chart]
@@ -603,6 +647,34 @@ kind = induced-metric
         report = _strict((out / "report.json").read_text())
         assert report["points"][0]["metric"] == [[None]]
         assert "written as null" in capsys.readouterr().err
+
+    def test_non_finite_metric_is_not_positive_definite(self, tmp_path):
+        text = """
+[chart]
+coords = x, y
+
+[distribution]
+field = 1, 0
+
+[map]
+component = x
+component = exp(800*x)
+
+[points]
+point = 1, 0
+point = 0, 0
+
+[task]
+kind = induced-metric
+"""
+        path = write(tmp_path, "im.ini", text)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run(path, out) == 2
+        report = _strict((out / "report.json").read_text())
+        assert [r["positive_definite"] for r in report["points"]] == [False, True]
+        assert report["summary"]["n_positive_definite"] == 1
+        assert report["summary"]["n_points"] == 2
 
 
 TASK_TEXTS = {

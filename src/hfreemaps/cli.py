@@ -242,6 +242,11 @@ def _run_construct_cis(sc: Scenario, outdir, seed, tol):
                                                            len(curve_entries))]
         sc.fail(f"need one 'curve = ...' line per 'f = ...' line, got "
                 f"{len(f_entries)} f and {len(curve_entries)} curve lines", extra.line)
+    if len(f_entries) != dist.k:
+        extra = (f_entries[dist.k].line if len(f_entries) > dist.k
+                 else sc.field_lines[len(f_entries)])
+        sc.fail(f"need one 'f = ...' line per frame field, got {len(f_entries)} f lines "
+                f"and {dist.k} fields", extra)
     curves = [_curve_from_text(sc, e.value, e.line) for e in curve_entries]
     if not curves:
         curves = [FreeCurve.exp()] * len(fs)
@@ -309,6 +314,8 @@ def _run_rp_bracket(sc: Scenario, outdir, seed, tol):
 
 def _run_transversal(sc: Scenario, outdir, seed, tol):
     dist = sc.distribution()
+    if sc.chart.dim != 2:
+        sc.fail("transversal task needs a two-dimensional chart", sc.task_line)
     if dist.k != 1:
         sc.fail("transversal task needs a one-field distribution")
     xi = dist.frame[0]
@@ -430,11 +437,11 @@ def run(scenario_path, output_dir, *, seed: int | None = None,
     accepted and ignored: every task runs in one thread."""
     try:
         sc = load_scenario(scenario_path)
-    except OSError as err:
+    except (OSError, ScenarioError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except ValueError as err:  # a file that is not UTF-8 text
+        print(f"error: {scenario_path}: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     os.makedirs(output_dir, exist_ok=True)
     effective_tol = tol if tol is not None else DEFAULT_RANK_TOL
@@ -443,7 +450,7 @@ def run(scenario_path, output_dir, *, seed: int | None = None,
     except ScenarioError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except HfreeError as err:
+    except (HfreeError, ValueError) as err:  # ValueError: a library check on the input
         print(f"error: {sc.path}: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     report["versions"] = {"hfreemaps": __version__}

@@ -32,7 +32,7 @@ from .expr import (
     Num,
     as_expr,
     derivative,
-    eval_jet2_many,
+    eval_jets_many,
     eval_value_many,
     fold_add,
     fold_mul,
@@ -40,7 +40,7 @@ from .expr import (
     parse,
     substitute,
 )
-from .geometry import DEFAULT_RANK_TOL, Distribution, certified_ranks, frame_values
+from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_jets, certified_ranks
 from .hfree import MapSpec, _retained, freedom_matrix_many, required_rank
 from .lie import VectorField, lie_expr
 
@@ -72,14 +72,13 @@ class FreeCurve:
 
     @staticmethod
     def custom(a, b, domain: str = "line",
-               interval: tuple[float, float] = (-4.0, 4.0),
-               samples: int = 1000) -> "FreeCurve":
+               interval: tuple[float, float] = (-4.0, 4.0)) -> "FreeCurve":
         """Build a curve from two expressions in ``t`` after checking its
-        freeness on ``interval`` at ``samples`` points."""
+        freeness on ``interval`` at 1000 points."""
         a = parse(a) if isinstance(a, str) else as_expr(a)
         b = parse(b) if isinstance(b, str) else as_expr(b)
         curve = FreeCurve("custom", (a, b), domain=domain)
-        ts = np.linspace(interval[0], interval[1], samples)
+        ts = np.linspace(interval[0], interval[1], 1000)
         vals = curve_freeness_many(curve, ts)
         degenerate = (np.any(vals == 0.0) or not np.all(np.isfinite(vals))
                       or (vals.min() < 0.0 < vals.max()))  # sign change
@@ -95,11 +94,9 @@ def curve_freeness(curve: FreeCurve, t: float) -> float:
 
 
 def curve_freeness_many(curve: FreeCurve, ts) -> np.ndarray:
-    pts = np.asarray(ts, dtype=float)[:, None]
-    ja = eval_jet2_many(curve.components[0], CURVE_CHART, pts)
-    jb = eval_jet2_many(curve.components[1], CURVE_CHART, pts)
-    return (ja.gradient[:, 0] * jb.hessian[:, 0, 0]
-            - ja.hessian[:, 0, 0] * jb.gradient[:, 0])
+    jet = eval_jets_many(curve.components, CURVE_CHART, np.asarray(ts, dtype=float)[:, None])
+    d1, d2 = jet.gradient[..., 0], jet.hessian[..., 0, 0]
+    return d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
 
 
 def _freeness_expr(curve: FreeCurve) -> Expr:
@@ -265,14 +262,14 @@ def cis_determinant_constant(n: int) -> float:
     return constant
 
 
-def verify_cis(d: Distribution, built: CisMap, points,
-               tol: float = 1e-8, comm_tol: float = 1e-9,
+def verify_cis(d: Distribution, built: CisMap, points, tol: float = 1e-8,
                constant: float | None = None) -> PointwiseCheck:
     """Check the product-map determinant identity at each point.
 
     First enforces the bracket pattern ``L_i f^j = 0`` for ``i != j``
     and ``g_i = L_i f^i > 0`` (:class:`CommutationViolation` otherwise),
-    then compares ``det`` with ``C * prod_i g_i^(n+2) Dpsi_i(f^i)``.
+    then compares ``det`` with ``C * prod_i g_i^(n+2) Dpsi_i(f^i)``.  An
+    ``L_i f^j`` counts as 0 within ``1e-9 * max(1, max_i |g_i|)``.
     """
     n = built.n
     if d.k != n:
@@ -281,13 +278,12 @@ def verify_cis(d: Distribution, built: CisMap, points,
         constant = cis_determinant_constant(n)
     pts = np.asarray(points, dtype=float)
 
-    fgrads = np.stack([eval_jet2_many(f, d.chart, pts, order=1).gradient for f in built.fs],
-                      axis=1)
-    L = np.einsum("bio,bjo->bij", frame_values(d, pts), fgrads)  # L_{xi_i} f^j
+    fjet = eval_jets_many(built.fs, d.chart, pts, order=1)
+    L = np.einsum("bio,bjo->bij", _frame_jets(d, pts).value, fjet.gradient)  # L_{xi_i} f^j
     g = np.einsum("bii->bi", L).copy()
     scale = np.maximum(1.0, np.max(np.abs(g), axis=1))[:, None, None]
     off = ~np.eye(n, dtype=bool)
-    bad = np.abs(L) > comm_tol * scale
+    bad = np.abs(L) > 1e-9 * scale
     bad &= off
     if np.any(bad):
         b, i, j = (int(x[0]) for x in np.nonzero(bad))
@@ -299,9 +295,8 @@ def verify_cis(d: Distribution, built: CisMap, points,
             f"g_{i+1} = {g[b, i]:.3e} <= 0 at {pts[b]}")
 
     predicted = np.full(len(pts), constant)
-    for i, (f, curve) in enumerate(zip(built.fs, built.curves)):
-        fvals = eval_value_many(f, d.chart, pts)
-        predicted *= g[:, i] ** (n + 2) * curve_freeness_many(curve, fvals)
+    for i, curve in enumerate(built.curves):  # each curve at its own points f^i
+        predicted *= g[:, i] ** (n + 2) * curve_freeness_many(curve, fjet.value[:, i])
     return _pointwise_check(d, built.map_spec, pts, predicted, tol)
 
 
@@ -344,50 +339,37 @@ class RPBracketSpec:
         return self.chart.dim
 
 
-def _gradient_rows(spec: RPBracketSpec, exprs: Sequence[Expr], pts: np.ndarray) -> np.ndarray:
-    return np.stack([eval_jet2_many(e, spec.chart, pts, order=1).gradient for e in exprs],
-                    axis=1)
-
-
-def _metric_factor(spec: RPBracketSpec, pts: np.ndarray) -> np.ndarray:
-    if spec.metric is None:
-        return np.ones(len(pts))
-    n = spec.n
-    G = np.empty((len(pts), n, n))
-    for i in range(n):
-        for j in range(n):
-            G[:, i, j] = eval_jet2_many(spec.metric[i][j], spec.chart, pts, order=0).value
-    detg = np.linalg.det(G)
-    if np.any(detg <= 0.0):
-        raise DomainError("metric determinant must be positive")
-    return np.sqrt(detg)
-
-
-def _dependent(spec: RPBracketSpec, exprs: Sequence[Expr], pts: np.ndarray,
-               tol: float) -> np.ndarray:
-    """Indices of the points where the gradients of ``exprs`` are
+def _dependent(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the points where the gradient rows ``(B, r, n)`` are
     dependent, by the unsized rule of :func:`certified_ranks`."""
-    rows = _gradient_rows(spec, exprs, pts)
     _, ranks = certified_ranks(np.linalg.svd(rows, compute_uv=False), rows.shape, tol,
                                sized=False)
-    return np.nonzero(ranks < len(exprs))[0]
+    return np.nonzero(ranks < rows.shape[1])[0]
 
 
-def _check_casimirs(spec: RPBracketSpec, pts: np.ndarray, tol: float):
-    if not spec.casimirs:
-        return
-    bad = _dependent(spec, spec.casimirs, pts, tol)
-    if bad.size:
-        raise DegenerateCasimirs(
-            f"casimir differentials dependent at {pts[int(bad[0])]}")
+def _bracket(spec: RPBracketSpec, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``orientation * det(rows) / sqrt(det metric)`` for the gradient
+    rows ``(B, n, n)`` of the casimirs and both arguments."""
+    if spec.metric is None:
+        return spec.orientation * np.linalg.det(rows)
+    G = eval_jets_many([e for row in spec.metric for e in row], spec.chart, pts, order=0)
+    detg = np.linalg.det(G.value.reshape(len(pts), spec.n, spec.n))
+    if np.any(detg <= 0.0):
+        raise DomainError("metric determinant must be positive")
+    return spec.orientation * np.linalg.det(rows) / np.sqrt(detg)
 
 
 def rp_bracket_many(spec: RPBracketSpec, f: Expr, g: Expr, points,
                     tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    _check_casimirs(spec, pts, tol)
-    rows = _gradient_rows(spec, tuple(spec.casimirs) + (as_expr(f), as_expr(g)), pts)
-    return spec.orientation * np.linalg.det(rows) / _metric_factor(spec, pts)
+    if spec.casimirs:
+        bad = _dependent(eval_jets_many(spec.casimirs, spec.chart, pts, order=1).gradient, tol)
+        if bad.size:
+            raise DegenerateCasimirs(
+                f"casimir differentials dependent at {pts[int(bad[0])]}")
+    rows = eval_jets_many(spec.casimirs + (as_expr(f), as_expr(g)), spec.chart, pts,
+                          order=1).gradient
+    return _bracket(spec, rows, pts)
 
 
 def rp_bracket(spec: RPBracketSpec, f, g, p, tol: float = DEFAULT_RANK_TOL) -> float:
@@ -470,9 +452,13 @@ def build_rp(spec: RPBracketSpec, h, f, curve: FreeCurve, check_points,
     h = parse(h) if isinstance(h, str) else as_expr(h)
     f = parse(f) if isinstance(f, str) else as_expr(f)
     pts = np.asarray(check_points, dtype=float)
-    if _dependent(spec, tuple(spec.casimirs) + (h,), pts, tol).size:
+    # one stack of gradient rows serves the independence check of the
+    # casimirs and h (its first n - 1 rows; the casimirs alone are then
+    # independent too, by interlacing of singular values) and {h, f}
+    rows = eval_jets_many(spec.casimirs + (h, f), spec.chart, pts, order=1).gradient
+    if _dependent(rows[:, :-1], tol).size:
         raise DegenerateCasimirs("h is not independent from the casimirs")
-    brackets = rp_bracket_many(spec, h, f, pts, tol)
+    brackets = _bracket(spec, rows, pts)
     if np.any(brackets <= 0.0):
         worst = pts[int(np.argmin(brackets))]
         raise NonTransversal(

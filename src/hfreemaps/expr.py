@@ -19,11 +19,13 @@ values (``eval_value``, ``eval_value_many``, the right-hand side of the
 linearized system), 1 for gradients (``lie``, frame fields, brackets,
 transversality), 2 for Hessians (freedom matrices, curve freeness).
 There is no numerical differencing anywhere in this module.  The
-evaluator walks a tree without recursion, so depth is unbounded; it
-evaluates a subtree shared by identity once per call and frees every
-intermediate result after its last use, so memory stays at the size of
-the results still awaited.  A single point is evaluated as a batch of
-one, so its jet equals the batched one bit for bit.
+evaluator walks a tuple of trees without recursion, so depth is
+unbounded; it evaluates a subtree shared by identity once per call,
+across all the trees of the call (``eval_jets_many`` stacks the jets of
+map components, field components or gradient rows from one walk), and
+frees every intermediate result after its last use, so memory stays at
+the size of the results still awaited.  A single point is evaluated as
+a batch of one, so its jet equals the batched one bit for bit.
 """
 
 from __future__ import annotations
@@ -360,15 +362,19 @@ def _constant_exponent(e: Expr) -> float | None:
     return None
 
 
-def _schedule(root: Expr):
-    """``(node, operands)`` for each node below ``root`` that is distinct by
-    identity, in the order a recursive left-to-right evaluation finishes
-    them, and the number of readers of each node.  A constant exponent is
-    read from the tree, so it is no operand."""
+def _schedule(roots: tuple[Expr, ...]):
+    """``(node, operands)`` for each node below ``roots`` that is distinct
+    by identity, in the order a recursive left-to-right evaluation of one
+    root after the other finishes them, and the number of readers of each
+    node.  Each distinct root counts one reader more, so its result
+    outlives the walk.  A constant exponent is read from the tree, so it
+    is no operand."""
     schedule = []
     readers: dict[int, int] = {}
+    for root in roots:
+        readers[id(root)] = 1
     expanded: set[int] = set()
-    stack = [root]   # nodes to expand, and (node, operands) once expanded
+    stack = list(roots[::-1])  # nodes to expand, and (node, operands) once expanded
     while stack:
         node = stack.pop()
         kind = type(node)
@@ -399,13 +405,15 @@ def _schedule(root: Expr):
     return schedule, readers
 
 
-def _evaluate(root: Expr, chart: Chart, pts: np.ndarray, order: int) -> Jet2:
-    """Jet of ``root`` at ``pts`` truncated at ``order``: each scheduled
-    node is evaluated once, and its result is dropped once its last
-    reader has taken it."""
+def _evaluate(roots: tuple[Expr, ...], chart: Chart, pts: np.ndarray,
+              order: int) -> dict[int, Jet2]:
+    """Jets of ``roots`` at ``pts`` truncated at ``order`` from one walk,
+    keyed by the ``id`` of each root: each scheduled node is evaluated
+    once, and every result but a root's is dropped once its last reader
+    has taken it."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    schedule, readers = _schedule(root)
+    schedule, readers = _schedule(roots)
     m, batch = chart.dim, pts.shape[:-1]
     results: dict[int, Jet2] = {}
     for node, operands in schedule:
@@ -435,7 +443,14 @@ def _evaluate(root: Expr, chart: Chart, pts: np.ndarray, order: int) -> Jet2:
                 c = _constant_exponent(node.right)
                 jet = args[0].powi(int(c)) if float(c).is_integer() else args[0].powf(c)
         results[id(node)] = jet
-    return results[id(root)]
+    return results
+
+
+def _batch(points, chart: Chart) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != chart.dim:
+        raise ValueError(f"points must have shape (B, {chart.dim})")
+    return pts
 
 
 def eval_jet2(e: Expr, chart: Chart, p, order: int = 2) -> Jet2:
@@ -445,7 +460,7 @@ def eval_jet2(e: Expr, chart: Chart, p, order: int = 2) -> Jet2:
     if pts.shape != (chart.dim,):
         raise ValueError(f"point must have {chart.dim} entries, got shape {pts.shape}")
     # a batch of one, so that numpy takes the same paths as for a batch
-    jet = _evaluate(e, chart, pts[None, :], order)
+    jet = _evaluate((e,), chart, pts[None, :], order)[id(e)]
     return Jet2(*[None if part is None else part[0]
                   for part in (jet.value, jet.gradient, jet.hessian)])
 
@@ -453,10 +468,23 @@ def eval_jet2(e: Expr, chart: Chart, p, order: int = 2) -> Jet2:
 def eval_jet2_many(e: Expr, chart: Chart, points, order: int = 2) -> Jet2:
     """Batched jets: ``points (B, m)`` gives value ``(B,)``, gradient
     ``(B, m)``, Hessian ``(B, m, m)``, up to ``order``."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != chart.dim:
-        raise ValueError(f"points must have shape (B, {chart.dim})")
-    return _evaluate(e, chart, pts, order)
+    return _evaluate((e,), chart, _batch(points, chart), order)[id(e)]
+
+
+def eval_jets_many(exprs, chart: Chart, points, order: int = 2) -> Jet2:
+    """Jets of a sequence of ``R`` expressions from one walk, stacked on
+    axis 1: ``points (B, m)`` gives value ``(B, R)``, gradient
+    ``(B, R, m)``, Hessian ``(B, R, m, m)``, up to ``order``.  Slice
+    ``r`` equals ``eval_jet2_many(exprs[r], ...)`` bit for bit."""
+    pts, exprs = _batch(points, chart), tuple(exprs)
+    results = _evaluate(exprs, chart, pts, order)
+    # filled in place: at one point np.stack costs as much as a small tree
+    parts = [np.empty((len(pts), len(exprs)) + (chart.dim,) * i) for i in range(order + 1)]
+    for r, e in enumerate(exprs):
+        jet = results[id(e)]
+        for stacked, part in zip(parts, (jet.value, jet.gradient, jet.hessian)):
+            stacked[:, r] = part
+    return Jet2(*parts)
 
 
 def eval_value(e: Expr, chart: Chart, p) -> float:
@@ -466,7 +494,7 @@ def eval_value(e: Expr, chart: Chart, p) -> float:
 
 def eval_value_many(e: Expr, chart: Chart, points) -> np.ndarray:
     """Values only, the order-0 jet; ``points (B, m) -> (B,)``."""
-    return _evaluate(e, chart, np.asarray(points, dtype=float), 0).value
+    return _evaluate((e,), chart, np.asarray(points, dtype=float), 0)[id(e)].value
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Chart, Expr, as_expr
+from .expr import Chart, Expr, as_expr, eval_jets_many
+from .jet import Jet2
 from .lie import VectorField
 
 DEFAULT_RANK_TOL = 1e-9
@@ -64,14 +65,20 @@ class FrameChange:
         return len(self.entries)
 
 
-def frame_values(d: Distribution, points) -> np.ndarray:
-    """Component values of the frame at ``points (B, m)`` as ``(B, k, m)``."""
-    return np.stack([field.values(points) for field in d.frame], axis=1)
+def _frame_jets(d: Distribution, points, order: int = 0) -> Jet2:
+    """Jets of the frame components at ``points (B, m)`` from one walk:
+    value ``XV (B, k, m)`` and, at ``order`` 1, gradient
+    ``XG (B, k, m, m)`` with ``XG[b, a, alpha, beta] = d_beta xi_a^alpha``."""
+    comps = [comp for field in d.frame for comp in field.components]
+    jet = eval_jets_many(comps, d.chart, points, order)
+    shape = (len(jet.value), d.k, d.chart.dim)
+    return Jet2(*(None if part is None else part.reshape(shape + part.shape[2:])
+                  for part in (jet.value, jet.gradient, jet.hessian)))
 
 
 def frame_rank(d: Distribution, p, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the ``k x m`` frame component matrix at ``p``."""
-    matrix = frame_values(d, np.asarray(p, dtype=float)[None, :])[0]
+    matrix = _frame_jets(d, np.asarray(p, dtype=float)[None, :]).value[0]
     svals = np.linalg.svd(matrix, compute_uv=False)
     return int(certified_ranks(svals, matrix.shape, tol, sized=False)[1])
 

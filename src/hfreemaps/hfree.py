@@ -32,9 +32,8 @@ from .errors import (
     NotImmersion,
     TooFewTargets,
 )
-from .expr import Chart, Expr, as_expr, coordinates, eval_jet2_many, parse
-from .geometry import DEFAULT_RANK_TOL, Distribution, certified_ranks
-from .lie import _value_gradients
+from .expr import Chart, Expr, as_expr, coordinates, eval_jets_many, parse
+from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_jets, certified_ranks
 
 __all__ = [
     "MapSpec",
@@ -97,14 +96,6 @@ class FreedomMatrix:
     point: np.ndarray
     k: int
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return pair_order(self.k)
-
-    @property
-    def first_block(self) -> np.ndarray:
-        return self.entries[: self.k]
-
     def det(self) -> float:
         rows, cols = self.entries.shape
         if rows != cols:
@@ -140,22 +131,6 @@ class InducedMetric:
 
 # ---------------------------------------------------------------------------
 # batched jet assembly
-
-
-def _map_jets(F: MapSpec, points: np.ndarray, order: int = 2):
-    """Stacked derivatives of the map components: gradients ``(B, q, m)``
-    and, at ``order`` 2, Hessians ``(B, q, m, m)`` (else ``None``)."""
-    jets = [eval_jet2_many(comp, F.chart, points, order=order) for comp in F.components]
-    grads = np.stack([j.gradient for j in jets], axis=1)
-    hesses = np.stack([j.hessian for j in jets], axis=1) if order == 2 else None
-    return grads, hesses
-
-
-def _frame_jets(d: Distribution, points: np.ndarray):
-    """Frame component values ``XV (B, k, m)`` and their derivatives
-    ``XG (B, k, m, m)`` with ``XG[b, a, alpha, beta] = d_beta xi_a^alpha``."""
-    vals, grads = zip(*(_value_gradients(field, points) for field in d.frame))
-    return np.stack(vals, axis=1), np.stack(grads, axis=1)
 
 
 def _first_block(XV, Fgrads):
@@ -215,8 +190,8 @@ def _lie_rows(d: Distribution, F: MapSpec, points: np.ndarray, tol: float):
     of the map and frame jets."""
     if F.chart != d.chart:
         raise ValueError("map and distribution must share one chart")
-    Fgrads, Fhesses = _map_jets(F, points)
-    return _jet_rows(d, points, Fgrads, Fhesses, tol)
+    Fjet = eval_jets_many(F.components, F.chart, points)
+    return _jet_rows(d, points, Fjet.gradient, Fjet.hessian, tol)
 
 
 def _jet_rows(d: Distribution, points: np.ndarray, Fgrads: np.ndarray,
@@ -225,7 +200,8 @@ def _jet_rows(d: Distribution, points: np.ndarray, Fgrads: np.ndarray,
     ``Fhesses (B, q, m, m)`` at ``points (B, m)``; the frame jets are
     evaluated here.  Raises :class:`DomainError` on non-finite jets and
     :class:`DegenerateFrame` where the frame drops rank."""
-    XV, XG = _frame_jets(d, points)
+    frame = _frame_jets(d, points, order=1)
+    XV, XG = frame.value, frame.gradient
     if not (np.all(np.isfinite(XV)) and np.all(np.isfinite(Fgrads))
             and np.all(np.isfinite(Fhesses)) and np.all(np.isfinite(XG))):
         raise DomainError("non-finite jet values while assembling rows")
@@ -291,8 +267,8 @@ def is_h_immersion_at(d: Distribution, F: MapSpec, p,
                       tol: float = DEFAULT_RANK_TOL) -> bool:
     """True when the first-order block ``(L_a F^i)`` has rank ``k``."""
     pts = np.asarray(p, dtype=float)[None, :]
-    Fgrads, _ = _map_jets(F, pts, order=1)
-    XV, _ = _frame_jets(d, pts)
+    Fgrads = eval_jets_many(F.components, F.chart, pts, order=1).gradient
+    XV = _frame_jets(d, pts).value
     _check_frame(d, XV, tol)
     block = _first_block(XV, Fgrads)
     _, _, ranks = _certify_ranks(block, tol)
@@ -302,10 +278,8 @@ def is_h_immersion_at(d: Distribution, F: MapSpec, p,
 def induced_metric_many(d: Distribution, F: MapSpec, points) -> np.ndarray:
     """Gram matrices ``g_ab = sum_i L_a F^i L_b F^i`` at ``points (B, m)``
     as ``(B, k, k)``."""
-    pts = np.asarray(points, dtype=float)
-    Fgrads, _ = _map_jets(F, pts, order=1)
-    XV, _ = _frame_jets(d, pts)
-    block = _first_block(XV, Fgrads)
+    Fgrads = eval_jets_many(F.components, F.chart, points, order=1).gradient
+    block = _first_block(_frame_jets(d, points).value, Fgrads)
     g = block @ np.swapaxes(block, -1, -2)
     # mirror the upper triangle so symmetry is exact
     return np.triu(g) + np.swapaxes(np.triu(g, 1), -1, -2)
@@ -354,13 +328,15 @@ def infinitesimal_invert(d: Distribution, F: MapSpec, p, dg, psi,
     system = _stack_rows(first, L2, True)[0]
 
     # the right-hand side reads values of psi and dg and gradients of psi
-    psi_jets = [eval_jet2_many(e, d.chart, pts, order=1) for e in psi]
-    rhs = [float(j.value[0]) for j in psi_jets]
-    for a, b in pair_order(k):
+    psi_jet = eval_jets_many(psi, d.chart, pts, order=1)
+    dg_values = eval_jets_many([dg[a][b] for a, b in pair_order(k)], d.chart, pts,
+                               order=0).value[0]
+    grads = psi_jet.gradient[0]
+    rhs = [float(v) for v in psi_jet.value[0]]
+    for (a, b), dg_ab in zip(pair_order(k), dg_values):
         # L_a psi_b = xi_a . grad psi_b, contracted as lie() does
-        lhs = (float(XV[0, a] @ psi_jets[b].gradient[0])
-               + float(XV[0, b] @ psi_jets[a].gradient[0]))
-        rhs.append(lhs - float(eval_jet2_many(dg[a][b], d.chart, pts, order=0).value[0]))
+        lhs = float(XV[0, a] @ grads[b]) + float(XV[0, b] @ grads[a])
+        rhs.append(lhs - float(dg_ab))
     rhs = np.array(rhs)
 
     df, *_ = np.linalg.lstsq(system, rhs, rcond=None)

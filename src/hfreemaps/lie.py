@@ -5,8 +5,8 @@ the function and of the second field's components in a single pass
 rather than differentiating through a closure.  Each jet is evaluated
 at the lowest order the formula reads: values of the first field,
 gradients of the second field, and the jet of ``f`` to order 1 in
-``lie`` and order 2 in ``lie2``.  Field components are evaluated only
-here, by :meth:`VectorField.values` and ``_value_gradients``.
+``lie`` and order 2 in ``lie2``.  The components of a field are
+evaluated together, in one walk of the evaluator.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (Chart, Expr, coordinates, derivative, eval_jet2, eval_jet2_many,
-                   eval_value_many, fold_add, fold_mul, parse)
+                   eval_jets_many, fold_add, fold_mul, parse)
 
 
 @dataclass(frozen=True)
@@ -40,23 +40,7 @@ class VectorField:
 
     def values(self, points) -> np.ndarray:
         """Component values at ``points (B, m)`` as ``(B, m)``."""
-        pts = np.asarray(points, dtype=float)
-        # filled in place: at one point np.stack costs as much as a component
-        out = np.empty((pts.shape[0], self.chart.dim))
-        for b, comp in enumerate(self.components):
-            out[:, b] = eval_value_many(comp, self.chart, pts)
-        return out
-
-
-def _value_gradients(xi: VectorField, points: np.ndarray):
-    """Component values ``(B, m)`` and gradients ``(B, m, m)`` of ``xi``,
-    the gradient of component ``b`` in row ``b``."""
-    m = xi.chart.dim
-    values, gradients = np.empty((points.shape[0], m)), np.empty((points.shape[0], m, m))
-    for b, comp in enumerate(xi.components):
-        jet = eval_jet2_many(comp, xi.chart, points, order=1)
-        values[:, b], gradients[:, b] = jet.value, jet.gradient
-    return values, gradients
+        return eval_jets_many(self.components, self.chart, points, order=0).value
 
 
 def parse_field(chart: Chart, *component_texts: str) -> VectorField:
@@ -71,8 +55,9 @@ def _check_shared_chart(*objs):
 
 def lie(xi: VectorField, f: Expr, p) -> float:
     """Directional derivative of ``f`` along ``xi`` at ``p``."""
-    jf = eval_jet2(f, xi.chart, p, order=1)
-    return float(xi.values(np.asarray(p, dtype=float)[None, :])[0] @ jf.gradient)
+    pts = np.asarray(p, dtype=float)[None, :]
+    gradient = eval_jet2_many(f, xi.chart, pts, order=1).gradient[0]
+    return float(xi.values(pts)[0] @ gradient)
 
 
 def lie2(xi: VectorField, eta: VectorField, f: Expr, p) -> float:
@@ -82,7 +67,8 @@ def lie2(xi: VectorField, eta: VectorField, f: Expr, p) -> float:
     jf = eval_jet2(f, xi.chart, p)
     pts = np.asarray(p, dtype=float)[None, :]
     xv = xi.values(pts)[0]
-    ev, eg = (part[0] for part in _value_gradients(eta, pts))  # eg[b, a] = d_a eta^b
+    eta_jet = eval_jets_many(eta.components, eta.chart, pts, order=1)
+    ev, eg = eta_jet.value[0], eta_jet.gradient[0]  # eg[b, a] = d_a eta^b
     first = np.einsum("a,ba,b->", xv, eg, jf.gradient)
     second = np.einsum("a,b,ab->", xv, ev, jf.hessian)
     return float(first + second)

@@ -76,6 +76,7 @@ class Scenario:
     points_entries: list[Entry] = field(default_factory=list)
     window: Window | None = None
     task_line: int | None = None  # line of the task's 'kind = ...'
+    field_lines: list[int] = field(default_factory=list)  # line of each frame field
 
     # -- helpers used by the task runners ----------------------------------
 
@@ -238,12 +239,17 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
         comps = [sc.expr(part, e.line) for part in e.value.split(",")]
         if len(comps) != chart.dim:
             sc.fail(f"field needs {chart.dim} components", e.line)
+        if len(sc.frame) == chart.dim:
+            sc.fail(f"a distribution has at most {chart.dim} fields", e.line)
         sc.frame.append(VectorField(chart, tuple(comps)))
+        sc.field_lines.append(e.line)
 
     for e in sections.get("map", []):
         if e.key != "component":
             sc.fail(f"unknown key {e.key!r} in [map]", e.line)
         sc.map_components.append(sc.expr(e.value, e.line))
+    if len(sc.map_components) == 1:
+        sc.fail("a map needs at least two components", sections["map"][-1].line)
 
     sc.points_entries = sections.get("points", [])
 

@@ -88,7 +88,7 @@ _DP_E = _DP_B5 - _DP_B4
 
 
 def _integrate(fun, y0: np.ndarray, t_total: float, rtol: float, atol: float,
-               max_step: float = np.inf, bbox=None, freeze_box=None) -> np.ndarray:
+               bbox=None, freeze_box=None) -> np.ndarray:
     """Advance the autonomous system ``dy/ds = fun(y)`` by ``t_total``.
 
     ``bbox`` raises :class:`BlowUp` on exit.  ``freeze_box`` instead
@@ -105,10 +105,10 @@ def _integrate(fun, y0: np.ndarray, t_total: float, rtol: float, atol: float,
         alive &= np.all((y >= lo) & (y <= hi), axis=1)
     direction = 1.0 if t_total > 0 else -1.0
     remaining = abs(t_total)
-    h = min(remaining, max_step, 0.1)
+    h = min(remaining, 0.1)
     k1 = fun(y)
     while remaining > 0.0 and np.any(alive):
-        h = min(h, remaining, max_step)
+        h = min(h, remaining)
         if h < 1e-13:
             raise BlowUp("step size underflow (trajectory is not integrable here)")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -165,12 +165,11 @@ def _unit_orthogonal_fun(xi: VectorField):
     return perp
 
 
-def flow(xi: VectorField, p, t: float, h_max: float = np.inf, *,
-         rtol: float = 1e-10, atol: float = 1e-10, bbox=None) -> np.ndarray:
+def flow(xi: VectorField, p, t: float, *, rtol: float = 1e-10, atol: float = 1e-10,
+         bbox=None) -> np.ndarray:
     """Point reached from ``p`` after flowing along ``xi`` for time ``t``."""
-    y0 = np.asarray(p, dtype=float)
-    return _integrate(_field_fun(xi), y0, float(t), rtol, atol,
-                      max_step=h_max, bbox=bbox)
+    return _integrate(_field_fun(xi), np.asarray(p, dtype=float), float(t), rtol, atol,
+                      bbox=bbox)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +215,12 @@ class BumpProfile:
 
     ``step`` rises from 0 to 1 across ``(-1, 1)``, equals 1/2 at 0
     exactly, and has the closed-form derivative ``bump(t) / (2 c)``.
-    The integral is tabulated by the trapezoid rule and interpolated by
-    a monotone piecewise cubic.
+    The integral is tabulated by the trapezoid rule on 4001 nodes and
+    interpolated by a monotone piecewise cubic.
     """
 
-    def __init__(self, resolution: int = 4001):
-        u = np.linspace(0.0, 1.0, resolution)
+    def __init__(self):
+        u = np.linspace(0.0, 1.0, 4001)
         values = self.bump(u)
         cumulative = np.concatenate(
             [[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(u))])
@@ -276,14 +275,14 @@ class Tube:
 
 
 def build_tube(xi: VectorField, seed, window: Window, *, t_span: float = 3.0,
-               n_t: int = 121, ds: float | None = None, pad: float = 0.75,
-               max_samples: int = 4000, rtol: float = 1e-10,
-               atol: float = 1e-10) -> Tube:
+               max_samples: int = 4000) -> Tube:
     """Integrate the orthogonal leaf through ``seed`` across the padded
-    window, then tabulate its flow saturation for ``|t| <= t_span``."""
+    window in steps of 1/150 of its larger extent, then tabulate its flow
+    saturation at 121 times with ``|t| <= t_span``; every integration
+    runs at ``rtol = atol = 1e-10``."""
     seed = np.asarray(seed, dtype=float)
-    if ds is None:
-        ds = max(window.x1 - window.x0, window.y1 - window.y0) / 150.0
+    ds = max(window.x1 - window.x0, window.y1 - window.y0) / 150.0
+    pad, rtol, atol = 0.75, 1e-10, 1e-10
     lo, hi = window.padded_box(pad)
     perp = _unit_orthogonal_fun(xi)
 
@@ -301,8 +300,7 @@ def build_tube(xi: VectorField, seed, window: Window, *, t_span: float = 3.0,
     backward = march(-1.0)
     transversal = np.array(backward[::-1] + [seed] + forward)
 
-    if n_t % 2 == 0:
-        n_t += 1  # keep t = 0 on the grid
+    n_t = 121  # odd, so t = 0 is on the grid
     times = np.linspace(-t_span, t_span, n_t)
     zero = n_t // 2
     states = np.empty((len(transversal), n_t, 2))

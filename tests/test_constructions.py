@@ -314,3 +314,21 @@ class TestBuildRp:
         pts = rng.uniform(-2, 2, size=(10, 3))
         with pytest.raises(DegenerateCasimirs):
             build_rp(spec, "2*x", "z", FreeCurve.exp(), pts)
+
+    def test_one_evaluation_and_one_svd_per_build(self, space, rng, monkeypatch):
+        # one stack of casimir, h and f gradients serves both the
+        # independence check and the brackets {h, f}
+        from hfreemaps import expr
+        calls = {"evaluate": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(expr, "_evaluate", counted("evaluate", expr._evaluate))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        spec = RPBracketSpec(space, (parse("x+0.1*z^2"),))
+        build_rp(spec, "y", "z", FreeCurve.exp(), rng.uniform(-2, 2, size=(300, 3)))
+        assert calls == {"evaluate": 1, "svd": 1}

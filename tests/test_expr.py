@@ -21,6 +21,7 @@ from hfreemaps.expr import (
     derivative,
     eval_jet2,
     eval_jet2_many,
+    eval_jets_many,
     eval_value,
     eval_value_many,
     parse,
@@ -288,6 +289,50 @@ def test_orders_agree_bit_for_bit(e, pts):
                     assert _bits(single.gradient) == _bits(batch.gradient[i])
                 if order == 2:
                     assert _bits(single.hessian) == _bits(batch.hessian[i])
+
+
+def _subtrees(e):
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(getattr(node, name) for name in ("arg", "left", "right")
+                     if hasattr(node, name))
+    return out
+
+
+@st.composite
+def _root_tuples(draw):
+    """1 to 6 roots drawn from a few trees, their subtrees and new trees
+    over both: roots share subtrees by identity, repeat, or sit inside
+    another root."""
+    trees = draw(st.lists(_exprs(partial=True), min_size=1, max_size=3))
+    picks = st.sampled_from([node for tree in trees for node in _subtrees(tree)])
+    joined = st.builds(Bin, st.sampled_from("+-*/"), picks, picks)
+    return tuple(draw(st.lists(st.one_of(picks, joined), min_size=1, max_size=6)))
+
+
+@given(roots=_root_tuples(), pts=_points)
+@settings(max_examples=100, deadline=None)
+def test_tuple_walk_equals_each_root_alone(roots, pts):
+    plane = Chart(("x", "y"))
+    with np.errstate(all="ignore"):
+        for batch in (pts[:1], pts):
+            for order in (0, 1, 2):
+                alone = [_outcome(e, plane, batch, order) for e in roots]
+                try:
+                    stacked = eval_jets_many(roots, plane, batch, order)
+                except DomainError:
+                    # raised exactly when some root raises on its own
+                    assert any(jet is None for jet in alone)
+                    continue
+                assert all(jet is not None for jet in alone)
+                assert stacked.order == order
+                parts = ("value", "gradient", "hessian")[:order + 1]
+                for name, tail in zip(parts, [(), (2,), (2, 2)]):
+                    assert getattr(stacked, name).shape == (len(batch), len(roots)) + tail
+                    for r, jet in enumerate(alone):
+                        assert _bits(getattr(stacked, name)[:, r]) == _bits(getattr(jet, name))
 
 
 def test_variable_exponent_values_match_jets(plane, rng):

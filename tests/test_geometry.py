@@ -7,10 +7,10 @@ from hfreemaps.geometry import (
     DEFAULT_RANK_TOL,
     Distribution,
     FrameChange,
+    _frame_jets,
     certified_ranks,
     change_frame,
     frame_rank,
-    frame_values,
 )
 from hfreemaps.hfree import _check_frame, freedom_matrix, is_h_immersion_at, parse_map
 from hfreemaps.lie import parse_field
@@ -52,7 +52,7 @@ def _rank_two(matrix, sized):
 def _frame_check_passes():
     d = _near_frame()
     # raises DegenerateFrame when the frame rank drops
-    _check_frame(d, frame_values(d, np.zeros((1, 2))), DEFAULT_RANK_TOL)
+    _check_frame(d, _frame_jets(d, np.zeros((1, 2))).value, DEFAULT_RANK_TOL)
     return True
 
 

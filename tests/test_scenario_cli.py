@@ -554,10 +554,17 @@ class TestInputErrors:
         ("rp-bracket", "casimir = y"),
         ("construct-cis", "curve = circle"),
         ("construct-cis", "f = y"),
+        # counts checked against library constraints, in other sections
+        pytest.param("construct-cis", "[distribution]\nfield = 0, 1",
+                     id="construct-cis-fewer f than fields"),
+        pytest.param("genericity", "[distribution]\nfield = 0, 1\nfield = 1, 1",
+                     id="genericity-more fields than coordinates"),
+        pytest.param("induced-metric", "[map]\ncomponent = exp(x)",
+                     id="induced-metric-one map component"),
     ])
     def test_malformed_task_numbers(self, tmp_path, capsys, kind, bad):
         text = TASK_TEXTS[kind].rstrip("\n") + f"\n{bad}\n"
-        line = text.splitlines().index(bad) + 1
+        line = len(text.splitlines())  # the last line of ``bad``
         path = write(tmp_path, "bad.ini", text)
         out = tmp_path / "out"
         assert run(path, out) == 1
@@ -577,6 +584,19 @@ class TestInputErrors:
         err = capsys.readouterr().err
         line = text.splitlines().index("kind = rp-bracket") + 1
         assert f"{path}:{line}: {message}" in err
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[chart]\ncoords = x\xff\n")
+        assert run(str(path), tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: UnicodeDecodeError")
+
+    def test_library_value_error_names_the_file(self, tmp_path, capsys):
+        text = RENDER.format(levels="3").replace("coords = x, y", "coords = x, y, z")
+        path = write(tmp_path, "lv.ini", text)
+        assert run(path, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ValueError: level rendering needs")
 
     @pytest.mark.parametrize("empty", ["n_maps = 0", "n_points = 0"])
     def test_empty_genericity_sweep(self, tmp_path, empty):
@@ -723,6 +743,19 @@ point = 0.1, 0.2
 kind = construct-cis
 f = x
 curve = exp
+""",
+    "induced-metric": """
+[chart]
+coords = x, y
+
+[distribution]
+field = 1, 0
+
+[points]
+point = 0.1, 0.2
+
+[task]
+kind = induced-metric
 """,
     "invert": CONTACT.replace("kind = check-hfree",
                               "kind = invert\npsi = 0, 0\ndg = 1, 0\ndg = 0, 1"),

@@ -8,7 +8,9 @@ derivatives.  No numerical differencing is involved anywhere.
 
 import numpy as np
 
-from hfreemaps import Chart, anticommutator, eval_jet2, lie, lie2, parse, parse_field
+from hfreemaps import (Chart, Distribution, eval_jet2, freedom_matrix, lie, parse, parse_field,
+                       parse_map)
+from hfreemaps.hfree import pair_order
 
 plane = Chart(("x", "y"))
 
@@ -39,12 +41,13 @@ for p in [(0.0, 0.0), (1.0, 0.5), (-1.0, -0.4)]:
 # --- second-order operators -------------------------------------------------
 
 space = Chart(("x", "y", "z"))
-xi1 = parse_field(space, "0", "1", "0")
-xi2 = parse_field(space, "1", "0", "-y")
-height = parse("z")
+contact = Distribution(space, (parse_field(space, "0", "1", "0"),
+                               parse_field(space, "1", "0", "-y")))
+F = parse_map(space, "z", "y^2")
+entries = freedom_matrix(contact, F, (0.3, -0.2, 0.9)).entries
 
-print("\nIterated and symmetrized derivatives for the contact frame:")
-print("  L_1 L_2 z          =", lie2(xi1, xi2, height, (0.3, -0.2, 0.9)))
-print("  {L_1, L_2} z       =", anticommutator(xi1, xi2, height, (0.3, -0.2, 0.9)))
-print("  {L_1, L_1} (y^2)   =",
-      anticommutator(xi1, xi1, parse("y^2"), (0.0, 0.0, 0.0)), "(twice L_1^2)")
+print("\nSecond-order rows of the freedom matrix for the contact frame,")
+print("F = (z, y^2) at (0.3, -0.2, 0.9):")
+for row, (a, b) in enumerate(pair_order(contact.k), start=contact.k):
+    label = (f"L_{a+1} L_{a+1} F" if a == b else f"{{L_{a+1}, L_{b+1}}} F")
+    print(f"  {label:<14} =", entries[row])

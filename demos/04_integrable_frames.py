@@ -3,9 +3,10 @@
 Given n functions with the diagonal bracket pattern (L_i f^j = 0 for
 i != j, g_i = L_i f^i > 0), the product map made of n curve
 compositions plus the pairwise products f^i f^j certifies, and its
-determinant equals C * prod_i g_i^(n+2) Dpsi_i(f^i).  The constant C is
-not assumed: a brute-force numeric determinant on the canonical model
-instance fixes it before any identity test runs.
+determinant equals C * prod_i g_i^(n+2) Dpsi_i(f^i).  The constant is
+C = 2^(n(n-1)/2): in a suitable row order the freedom matrix is block
+upper triangular, with one 2x2 block per function and one diagonal
+entry 2 g_i g_j per pair i < j.
 """
 
 import numpy as np

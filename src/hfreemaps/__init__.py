@@ -29,7 +29,7 @@ from .errors import (
 from .expr import (Chart, Expr, Num, eval_jet2, eval_jet2_many, eval_jets_many, eval_value,
                    parse, render, substitute)
 from .jet import Jet2
-from .lie import VectorField, anticommutator, lie, lie2, lie_expr, parse_field
+from .lie import VectorField, lie, lie_expr, parse_field
 from .geometry import Distribution, FrameChange, change_frame, frame_rank
 from .hfree import (
     FreedomMatrix,

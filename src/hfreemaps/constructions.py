@@ -7,7 +7,7 @@ Three families are covered:
   ``Dpsi(f) * (L_xi f)^3``;
 * products of free curves for commuting frames of integrable systems,
   whose determinant factors as ``C * prod_i g_i^(n+2) Dpsi_i(f^i)``
-  with a constant fixed by a brute-force numeric oracle;
+  with the closed-form constant ``C = 2^(n(n-1)/2)``;
 * compositions along Hamiltonian fields of Riemann-Poisson brackets.
 """
 
@@ -40,9 +40,9 @@ from .expr import (
     parse,
     substitute,
 )
-from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_jets, certified_ranks
+from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_jets, unsized_ranks
 from .hfree import MapSpec, _retained, freedom_matrix_many, required_rank
-from .lie import VectorField, lie_expr
+from .lie import VectorField, lie_expr, lie_rows
 
 CURVE_VAR = "t"
 CURVE_CHART = Chart((CURVE_VAR,))
@@ -230,40 +230,19 @@ def build_cis(fs: Sequence, curves: Sequence[FreeCurve], chart: Chart) -> CisMap
     return CisMap(MapSpec(chart, tuple(comps)), fs, curves)
 
 
-_CIS_CONSTANT_CACHE: dict[int, float] = {}
-
-
 def cis_determinant_constant(n: int) -> float:
-    """Brute-force the determinant constant on one canonical instance.
+    """The constant ``C = 2^(n(n-1)/2)`` of the product-map determinant.
 
-    The oracle builds the model fixture (angle frames ``d/dw_i``,
-    ``f^i = w_i``, exponential curves, so every ``g_i = 1``) and divides
-    the numeric determinant by ``prod_i Dpsi_i(f^i)``.
+    With commuting frames ``L_i f^j = 0`` and ``L_i g_j = 0`` for
+    ``i != j``.  Ordering the rows as the blocks ``(i, (i, i))`` and then
+    the off-diagonal pairs makes the freedom matrix block upper
+    triangular: ``n`` blocks of determinant ``g_i^3 Dpsi_i(f^i)`` and one
+    diagonal entry ``2 g_i g_j`` per pair ``i < j``.
     """
-    if n in _CIS_CONSTANT_CACHE:
-        return _CIS_CONSTANT_CACHE[n]
-    coords = tuple(f"a{i+1}" for i in range(n)) + tuple(f"w{i+1}" for i in range(n))
-    chart = Chart(coords)
-    zero, one = Num(0.0), Num(1.0)
-    frame = tuple(
-        VectorField(chart, tuple(one if j == n + i else zero for j in range(2 * n)))
-        for i in range(n)
-    )
-    dist = Distribution(chart, frame)
-    cis = build_cis([Coord(f"w{i+1}") for i in range(n)],
-                    [FreeCurve.exp() for _ in range(n)], chart)
-    angles = 0.3 * np.arange(1, n + 1) * (-1.0) ** np.arange(n)
-    point = np.concatenate([np.zeros(n), angles])
-    matrices, _, _, _ = freedom_matrix_many(dist, cis.map_spec, point[None, :])
-    det = float(np.linalg.det(matrices[0]))
-    predicted = float(np.prod(np.exp(angles)))
-    constant = det / predicted
-    _CIS_CONSTANT_CACHE[n] = constant
-    return constant
+    return 2.0 ** (n * (n - 1) // 2)
 
 
-def verify_cis(d: Distribution, built: CisMap, points, tol: float = 1e-8,
-               constant: float | None = None) -> PointwiseCheck:
+def verify_cis(d: Distribution, built: CisMap, points, tol: float = 1e-8) -> PointwiseCheck:
     """Check the product-map determinant identity at each point.
 
     First enforces the bracket pattern ``L_i f^j = 0`` for ``i != j``
@@ -274,12 +253,10 @@ def verify_cis(d: Distribution, built: CisMap, points, tol: float = 1e-8,
     n = built.n
     if d.k != n:
         raise ValueError(f"distribution has k={d.k}, map was built for n={n}")
-    if constant is None:
-        constant = cis_determinant_constant(n)
     pts = np.asarray(points, dtype=float)
 
     fjet = eval_jets_many(built.fs, d.chart, pts, order=1)
-    L = np.einsum("bio,bjo->bij", _frame_jets(d, pts).value, fjet.gradient)  # L_{xi_i} f^j
+    L = lie_rows(_frame_jets(d, pts).value, fjet.gradient)  # L_{xi_i} f^j
     g = np.einsum("bii->bi", L).copy()
     scale = np.maximum(1.0, np.max(np.abs(g), axis=1))[:, None, None]
     off = ~np.eye(n, dtype=bool)
@@ -294,7 +271,7 @@ def verify_cis(d: Distribution, built: CisMap, points, tol: float = 1e-8,
         raise CommutationViolation(
             f"g_{i+1} = {g[b, i]:.3e} <= 0 at {pts[b]}")
 
-    predicted = np.full(len(pts), constant)
+    predicted = np.full(len(pts), cis_determinant_constant(n))
     for i, curve in enumerate(built.curves):  # each curve at its own points f^i
         predicted *= g[:, i] ** (n + 2) * curve_freeness_many(curve, fjet.value[:, i])
     return _pointwise_check(d, built.map_spec, pts, predicted, tol)
@@ -341,10 +318,8 @@ class RPBracketSpec:
 
 def _dependent(rows: np.ndarray, tol: float) -> np.ndarray:
     """Indices of the points where the gradient rows ``(B, r, n)`` are
-    dependent, by the unsized rule of :func:`certified_ranks`."""
-    _, ranks = certified_ranks(np.linalg.svd(rows, compute_uv=False), rows.shape, tol,
-                               sized=False)
-    return np.nonzero(ranks < rows.shape[1])[0]
+    dependent, by :func:`~hfreemaps.geometry.unsized_ranks`."""
+    return np.nonzero(unsized_ranks(rows, tol) < rows.shape[1])[0]
 
 
 def _bracket(spec: RPBracketSpec, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -361,14 +336,18 @@ def _bracket(spec: RPBracketSpec, rows: np.ndarray, pts: np.ndarray) -> np.ndarr
 
 def rp_bracket_many(spec: RPBracketSpec, f: Expr, g: Expr, points,
                     tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Bracket values at ``points (B, n)`` from one stack of gradient rows
+    of the casimirs, ``f`` and ``g``; its casimir rows serve the
+    independence check.  A :class:`DomainError` in evaluating ``f`` or
+    ``g`` is therefore raised before :class:`DegenerateCasimirs`."""
     pts = np.asarray(points, dtype=float)
+    rows = eval_jets_many(spec.casimirs + (as_expr(f), as_expr(g)), spec.chart, pts,
+                          order=1).gradient
     if spec.casimirs:
-        bad = _dependent(eval_jets_many(spec.casimirs, spec.chart, pts, order=1).gradient, tol)
+        bad = _dependent(rows[:, :-2], tol)
         if bad.size:
             raise DegenerateCasimirs(
                 f"casimir differentials dependent at {pts[int(bad[0])]}")
-    rows = eval_jets_many(spec.casimirs + (as_expr(f), as_expr(g)), spec.chart, pts,
-                          order=1).gradient
     return _bracket(spec, rows, pts)
 
 

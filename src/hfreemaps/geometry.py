@@ -25,6 +25,13 @@ def certified_ranks(svals: np.ndarray, shape, tol: float, sized: bool = True):
         return thresholds, (svals > thresholds[..., None]).sum(axis=-1)
 
 
+def unsized_ranks(matrices: np.ndarray, tol: float) -> np.ndarray:
+    """Ranks of a stack of matrices ``(..., rows, cols)`` by the unsized
+    rule of :func:`certified_ranks`: the check that rows are independent."""
+    svals = np.linalg.svd(matrices, compute_uv=False)
+    return certified_ranks(svals, matrices.shape, tol, sized=False)[1]
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Span of ``k`` vector fields on a chart of dimension ``m >= k``."""
@@ -78,9 +85,8 @@ def _frame_jets(d: Distribution, points, order: int = 0) -> Jet2:
 
 def frame_rank(d: Distribution, p, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the ``k x m`` frame component matrix at ``p``."""
-    matrix = _frame_jets(d, np.asarray(p, dtype=float)[None, :]).value[0]
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    return int(certified_ranks(svals, matrix.shape, tol, sized=False)[1])
+    return int(unsized_ranks(_frame_jets(d, np.asarray(p, dtype=float)[None, :]).value,
+                             tol)[0])
 
 
 def change_frame(d: Distribution, lam: FrameChange) -> Distribution:

@@ -4,16 +4,17 @@ The central object is the freedom matrix of a map ``F`` relative to a
 framed distribution: ``k`` first-order rows ``L_a F``, followed by one
 row per index pair ``(a, b)``, ``a <= b`` in lexicographic order, where
 the diagonal row holds ``L_a L_a F`` and the off-diagonal row holds the
-anticommutator ``L_a L_b F + L_b L_a F``.  A map is H-free at a point
-when this ``(k + k(k+1)/2) x q`` matrix has full row rank; the rank is
-certified through singular values with a relative threshold.
+symmetrized ``L_a L_b F + L_b L_a F``.  The rows are the contractions of
+:mod:`hfreemaps.lie`.  A map is H-free at a point when this
+``(k + k(k+1)/2) x q`` matrix has full row rank; the rank is certified
+through singular values with a relative threshold.
 
 Both threshold rules live in :func:`~hfreemaps.geometry.certified_ranks`.
 Certificates (the freedom matrix, the H-immersion test, both ranks of
 :func:`wintergarten_rank`) use ``tol * sigma_max * max(rows, cols)``;
 checks that the inputs are independent (the frame check, ``frame_rank``,
 the casimir and Hamiltonian checks of Riemann-Poisson brackets) use
-``tol * sigma_max``.
+``tol * sigma_max``, through :func:`~hfreemaps.geometry.unsized_ranks`.
 
 All assemblies are batched over point sets; single-point entry points
 wrap the batch of size one.
@@ -33,7 +34,9 @@ from .errors import (
     TooFewTargets,
 )
 from .expr import Chart, Expr, as_expr, coordinates, eval_jets_many, parse
-from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_jets, certified_ranks
+from .geometry import (DEFAULT_RANK_TOL, Distribution, _frame_jets, certified_ranks,
+                       unsized_ranks)
+from .lie import _lie2_tensor, lie_rows
 
 __all__ = [
     "MapSpec",
@@ -133,18 +136,6 @@ class InducedMetric:
 # batched jet assembly
 
 
-def _first_block(XV, Fgrads):
-    # L_a F^i = sum_alpha xi_a^alpha d_alpha F^i
-    return np.einsum("bao,bio->bai", XV, Fgrads)
-
-
-def _lie2_tensor(XV, XG, Fgrads, Fhesses):
-    # L_a L_c F^i  =  xi_a^o d_o xi_c^p d_p F^i  +  xi_a^o xi_c^p d_op F^i
-    first = np.einsum("bao,bcpo,bip->baci", XV, XG, Fgrads)
-    second = np.einsum("bao,bcp,biop->baci", XV, XV, Fhesses)
-    return first + second
-
-
 def _stack_rows(first, L2, doubled_diagonal: bool):
     """The first-order rows followed by one row per pair ``(a, b)``."""
     rows = [first]
@@ -175,9 +166,7 @@ def _retained(svals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 
 def _check_frame(d: Distribution, XV: np.ndarray, tol: float):
-    _, ranks = certified_ranks(np.linalg.svd(XV, compute_uv=False), XV.shape, tol,
-                               sized=False)
-    bad = np.nonzero(ranks < d.k)[0]
+    bad = np.nonzero(unsized_ranks(XV, tol) < d.k)[0]
     if bad.size:
         raise DegenerateFrame(
             f"frame rank < {d.k} at {bad.size} of {XV.shape[0]} points "
@@ -206,7 +195,7 @@ def _jet_rows(d: Distribution, points: np.ndarray, Fgrads: np.ndarray,
             and np.all(np.isfinite(Fhesses)) and np.all(np.isfinite(XG))):
         raise DomainError("non-finite jet values while assembling rows")
     _check_frame(d, XV, tol)
-    return XV, _first_block(XV, Fgrads), _lie2_tensor(XV, XG, Fgrads, Fhesses)
+    return XV, lie_rows(XV, Fgrads), _lie2_tensor(XV, XG, Fgrads, Fhesses)
 
 
 def _assemble_many(d: Distribution, F: MapSpec, points: np.ndarray,
@@ -270,7 +259,7 @@ def is_h_immersion_at(d: Distribution, F: MapSpec, p,
     Fgrads = eval_jets_many(F.components, F.chart, pts, order=1).gradient
     XV = _frame_jets(d, pts).value
     _check_frame(d, XV, tol)
-    block = _first_block(XV, Fgrads)
+    block = lie_rows(XV, Fgrads)
     _, _, ranks = _certify_ranks(block, tol)
     return int(ranks[0]) == d.k
 
@@ -279,7 +268,7 @@ def induced_metric_many(d: Distribution, F: MapSpec, points) -> np.ndarray:
     """Gram matrices ``g_ab = sum_i L_a F^i L_b F^i`` at ``points (B, m)``
     as ``(B, k, k)``."""
     Fgrads = eval_jets_many(F.components, F.chart, points, order=1).gradient
-    block = _first_block(_frame_jets(d, points).value, Fgrads)
+    block = lie_rows(_frame_jets(d, points).value, Fgrads)
     g = block @ np.swapaxes(block, -1, -2)
     # mirror the upper triangle so symmetry is exact
     return np.triu(g) + np.swapaxes(np.triu(g, 1), -1, -2)
@@ -331,12 +320,10 @@ def infinitesimal_invert(d: Distribution, F: MapSpec, p, dg, psi,
     psi_jet = eval_jets_many(psi, d.chart, pts, order=1)
     dg_values = eval_jets_many([dg[a][b] for a, b in pair_order(k)], d.chart, pts,
                                order=0).value[0]
-    grads = psi_jet.gradient[0]
+    L_psi = lie_rows(XV, psi_jet.gradient)[0]  # L_a psi_b
     rhs = [float(v) for v in psi_jet.value[0]]
     for (a, b), dg_ab in zip(pair_order(k), dg_values):
-        # L_a psi_b = xi_a . grad psi_b, contracted as lie() does
-        lhs = float(XV[0, a] @ grads[b]) + float(XV[0, b] @ grads[a])
-        rhs.append(lhs - float(dg_ab))
+        rhs.append(float(L_psi[a, b] + L_psi[b, a]) - float(dg_ab))
     rhs = np.array(rhs)
 
     df, *_ = np.linalg.lstsq(system, rhs, rcond=None)
@@ -350,21 +337,20 @@ def infinitesimal_invert(d: Distribution, F: MapSpec, p, dg, psi,
 def wintergarten_rank(d: Distribution, F: MapSpec, p,
                       tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the normal-to-symmetric-tensor map built from the
-    anticommutator rows; equals ``k(k+1)/2`` exactly when the map is
+    second-order rows; equals ``k(k+1)/2`` exactly when the map is
     H-free at ``p``."""
     k = d.k
     pts = np.asarray(p, dtype=float)[None, :]
     _, first, L2 = _lie_rows(d, F, pts, tol)
-    # the H-immersion test of is_h_immersion_at, on the same jets
-    _, _, ranks = _certify_ranks(first, tol)
-    if int(ranks[0]) != k:
-        raise NotImmersion(f"first-order rows are rank deficient at {p}")
     rows = _stack_rows(first, L2, doubled_diagonal=True)[0]
     first, second = rows[:k], rows[k:]
-    # orthonormal basis of the normal space from the full SVD of the
-    # first-order block
+    # one full SVD of the first-order block gives both the H-immersion
+    # test (the rule of is_h_immersion_at) and an orthonormal basis of the
+    # normal space, so the two cannot disagree on the rank
     _, svals, vh = np.linalg.svd(first, full_matrices=True)
-    normal_basis = vh[int(certified_ranks(svals, first.shape, tol)[1]):]
+    if int(certified_ranks(svals, first.shape, tol)[1]) != k:
+        raise NotImmersion(f"first-order rows are rank deficient at {p}")
+    normal_basis = vh[k:]
     if normal_basis.shape[0] == 0:
         return 0
     image = second @ normal_basis.T  # (s_k, q - k)

@@ -1,12 +1,14 @@
 """Lie-derivative calculus on second-order jets.
 
-Everything here is pointwise and exact: ``lie2`` composes the jets of
-the function and of the second field's components in a single pass
-rather than differentiating through a closure.  Each jet is evaluated
-at the lowest order the formula reads: values of the first field,
-gradients of the second field, and the jet of ``f`` to order 1 in
-``lie`` and order 2 in ``lie2``.  The components of a field are
-evaluated together, in one walk of the evaluator.
+This module holds the only contractions of frame values with jets.
+:func:`lie_rows` gives the first-order derivatives ``L_a F^i`` of a
+batch, and :func:`_lie2_tensor` the iterated ones ``L_a L_c F^i``; the
+freedom matrix, the induced metric, the linearized inversion and the
+transversal and product-map checks all read them.  The single-point
+:func:`lie` is a batch of one, so it equals the batched contraction bit
+for bit.  Jets are evaluated at the lowest order the formula reads, and
+the components of a field are evaluated together, in one walk of the
+evaluator.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (Chart, Expr, coordinates, derivative, eval_jet2, eval_jet2_many,
-                   eval_jets_many, fold_add, fold_mul, parse)
+from .expr import (Chart, Expr, coordinates, derivative, eval_jet2_many, eval_jets_many,
+                   fold_add, fold_mul, parse)
 
 
 @dataclass(frozen=True)
@@ -47,36 +49,30 @@ def parse_field(chart: Chart, *component_texts: str) -> VectorField:
     return VectorField(chart, tuple(parse(t) for t in component_texts))
 
 
-def _check_shared_chart(*objs):
-    charts = {obj.chart for obj in objs}
-    if len(charts) != 1:
-        raise ValueError("arguments must share one chart")
+def lie_rows(XV: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """First-order derivatives ``L_a F^i = sum_o xi_a^o d_o F^i`` as
+    ``(B, k, q)``, from frame values ``XV (B, k, m)`` and gradients
+    ``grads (B, q, m)``.  The two-operand contraction gives the same bits
+    for any ``k`` and ``q``, so a sliced batch matches the full one."""
+    return np.einsum("bao,bio->bai", XV, grads)
+
+
+def _lie2_tensor(XV, XG, Fgrads, Fhesses):
+    """Iterated derivatives ``L_a L_c F^i (B, k, k, q)`` from frame jets
+    ``XV (B, k, m)``, ``XG (B, k, m, m)`` and map jets ``Fgrads (B, q, m)``,
+    ``Fhesses (B, q, m, m)``."""
+    # L_a L_c F^i  =  xi_a^o d_o xi_c^p d_p F^i  +  xi_a^o xi_c^p d_op F^i
+    first = np.einsum("bao,bcpo,bip->baci", XV, XG, Fgrads)
+    second = np.einsum("bao,bcp,biop->baci", XV, XV, Fhesses)
+    return first + second
 
 
 def lie(xi: VectorField, f: Expr, p) -> float:
-    """Directional derivative of ``f`` along ``xi`` at ``p``."""
+    """Directional derivative of ``f`` along ``xi`` at ``p``: the batch of
+    one of :func:`lie_rows`."""
     pts = np.asarray(p, dtype=float)[None, :]
-    gradient = eval_jet2_many(f, xi.chart, pts, order=1).gradient[0]
-    return float(xi.values(pts)[0] @ gradient)
-
-
-def lie2(xi: VectorField, eta: VectorField, f: Expr, p) -> float:
-    """Iterated derivative along ``xi`` then ``eta``:
-    ``sum_ab [xi^a (d_a eta^b) d_b f + xi^a eta^b d_ab f]``."""
-    _check_shared_chart(xi, eta)
-    jf = eval_jet2(f, xi.chart, p)
-    pts = np.asarray(p, dtype=float)[None, :]
-    xv = xi.values(pts)[0]
-    eta_jet = eval_jets_many(eta.components, eta.chart, pts, order=1)
-    ev, eg = eta_jet.value[0], eta_jet.gradient[0]  # eg[b, a] = d_a eta^b
-    first = np.einsum("a,ba,b->", xv, eg, jf.gradient)
-    second = np.einsum("a,b,ab->", xv, ev, jf.hessian)
-    return float(first + second)
-
-
-def anticommutator(xi: VectorField, eta: VectorField, f: Expr, p) -> float:
-    """Symmetrized second derivative ``L_xi L_eta f + L_eta L_xi f``."""
-    return lie2(xi, eta, f, p) + lie2(eta, xi, f, p)
+    gradient = eval_jet2_many(f, xi.chart, pts, order=1).gradient
+    return float(lie_rows(xi.values(pts)[:, None, :], gradient[:, None, :])[0, 0, 0])
 
 
 def lie_expr(xi: VectorField, f: Expr) -> Expr:

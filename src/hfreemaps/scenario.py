@@ -129,6 +129,8 @@ class Scenario:
                 explicit.append(vals)
             elif e.key == "count":
                 count = _int(e.value, self, e.line)
+                if count < 0:
+                    self.fail(f"count must be non-negative, got {count}", e.line)
             elif e.key == "box":
                 box = _box(e.value, m, self, e.line)
             elif e.key == "seed":

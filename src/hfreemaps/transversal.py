@@ -17,7 +17,7 @@ import numpy as np
 from .artifacts import write_text
 from .errors import BlowUp, CoverageGap, OutsideTube
 from .expr import eval_jet2_many
-from .lie import VectorField
+from .lie import VectorField, lie_rows
 
 __all__ = [
     "Window",
@@ -604,7 +604,7 @@ def verify_transversal(xi: VectorField, f, window: Window) -> TransversalReport:
     attained, and how many nodes are not finite."""
     nodes = window.nodes()
     jf = eval_jet2_many(f, xi.chart, nodes, order=1)
-    lie_vals = np.einsum("nd,nd->n", xi.values(nodes), jf.gradient)
+    lie_vals = lie_rows(xi.values(nodes)[:, None, :], jf.gradient[:, None, :])[:, 0, 0]
     finite = np.isfinite(lie_vals)
     n_finite = int(np.count_nonzero(finite))
     if n_finite:

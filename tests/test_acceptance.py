@@ -42,6 +42,7 @@ from hfreemaps.hfree import (
 from hfreemaps.lie import VectorField, lie_expr, parse_field
 from hfreemaps.transversal import BumpProfile, Window, build_tube, glue, verify_transversal
 
+from oracles import brute_force_cis_constant
 from test_jets_ad import _rejection_sample, fd_gradient, fd_hessian
 
 
@@ -110,11 +111,12 @@ def test_criterion_03_product_map_determinant_identity():
                 Num(1.0) if j == n + i else Num(0.0) for j in range(2 * n)))
             for i in range(n))
         dist = Distribution(chart, frame)
-        constant = cis_determinant_constant(n)  # brute-force oracle first
+        constant = brute_force_cis_constant(n)  # brute-force oracle first
         assert np.isclose(constant, 2.0 ** (n * (n - 1) // 2), rtol=1e-10)
+        assert np.isclose(cis_determinant_constant(n), constant, rtol=1e-10)
         built = build_cis([parse(t) for t in fs], curves, chart)
         pts = rng.uniform(-2, 2, size=(1000, 2 * n))
-        check = verify_cis(dist, built, pts, tol=1e-8, constant=constant)
+        check = verify_cis(dist, built, pts, tol=1e-8)
         assert check.passed.all()
         bound = np.abs(check.determinants - check.predicted) / np.maximum(
             1.0, np.abs(check.determinants))

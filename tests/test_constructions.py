@@ -16,11 +16,14 @@ from hfreemaps.constructions import (
     verify_cis,
     verify_rp,
 )
-from hfreemaps.errors import CommutationViolation, DegenerateCasimirs, NonTransversal
+from hfreemaps.errors import (CommutationViolation, DegenerateCasimirs, DomainError,
+                              NonTransversal)
 from hfreemaps.expr import Chart, eval_value, parse, render
 from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import is_hfree_at
 from hfreemaps.lie import parse_field
+
+from oracles import brute_force_cis_constant
 
 
 class TestFreeCurves:
@@ -83,6 +86,12 @@ class TestCis:
         assert np.isclose(cis_determinant_constant(1), 1.0, rtol=1e-12)
         assert np.isclose(cis_determinant_constant(2), 2.0, rtol=1e-12)
         assert np.isclose(cis_determinant_constant(3), 8.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_closed_form_matches_brute_force_determinant(self, n):
+        oracle = brute_force_cis_constant(n)
+        assert cis_determinant_constant(n) == 2.0 ** (n * (n - 1) // 2)
+        assert abs(oracle - cis_determinant_constant(n)) <= 1e-12 * abs(oracle)
 
     def test_component_order(self):
         chart = Chart(("a1", "a2", "w1", "w2"))
@@ -243,6 +252,25 @@ class TestRPBracket:
         spec = RPBracketSpec(space, (parse("x*0+1"),))
         with pytest.raises(DegenerateCasimirs):
             rp_bracket(spec, "y", "z", (0.0, 0.0, 0.0))
+
+    def test_one_evaluation_per_bracket(self, space, monkeypatch):
+        # the casimir rows of the one gradient stack serve the independence
+        # check, so a domain error of f or g comes before a casimir error
+        from hfreemaps import expr
+        calls = []
+        evaluate = expr._evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(expr, "_evaluate", counted)
+        spec = RPBracketSpec(space, (parse("x+0.1*z^2"),))
+        rp_bracket(spec, "y", "z", (0.3, -0.7, 1.1))
+        assert len(calls) == 1
+        with pytest.raises(DomainError):
+            rp_bracket(RPBracketSpec(space, (parse("x*0+1"),)), "log(x-10)", "z",
+                       (0.0, 0.0, 0.0))
 
     def test_metric_scaling(self, space, rng):
         # conformal metric 4*id divides the bracket by sqrt(det) = 8

@@ -248,24 +248,27 @@ class TestInvert:
             residual = np.linalg.norm(system @ df - rhs)
             assert residual <= 1e-8 * (1 + np.linalg.norm(rhs))
 
-    def test_right_hand_side_matches_lie(self, contact, rng):
+    def test_right_hand_side_matches_lie(self, contact, stripe, rng):
         # the solve reads L_a psi_b from the frame values it assembled; the
         # solution equals the one from the textbook right-hand side via lie()
         from hfreemaps.hfree import _assemble_many
         from hfreemaps.lie import lie
-        dist, F = contact
-        psi = [parse("x*y-z^2+sin(y)"), parse("exp(x)*z+y^3")]
         cross = parse("x*z-y")
-        dg = [[parse("1+x^2"), cross], [cross, parse("cos(z)")]]
-        for p in rng.uniform(-1, 1, size=(10, 3)):
-            df = infinitesimal_invert(dist, F, p, dg, psi)
-            system = _assemble_many(dist, F, p[None, :], 1e-9, doubled_diagonal=True)[0]
-            rhs = [eval_value(e, dist.chart, p) for e in psi]
-            for a, b in pair_order(2):
-                lhs = lie(dist.frame[a], psi[b], p) + lie(dist.frame[b], psi[a], p)
-                rhs.append(lhs - eval_value(dg[a][b], dist.chart, p))
-            want, *_ = np.linalg.lstsq(system, np.array(rhs), rcond=None)
-            assert df.tobytes() == want.tobytes()
+        cases = [(*contact, [parse("x*y-z^2+sin(y)"), parse("exp(x)*z+y^3")],
+                  [[parse("1+x^2"), cross], [cross, parse("cos(z)")]])]
+        dist1, f, _ = stripe
+        cases.append((dist1, MapSpec(dist1.chart, (f, parse("exp(y*exp(x))"))),
+                      [parse("sin(x*y)+y^3")], [[parse("1+x^2")]]))
+        for dist, F, psi, dg in cases:
+            for p in rng.uniform(-1, 1, size=(10, dist.chart.dim)):
+                df = infinitesimal_invert(dist, F, p, dg, psi)
+                system = _assemble_many(dist, F, p[None, :], 1e-9, doubled_diagonal=True)[0]
+                rhs = [eval_value(e, dist.chart, p) for e in psi]
+                for a, b in pair_order(dist.k):
+                    lhs = lie(dist.frame[a], psi[b], p) + lie(dist.frame[b], psi[a], p)
+                    rhs.append(lhs - eval_value(dg[a][b], dist.chart, p))
+                want, *_ = np.linalg.lstsq(system, np.array(rhs), rcond=None)
+                assert df.tobytes() == want.tobytes()
 
     def test_one_frame_check_and_one_certificate(self, contact, monkeypatch):
         # the jets are evaluated once: one SVD checks the frame, one
@@ -294,6 +297,21 @@ class TestWintergarten:
         dist = Distribution(plane, (parse_field(plane, "1", "0"),))
         F = parse_map(plane, "x", "y")
         assert wintergarten_rank(dist, F, (0.1, 0.2)) == 0
+
+    def test_one_svd_of_the_first_order_block(self, contact, monkeypatch):
+        # the frame check, one full SVD of the first-order rows for both
+        # the immersion rank and the normal basis, and the normal map
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        dist, F = contact
+        assert wintergarten_rank(dist, F, (0.3, -0.2, 0.5)) == 3
+        assert len(calls) == 3
 
     def test_not_immersion_raises(self, plane):
         dist = Distribution(plane, (parse_field(plane, "1", "0"),))

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from hfreemaps.expr import eval_value, parse
-from hfreemaps.lie import (
-    VectorField,
-    anticommutator,
-    lie,
-    lie2,
-    lie_expr,
-    parse_field,
-)
+from hfreemaps.geometry import Distribution
+from hfreemaps.hfree import MapSpec, freedom_matrix, pair_order, parse_map
+from hfreemaps.lie import VectorField, lie, lie_expr, parse_field
+from hfreemaps.transversal import Window, verify_transversal
+
+from oracles import anticommutator, lie2
 
 
 @pytest.fixture
@@ -171,3 +169,43 @@ def test_lie2_matches_symbolic_composition(stripe, commuting, rng):
     for p in rng.uniform(-1.5, 1.5, size=(25, 3)):
         sym = eval_value(lie_expr(xi1, lie_expr(xi2, g)), xi1.chart, p)
         assert np.isclose(lie2(xi1, xi2, g, p), sym, rtol=1e-11, atol=1e-11)
+
+
+class TestLieEqualsTheBatch:
+    """``lie`` at a point is the batch of one of ``lie_rows``, so it equals
+    every batched first-order derivative bit for bit (the right-hand side
+    of the linearized inversion: ``test_right_hand_side_matches_lie``)."""
+
+    def test_transversal_grid(self, stripe):
+        dist, _, _ = stripe
+        xi = dist.frame[0]
+        f = parse("y*exp(1.037*x)")
+        window = Window(-1, 1, -1, 1, 61, 61)
+        batch = verify_transversal(xi, f, window).lie_values.ravel()
+        single = np.array([lie(xi, f, p) for p in window.nodes()])
+        assert single.tobytes() == batch.tobytes()
+
+    def test_freedom_matrix_first_rows(self, contact, rng):
+        dist, _ = contact
+        F = parse_map(dist.chart, "x*y+z", "sin(x)*z", "exp(y-z)", "x^2-y*z", "cos(x+y)")
+        for p in rng.uniform(-2, 2, size=(200, 3)):
+            entries = freedom_matrix(dist, F, p).entries
+            single = [[lie(xi, Fi, p) for Fi in F.components] for xi in dist.frame]
+            assert np.array(single).tobytes() == entries[:dist.k].tobytes()
+
+
+def test_oracle_matches_second_order_rows(stripe, contact, commuting, space, rng):
+    """The second-order rows of the freedom matrix against the pointwise
+    ``lie2`` (diagonal) and ``anticommutator`` (off-diagonal) oracles."""
+    dist, f, g = stripe
+    cases = [(dist, MapSpec(dist.chart, (f, g, parse("exp(y*exp(x))")))), contact,
+             (Distribution(space, commuting),
+              parse_map(space, "z*exp(x)*cos(y)+sin(y*z)", "x^2*y", "exp(z-y)", "y*z"))]
+    for d, F in cases:
+        for p in rng.uniform(-1.5, 1.5, size=(25, d.chart.dim)):
+            entries = freedom_matrix(d, F, p).entries
+            for row, (a, b) in enumerate(pair_order(d.k), start=d.k):
+                xa, xb = d.frame[a], d.frame[b]
+                for i, Fi in enumerate(F.components):
+                    want = lie2(xa, xa, Fi, p) if a == b else anticommutator(xa, xb, Fi, p)
+                    assert abs(entries[row, i] - want) <= 1e-12 * max(1.0, abs(want))

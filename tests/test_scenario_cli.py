@@ -561,6 +561,8 @@ class TestInputErrors:
                      id="genericity-more fields than coordinates"),
         pytest.param("induced-metric", "[map]\ncomponent = exp(x)",
                      id="induced-metric-one map component"),
+        pytest.param("rp-bracket", "[points]\nbox = -1:1, -1:1, -1:1\ncount = -5",
+                     id="rp-bracket-negative count"),
     ])
     def test_malformed_task_numbers(self, tmp_path, capsys, kind, bad):
         text = TASK_TEXTS[kind].rstrip("\n") + f"\n{bad}\n"

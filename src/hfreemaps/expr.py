@@ -18,20 +18,25 @@ propagation rules, truncated at the order the caller reads: 0 for
 values (``eval_value``, ``eval_value_many``, the right-hand side of the
 linearized system), 1 for gradients (``lie``, frame fields, brackets,
 transversality), 2 for Hessians (freedom matrices, curve freeness).
-There is no numerical differencing anywhere in this module.  The
-evaluator walks a tuple of trees without recursion, so depth is
-unbounded; it evaluates a subtree shared by identity once per call,
-across all the trees of the call (``eval_jets_many`` stacks the jets of
-map components, field components or gradient rows from one walk), and
-frees every intermediate result after its last use, so memory stays at
-the size of the results still awaited.  A single point is evaluated as
-a batch of one, so its jet equals the batched one bit for bit.
+There is no numerical differencing anywhere in this module.  A tuple of
+roots (``eval_jets_many`` stacks the jets of map components, field
+components or gradient rows) is compiled once, without recursion, into a
+plan: a flat tuple of ``jet.py`` rules over numbered slots, in which
+nodes of equal structure (leaves by coordinate name or by the bits of
+the constant, operations by rule and operand slots) share one step.
+The plan is cached on the first root, keyed by the identity of the
+others, and holds no node, so it dies with its trees.  Each call replays
+it and frees every slot after its last reader.  No source text is
+generated: compiling it costs more than the few calls a fresh tree of
+the linearized inversion gets.  A single point is evaluated as a batch
+of one, so its jet equals the batched one bit for bit.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,42 +49,28 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
+def _operator(op: str, reflected: bool = False):
+    if reflected:
+        return lambda self, other: Bin(op, as_expr(other), self)
+    return lambda self, other: Bin(op, self, as_expr(other))
+
+
 class Expr:
     """Base class of expression nodes.
 
     Nodes are immutable; the operators build new trees, coercing plain
     numbers to literals, which makes symbolic assembly of products,
-    sums and compositions convenient.
+    sums and compositions convenient.  A node's ``__dict__`` holds only
+    the evaluation plans cached on it, which stay out of ``==`` and
+    ``hash``.
     """
 
     __slots__ = ()
-
-    def __add__(self, other):
-        return Bin("+", self, as_expr(other))
-
-    def __radd__(self, other):
-        return Bin("+", as_expr(other), self)
-
-    def __sub__(self, other):
-        return Bin("-", self, as_expr(other))
-
-    def __rsub__(self, other):
-        return Bin("-", as_expr(other), self)
-
-    def __mul__(self, other):
-        return Bin("*", self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Bin("*", as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Bin("/", self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Bin("/", as_expr(other), self)
-
-    def __pow__(self, other):
-        return Bin("^", self, as_expr(other))
+    __add__, __radd__ = _operator("+"), _operator("+", True)
+    __sub__, __rsub__ = _operator("-"), _operator("-", True)
+    __mul__, __rmul__ = _operator("*"), _operator("*", True)
+    __truediv__, __rtruediv__ = _operator("/"), _operator("/", True)
+    __pow__ = _operator("^")
 
     def __neg__(self):
         return Neg(self)
@@ -329,29 +320,20 @@ def _render(e: Expr, ctx: int) -> str:
 # evaluation
 
 
-def coordinates(e: Expr) -> set[str]:
-    """Names of all coordinates referenced by ``e``."""
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Coord):
-            out.add(node.name)
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
-        elif isinstance(node, Bin):
-            stack.append(node.left)
-            stack.append(node.right)
-    return out
+def coordinates(*exprs: Expr) -> set[str]:
+    """Names of all coordinates referenced by ``exprs``: the leaves of
+    their plan, which a later evaluation of the same tuple reuses."""
+    return {rule for rule, a, _, _ in _plan(exprs)[0] if a is None and type(rule) is str}
 
 
 _UNARY = {"sin": jsin, "cos": jcos, "exp": jexp, "log": jlog,
           "sqrt": jsqrt, "tanh": jtanh}
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv}
+           "/": operator.truediv, "^": jpow}
+
+_BITS = struct.Struct("<d").pack  # a constant's key: its bits, so 0.0 and -0.0 differ
+_PLANS_PER_HEAD = 8
 
 
 def _constant_exponent(e: Expr) -> float | None:
@@ -362,88 +344,110 @@ def _constant_exponent(e: Expr) -> float | None:
     return None
 
 
-def _schedule(roots: tuple[Expr, ...]):
-    """``(node, operands)`` for each node below ``roots`` that is distinct
-    by identity, in the order a recursive left-to-right evaluation of one
-    root after the other finishes them, and the number of readers of each
-    node.  Each distinct root counts one reader more, so its result
-    outlives the walk.  A constant exponent is read from the tree, so it
-    is no operand."""
-    schedule = []
-    readers: dict[int, int] = {}
-    for root in roots:
-        readers[id(root)] = 1
-    expanded: set[int] = set()
-    stack = list(roots[::-1])  # nodes to expand, and (node, operands) once expanded
+def _node(node: Expr):
+    """Tag, jet rule and operands of ``node``; the tag, with any operand
+    slots, is its structural key.  A constant exponent is in the rule."""
+    kind = type(node)
+    if kind is Bin:
+        c = _constant_exponent(node.right) if node.op == "^" else None
+        if c is None:
+            return node.op, _BINARY[node.op], (node.left, node.right)
+        power = ("powi", int(c)) if float(c).is_integer() else ("powf", c)
+        return _BITS(c), operator.methodcaller(*power), (node.left,)
+    if kind is Neg:
+        return "neg", operator.neg, (node.arg,)
+    if kind is Call:
+        return node.func, _UNARY[node.func], (node.arg,)
+    if kind is Num:
+        return _BITS(node.value), node.value, ()
+    if kind is Coord:
+        return node.name, node.name, ()
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _compile(roots: tuple[Expr, ...]):
+    """The plan of ``roots``: ``(steps, outputs)``.  Step
+    ``(rule, a, b, freed)`` fills the next slot with a leaf (``rule`` is
+    a coordinate name or a constant) or with ``rule`` applied to operand
+    slots ``a`` and ``b`` (``None`` where absent), then frees the slots it
+    read last; ``outputs`` are the root slots, never freed.  Steps follow
+    a recursive left-to-right evaluation of one root after the other, so
+    a domain error is the one the first failing node raises."""
+    steps, slot_of = [], {}  # slot_of: structural key -> slot
+    done = {}  # id -> (node, slot); the roots keep every node alive meanwhile
+    stack = list(roots[::-1])  # nodes to expand, and (node, tag, rule, operands)
     while stack:
         node = stack.pop()
-        kind = type(node)
-        if kind is tuple:  # its operands are scheduled
-            schedule.append(node)
-            continue
-        if id(node) in expanded:
-            continue
-        expanded.add(id(node))
-        if kind is Bin:
-            if node.op == "^" and _constant_exponent(node.right) is not None:
-                operands = (node.left,)
-            else:
-                operands = (node.left, node.right)
-        elif kind is Neg or kind is Call:
-            operands = (node.arg,)
-        elif kind is Num or kind is Coord:
-            schedule.append((node, ()))
+        if type(node) is tuple:  # its operands have slots
+            node, tag, rule, operands = node
+            a = done[id(operands[0])][1]
+            b = done[id(operands[1])][1] if len(operands) == 2 else None
+            key = tag, a, b
+        elif id(node) in done:
             continue
         else:
-            raise TypeError(f"not an expression node: {node!r}")
-        stack.append((node, operands))
-        for arg in reversed(operands):
-            key = id(arg)
-            readers[key] = readers.get(key, 0) + 1
-            if key not in expanded:
-                stack.append(arg)
-    return schedule, readers
+            key, rule, operands = _node(node)
+            if operands:
+                done[id(node)] = node, None
+                stack.append((node, key, rule, operands))
+                for arg in operands[::-1]:
+                    if id(arg) not in done:
+                        stack.append(arg)
+                continue
+            a = b = None
+        slot = slot_of.setdefault(key, len(steps))
+        if slot == len(steps):
+            steps.append((rule, a, b))
+        done[id(node)] = node, slot
+    outputs = tuple([done[id(root)][1] for root in roots])
+    plan, kept = [], {None, *outputs}  # kept: results, and slots a later step reads
+    for rule, a, b in reversed(steps):
+        freed = tuple({a, b} - kept)
+        kept.update(freed)
+        plan.append((rule, a, b, freed))
+    return tuple(plan[::-1]), outputs
+
+
+def _plan(roots: tuple[Expr, ...]):
+    """The plan of ``roots``, compiled on first use and cached on
+    ``roots[0]`` under ``roots[1:]``, which a later call must match by
+    identity; the newest few plans are kept per head."""
+    if not roots:
+        return (), ()
+    head, rest = roots[0], roots[1:]
+    cache = vars(head).setdefault("_plans", [])
+    for key, plan in cache:
+        if len(key) == len(rest) and all(map(operator.is_, key, rest)):
+            return plan
+    plan = _compile(roots)
+    cache.insert(0, (rest, plan))
+    del cache[_PLANS_PER_HEAD:]
+    return plan
 
 
 def _evaluate(roots: tuple[Expr, ...], chart: Chart, pts: np.ndarray,
-              order: int) -> dict[int, Jet2]:
-    """Jets of ``roots`` at ``pts`` truncated at ``order`` from one walk,
-    keyed by the ``id`` of each root: each scheduled node is evaluated
-    once, and every result but a root's is dropped once its last reader
-    has taken it."""
+              order: int) -> list[Jet2]:
+    """Jets of ``roots`` at ``pts`` truncated at ``order``, one per root,
+    from a replay of their plan: each step runs once, and every slot but
+    a root's is dropped after its last reader."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    schedule, readers = _schedule(roots)
-    m, batch = chart.dim, pts.shape[:-1]
-    results: dict[int, Jet2] = {}
-    for node, operands in schedule:
-        kind = type(node)
-        if kind is Num:
-            jet = Jet2.constant(node.value, m, batch, order)
-        elif kind is Coord:
-            index = chart.index(node.name)
+    steps, outputs = _plan(roots)
+    m, batch, slots = chart.dim, pts.shape[:-1], []
+    for rule, a, b, freed in steps:
+        if b is not None:
+            jet = rule(slots[a], slots[b])
+        elif a is not None:
+            jet = rule(slots[a])
+        elif type(rule) is str:
+            index = chart.index(rule)
             jet = Jet2.coordinate(pts[..., index], index, m, order)
         else:
-            args = []
-            for arg in operands:
-                key = id(arg)
-                args.append(results[key])
-                readers[key] -= 1
-                if not readers[key]:
-                    del results[key]
-            if kind is Neg:
-                jet = -args[0]
-            elif kind is Call:
-                jet = _UNARY[node.func](args[0])
-            elif node.op != "^":
-                jet = _BINARY[node.op](*args)
-            elif len(args) == 2:
-                jet = jpow(*args)
-            else:
-                c = _constant_exponent(node.right)
-                jet = args[0].powi(int(c)) if float(c).is_integer() else args[0].powf(c)
-        results[id(node)] = jet
-    return results
+            jet = Jet2.constant(rule, m, batch, order)
+        slots.append(jet)
+        for s in freed:
+            slots[s] = None
+    return [slots[s] for s in outputs]
 
 
 def _batch(points, chart: Chart) -> np.ndarray:
@@ -460,7 +464,7 @@ def eval_jet2(e: Expr, chart: Chart, p, order: int = 2) -> Jet2:
     if pts.shape != (chart.dim,):
         raise ValueError(f"point must have {chart.dim} entries, got shape {pts.shape}")
     # a batch of one, so that numpy takes the same paths as for a batch
-    jet = _evaluate((e,), chart, pts[None, :], order)[id(e)]
+    jet, = _evaluate((e,), chart, pts[None, :], order)
     return Jet2(*[None if part is None else part[0]
                   for part in (jet.value, jet.gradient, jet.hessian)])
 
@@ -468,7 +472,7 @@ def eval_jet2(e: Expr, chart: Chart, p, order: int = 2) -> Jet2:
 def eval_jet2_many(e: Expr, chart: Chart, points, order: int = 2) -> Jet2:
     """Batched jets: ``points (B, m)`` gives value ``(B,)``, gradient
     ``(B, m)``, Hessian ``(B, m, m)``, up to ``order``."""
-    return _evaluate((e,), chart, _batch(points, chart), order)[id(e)]
+    return _evaluate((e,), chart, _batch(points, chart), order)[0]
 
 
 def eval_jets_many(exprs, chart: Chart, points, order: int = 2) -> Jet2:
@@ -477,11 +481,9 @@ def eval_jets_many(exprs, chart: Chart, points, order: int = 2) -> Jet2:
     ``(B, R, m)``, Hessian ``(B, R, m, m)``, up to ``order``.  Slice
     ``r`` equals ``eval_jet2_many(exprs[r], ...)`` bit for bit."""
     pts, exprs = _batch(points, chart), tuple(exprs)
-    results = _evaluate(exprs, chart, pts, order)
     # filled in place: at one point np.stack costs as much as a small tree
     parts = [np.empty((len(pts), len(exprs)) + (chart.dim,) * i) for i in range(order + 1)]
-    for r, e in enumerate(exprs):
-        jet = results[id(e)]
+    for r, jet in enumerate(_evaluate(exprs, chart, pts, order)):
         for stacked, part in zip(parts, (jet.value, jet.gradient, jet.hessian)):
             stacked[:, r] = part
     return Jet2(*parts)
@@ -494,7 +496,7 @@ def eval_value(e: Expr, chart: Chart, p) -> float:
 
 def eval_value_many(e: Expr, chart: Chart, points) -> np.ndarray:
     """Values only, the order-0 jet; ``points (B, m) -> (B,)``."""
-    return _evaluate((e,), chart, np.asarray(points, dtype=float), 0)[id(e)].value
+    return _evaluate((e,), chart, _batch(points, chart), 0)[0].value
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,10 @@ def certified_ranks(svals: np.ndarray, shape, tol: float, sized: bool = True):
 
 def unsized_ranks(matrices: np.ndarray, tol: float) -> np.ndarray:
     """Ranks of a stack of matrices ``(..., rows, cols)`` by the unsized
-    rule of :func:`certified_ranks`: the check that rows are independent."""
-    svals = np.linalg.svd(matrices, compute_uv=False)
+    rule of :func:`certified_ranks`: the check that rows are independent.
+    One row's singular value is its 2-norm, which ``hypot`` keeps in range."""
+    svals = (np.hypot.reduce(matrices, axis=-1) if matrices.shape[-2] == 1
+             else np.linalg.svd(matrices, compute_uv=False))
     return certified_ranks(svals, matrices.shape, tol, sized=False)[1]
 
 

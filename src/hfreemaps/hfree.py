@@ -68,11 +68,9 @@ class MapSpec:
             object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) < 2:
             raise ValueError("maps need at least two components")
-        declared = set(self.chart.coords)
-        for comp in self.components:
-            undeclared = coordinates(comp) - declared
-            if undeclared:
-                raise ValueError(f"undeclared coordinates {sorted(undeclared)}")
+        undeclared = coordinates(*self.components) - set(self.chart.coords)
+        if undeclared:
+            raise ValueError(f"undeclared coordinates {sorted(undeclared)}")
 
     @property
     def q(self) -> int:

@@ -34,11 +34,9 @@ class VectorField:
         if len(self.components) != self.chart.dim:
             raise ValueError(
                 f"field needs {self.chart.dim} components, got {len(self.components)}")
-        declared = set(self.chart.coords)
-        for comp in self.components:
-            undeclared = coordinates(comp) - declared
-            if undeclared:
-                raise ValueError(f"undeclared coordinates {sorted(undeclared)}")
+        undeclared = coordinates(*self.components) - set(self.chart.coords)
+        if undeclared:
+            raise ValueError(f"undeclared coordinates {sorted(undeclared)}")
 
     def values(self, points) -> np.ndarray:
         """Component values at ``points (B, m)`` as ``(B, m)``."""

@@ -3,15 +3,19 @@
 ``lie2`` and ``anticommutator`` contract jets at one point with their
 own formula, apart from the freedom matrix's second-order rows;
 ``brute_force_cis_constant`` reads the product-map determinant constant
-off one numeric determinant.
+off one numeric determinant; ``evaluate`` is the interpreter that the
+evaluator's compiled plans replaced, walking the trees by identity on
+every call.
 """
 
 import numpy as np
 
 from hfreemaps.constructions import FreeCurve, build_cis
-from hfreemaps.expr import Chart, Coord, Num, eval_jet2, eval_jets_many
+from hfreemaps.expr import (_BINARY, _UNARY, Bin, Call, Chart, Coord, Expr, Neg, Num,
+                            _constant_exponent, eval_jet2, eval_jets_many)
 from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import freedom_matrix_many
+from hfreemaps.jet import Jet2, jpow
 from hfreemaps.lie import VectorField
 
 
@@ -53,3 +57,87 @@ def brute_force_cis_constant(n: int) -> float:
     point = np.concatenate([np.zeros(n), angles])
     matrices, _, _, _ = freedom_matrix_many(dist, cis.map_spec, point[None, :])
     return float(np.linalg.det(matrices[0])) / float(np.prod(np.exp(angles)))
+
+
+def schedule(roots: tuple[Expr, ...]):
+    """``(node, operands)`` for each node below ``roots`` that is distinct
+    by identity, in the order a recursive left-to-right evaluation of one
+    root after the other finishes them, and the number of readers of each
+    node.  Each distinct root counts one reader more, so its result
+    outlives the walk.  A constant exponent is read from the tree, so it
+    is no operand."""
+    steps = []
+    readers: dict[int, int] = {}
+    for root in roots:
+        readers[id(root)] = 1
+    expanded: set[int] = set()
+    stack = list(roots[::-1])  # nodes to expand, and (node, operands) once expanded
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:  # its operands are scheduled
+            steps.append(node)
+            continue
+        if id(node) in expanded:
+            continue
+        expanded.add(id(node))
+        if kind is Bin:
+            if node.op == "^" and _constant_exponent(node.right) is not None:
+                operands = (node.left,)
+            else:
+                operands = (node.left, node.right)
+        elif kind is Neg or kind is Call:
+            operands = (node.arg,)
+        elif kind is Num or kind is Coord:
+            steps.append((node, ()))
+            continue
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        stack.append((node, operands))
+        for arg in reversed(operands):
+            key = id(arg)
+            readers[key] = readers.get(key, 0) + 1
+            if key not in expanded:
+                stack.append(arg)
+    return steps, readers
+
+
+def evaluate(roots: tuple[Expr, ...], chart: Chart, pts: np.ndarray,
+             order: int) -> dict[int, Jet2]:
+    """Jets of ``roots`` at ``pts`` truncated at ``order`` from one walk,
+    keyed by the ``id`` of each root: each scheduled node is evaluated
+    once, and every result but a root's is dropped once its last reader
+    has taken it."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    steps, readers = schedule(roots)
+    m, batch = chart.dim, pts.shape[:-1]
+    results: dict[int, Jet2] = {}
+    for node, operands in steps:
+        kind = type(node)
+        if kind is Num:
+            jet = Jet2.constant(node.value, m, batch, order)
+        elif kind is Coord:
+            index = chart.index(node.name)
+            jet = Jet2.coordinate(pts[..., index], index, m, order)
+        else:
+            args = []
+            for arg in operands:
+                key = id(arg)
+                args.append(results[key])
+                readers[key] -= 1
+                if not readers[key]:
+                    del results[key]
+            if kind is Neg:
+                jet = -args[0]
+            elif kind is Call:
+                jet = _UNARY[node.func](args[0])
+            elif node.op != "^":
+                jet = _BINARY[node.op](*args)
+            elif len(args) == 2:
+                jet = jpow(*args)
+            else:
+                c = _constant_exponent(node.right)
+                jet = args[0].powi(int(c)) if float(c).is_integer() else args[0].powf(c)
+        results[id(node)] = jet
+    return results

@@ -1,11 +1,14 @@
+import gc
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfreemaps import expr
 from hfreemaps.errors import (
     DomainError,
     ExprSyntaxError,
@@ -17,6 +20,7 @@ from hfreemaps.expr import (
     Call,
     Chart,
     Coord,
+    Neg,
     Num,
     derivative,
     eval_jet2,
@@ -28,6 +32,7 @@ from hfreemaps.expr import (
     render,
     substitute,
 )
+from oracles import evaluate as oracle_evaluate
 
 
 class TestParse:
@@ -376,3 +381,150 @@ def test_shared_subtrees_are_evaluated_once(plane):
 def test_order_is_validated(plane):
     with pytest.raises(ValueError):
         eval_jet2(parse("x"), plane, (0.0, 0.0), order=3)
+
+
+# -- compiled plans ------------------------------------------------------------
+
+
+def _clone(e):
+    """A tree of equal structure made of new nodes."""
+    if isinstance(e, Num):
+        return Num(e.value)
+    if isinstance(e, Coord):
+        return Coord(e.name)
+    if isinstance(e, Neg):
+        return Neg(_clone(e.arg))
+    if isinstance(e, Call):
+        return Call(e.func, _clone(e.arg))
+    return Bin(e.op, _clone(e.left), _clone(e.right))
+
+
+@st.composite
+def _cloned_root_tuples(draw):
+    """1 to 6 roots over a few trees, their subtrees and new trees of equal
+    structure: roots share subtrees by identity or by structure only, and
+    repeat."""
+    trees = draw(st.lists(_exprs(partial=True), min_size=1, max_size=3))
+    nodes = [node for tree in trees for node in _subtrees(tree)]
+    picks = st.sampled_from(nodes + [_clone(node) for node in nodes])
+    joined = st.builds(Bin, st.sampled_from("+-*/"), picks, picks)
+    roots = draw(st.lists(st.one_of(picks, joined), min_size=1, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(roots), max_size=2))
+    return tuple(roots + repeats)
+
+
+def _oracle_outcome(roots, chart, pts, order):
+    try:
+        results = oracle_evaluate(roots, chart, pts, order)
+    except DomainError as err:
+        return str(err)
+    return [results[id(root)] for root in roots]
+
+
+@given(roots=_cloned_root_tuples(), pts=_points)
+@settings(max_examples=150, deadline=None)
+def test_plan_equals_the_interpreter_bit_for_bit(roots, pts):
+    plane = Chart(("x", "y"))
+    with np.errstate(all="ignore"):
+        for batch in (pts[:1], pts):
+            for order in (0, 1, 2):
+                want = _oracle_outcome(roots, plane, batch, order)
+                try:
+                    got = expr._evaluate(roots, plane, batch, order)
+                except DomainError as err:
+                    # raised exactly when the interpreter raises, by the same node
+                    assert want == str(err)
+                    continue
+                assert not isinstance(want, str)
+                for jet, ref in zip(got, want):
+                    for part, ref_part in zip((jet.value, jet.gradient, jet.hessian),
+                                              (ref.value, ref.gradient, ref.hessian)):
+                        assert (part is None) == (ref_part is None)
+                        if part is not None:
+                            assert _bits(part) == _bits(ref_part)
+
+
+def test_signed_zeros_are_not_merged(plane):
+    x = Coord("x")
+    roots = (Num(0.0), Num(-0.0), x * Num(0.0), x * Num(-0.0))
+    values = eval_jets_many(roots, plane, [[1.0, 2.0]], order=0).value[0]
+    assert list(np.signbit(values)) == [False, True, False, True]
+    assert len(expr._plan(roots)[0]) == 5  # x and two steps per sign
+
+
+def test_equal_subtrees_share_one_step(plane):
+    a, b = parse("sin(x*y)+y"), parse("sin(x*y)+y")
+    assert len(expr._plan((a, b))[0]) == 5  # x, y, x*y, sin, +
+    jets = eval_jets_many((a, b), plane, [[0.3, -1.2]])
+    assert _bits(jets.hessian[:, 0]) == _bits(jets.hessian[:, 1])
+
+
+def test_plan_reads_each_charts_coordinates(plane):
+    e = parse("x - 2*y")
+    swapped = Chart(("y", "x"))
+    for _ in range(2):
+        jet = eval_jet2(e, plane, (1.0, 3.0))
+        assert jet.value == -5.0 and list(jet.gradient) == [1.0, -2.0]
+        jet = eval_jet2(e, swapped, (1.0, 3.0))
+        assert jet.value == 1.0 and list(jet.gradient) == [-2.0, 1.0]
+
+
+def test_repeated_calls_compile_once(plane, monkeypatch):
+    compiled = []
+    compile_ = expr._compile
+
+    def counted(roots):
+        compiled.append(roots)
+        return compile_(roots)
+
+    monkeypatch.setattr(expr, "_compile", counted)
+    e, f = parse("exp(x)*y"), parse("x^2-y")
+    pts = np.array([[0.1, 0.2], [0.3, -0.4]])
+    for order in (0, 1, 2, 2):
+        eval_jet2_many(e, plane, pts, order=order)
+        eval_jet2(e, plane, pts[0], order=order)
+        eval_value_many(e, plane, pts)
+        eval_jets_many((e, f), plane, pts, order=order)
+        eval_jets_many([e, f], plane, pts[:1], order=order)
+    assert compiled == [(e,), (e, f)]
+    eval_jets_many((e, parse("x^2-y")), plane, pts)  # a new tree is a new key
+    assert len(compiled) == 3
+
+
+def test_root_is_freed_without_the_cyclic_gc(plane):
+    gc.disable()
+    try:
+        e = parse("sin(x)*y + x^2")
+        for order in (0, 1, 2):
+            eval_jet2(e, plane, (0.5, 0.25), order=order)
+        ref = weakref.ref(e)
+        del e
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_reused_id_never_reads_an_old_plan(plane):
+    x, y = Coord("x"), Coord("y")
+    reused = 0
+    for _ in range(20):
+        old = Bin("+", x, y)
+        assert eval_value(old, plane, (1.0, 2.0)) == 3.0
+        old_id = id(old)
+        del old
+        held, new = [], Bin("*", x, y)
+        while id(new) != old_id and len(held) < 100:
+            held.append(new)  # kept alive, so the next tree takes a new address
+            new = Bin("*", x, y)
+        reused += id(new) == old_id
+        assert eval_value(new, plane, (1.0, 2.0)) == 2.0
+    assert reused  # the case of a shared id did occur
+
+
+def test_value_points_are_validated(plane):
+    e = parse("x+y")
+    with pytest.raises(ValueError):
+        eval_value_many(e, plane, [[1.0, 2.0, 5.0]])
+    with pytest.raises(ValueError):
+        eval_value_many(e, plane, [1.0, 2.0])
+    assert list(eval_value_many(e, plane, [[1.0, 2.0]])) == [3.0]

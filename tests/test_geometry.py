@@ -11,6 +11,7 @@ from hfreemaps.geometry import (
     certified_ranks,
     change_frame,
     frame_rank,
+    unsized_ranks,
 )
 from hfreemaps.hfree import _check_frame, freedom_matrix, is_h_immersion_at, parse_map
 from hfreemaps.lie import parse_field
@@ -94,6 +95,21 @@ def test_rank_rule_of_each_check(check, counts_small):
     tol * sigma_max; certificates drop it unless it is above
     tol * sigma_max * max(rows, cols)."""
     assert RANK_CHECKS[check]() == counts_small
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.0, 1e-310, 1e300])
+@pytest.mark.parametrize("tol", [1e-9, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("m", [1, 3])
+def test_one_field_rank_agrees_with_the_svd(rng, scale, tol, m):
+    # one row takes its norm in place of an SVD; random, zero, subnormal
+    # and huge fields get the ranks the SVD gives them
+    fields = rng.normal(size=(200, 1, m)) * scale
+    fields[:5] = 0.0
+    fields[5:10, 0, 1:] = 0.0  # one non-zero entry
+    svals = np.linalg.svd(fields, compute_uv=False)
+    want = certified_ranks(svals, fields.shape, tol, sized=False)[1]
+    assert np.array_equal(unsized_ranks(fields, tol), want)
+    assert np.array_equal(unsized_ranks(fields[0], tol), want[0])
 
 
 def test_frame_size_bounds(plane):

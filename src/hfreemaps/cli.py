@@ -393,6 +393,8 @@ def _run_genericity(sc: Scenario, outdir, seed, tol):
 
 
 def _run_render_levels(sc: Scenario, outdir, seed, tol):
+    if sc.chart.dim != 2:
+        sc.fail("render-levels needs a two-dimensional chart", sc.task_line)
     if sc.window is None:
         sc.fail("render-levels needs a [window] section")
     expr_entries = sc.task_get_all("expr")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_text
-from .errors import BlowUp, CoverageGap, OutsideTube
+from .errors import BlowUp, CoverageGap, DomainError, OutsideTube
 from .expr import eval_jet2_many
 from .lie import VectorField, lie_rows
 
@@ -85,63 +85,96 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_E = _DP_B5 - _DP_B4
+# the free 4th-order continuous extension, in the form of Hairer, Norsett
+# and Wanner, Solving ODEs I, sec. II.6
+_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
 
 
-def _integrate(fun, y0: np.ndarray, t_total: float, rtol: float, atol: float,
-               bbox=None, freeze_box=None) -> np.ndarray:
-    """Advance the autonomous system ``dy/ds = fun(y)`` by ``t_total``.
+def _integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
+               bbox=None, freeze_box=None, stop=None) -> np.ndarray:
+    """States of the autonomous system ``dy/ds = fun(y)`` at ``times``,
+    which move away from 0 in one direction.  The last state ends the last
+    step; the others come from the dense output of the step holding them.
 
-    ``bbox`` raises :class:`BlowUp` on exit.  ``freeze_box`` instead
-    holds any batch row constant once it leaves the box, so the rest of
-    a batch can keep integrating past a runaway trajectory.
+    ``stop`` flags batches of sampled states; the run ends before the
+    first flagged one.  ``bbox`` raises :class:`BlowUp` on exit.
+    ``freeze_box`` instead holds any batch row at the end of the step that
+    leaves the box, so the rest of a batch can keep integrating past a
+    runaway trajectory.
     """
     y = np.atleast_2d(np.array(y0, dtype=float))
-    single = np.ndim(y0) == 1
-    if t_total == 0.0:
-        return y[0] if single else y
+    reach = np.abs(np.asarray(times, dtype=float))
+    out = np.empty((len(reach),) + y.shape)
     alive = np.ones(y.shape[0], dtype=bool)
     if freeze_box is not None:
         lo, hi = freeze_box
         alive &= np.all((y >= lo) & (y <= hi), axis=1)
-    direction = 1.0 if t_total > 0 else -1.0
-    remaining = abs(t_total)
+    last = float(times[-1]) if len(times) else 0.0
+    direction = 1.0 if last > 0 else -1.0
+    remaining = abs(last)
     h = min(remaining, 0.1)
     k1 = fun(y)
-    while remaining > 0.0 and np.any(alive):
-        h = min(h, remaining)
-        if h < 1e-13:
-            raise BlowUp("step size underflow (trajectory is not integrable here)")
-        with np.errstate(over="ignore", invalid="ignore"):
+    done, start = 0, 0.0  # samples written; time reached, in absolute value
+    with np.errstate(over="ignore", invalid="ignore"):
+        while remaining > 0.0 and np.any(alive):
+            # a step that would leave less than the smallest allowed one takes it all
+            h = remaining if h > remaining - 1e-13 else h
+            if h < 1e-13:
+                raise BlowUp("step size underflow (trajectory is not integrable here)")
             ks = [k1]
-            for stage in range(1, 6):
-                incr = sum(a * k for a, k in zip(_DP_A[stage], ks))
-                ks.append(fun(y + direction * h * incr))
-            y5 = y + direction * h * sum(b * k for b, k in zip(_DP_B5[:6], ks))
-            k7 = fun(y5)
+            try:
+                for stage in range(1, 6):
+                    incr = sum(a * k for a, k in zip(_DP_A[stage], ks))
+                    ks.append(fun(y + direction * h * incr))
+                y5 = y + direction * h * sum(b * k for b, k in zip(_DP_B5[:6], ks))
+                k7 = fun(y5)
+            except DomainError:
+                # a long step can reach past the field's domain: retry it shorter
+                if h * 0.2 < 1e-13:
+                    raise
+                h *= 0.2
+                continue
             ks.append(k7)
             err = direction * h * sum(e * k for e, k in zip(_DP_E, ks))
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
             ratios = (err[alive] / scale[alive]) ** 2
-        err_norm = float(np.sqrt(np.mean(ratios)))
-        if np.isfinite(err_norm) and err_norm <= 1.0:
-            y = np.where(alive[:, None], y5, y)
-            k1 = k7
-            remaining -= h
-            if not np.all(np.isfinite(y[alive])):
-                raise BlowUp("trajectory diverged to a non-finite state")
-            if bbox is not None:
-                lo, hi = bbox
-                if np.any(y[alive] < lo) or np.any(y[alive] > hi):
-                    raise BlowUp("trajectory left the bounding box")
-            if freeze_box is not None:
-                lo, hi = freeze_box
-                alive &= np.all((y >= lo) & (y <= hi), axis=1)
-            factor = 5.0 if err_norm == 0.0 else 0.9 * err_norm ** -0.2
-        else:
-            k1 = ks[0]
-            factor = 0.2 if not np.isfinite(err_norm) else 0.9 * err_norm ** -0.2
-        h *= min(5.0, max(0.2, factor))
-    return y[0] if single else y
+            err_norm = float(np.sqrt(np.mean(ratios)))
+            if np.isfinite(err_norm) and err_norm <= 1.0:
+                remaining -= h
+                end = abs(last) - remaining
+                upto = np.searchsorted(reach, end)
+                s = ((reach[done:upto] - start) / h)[:, None, None]
+                rise, step = y5 - y, direction * h
+                slope = step * k1 - rise
+                fourth = step * sum(d * k for d, k in zip(_DP_D, ks))
+                dense = y + s * (rise + (1 - s) * (slope + s * (rise - step * k7 - slope
+                                                                 + (1 - s) * fourth)))
+                out[done:upto] = np.where(alive[:, None], dense, y)
+                new, done, start = slice(done, upto), upto, end
+                y = np.where(alive[:, None], y5, y)
+                k1 = k7
+                if stop is not None and np.any(stop(out[new])):
+                    break
+                if not np.all(np.isfinite(y[alive])):
+                    raise BlowUp("trajectory diverged to a non-finite state")
+                if bbox is not None:
+                    lo, hi = bbox
+                    if np.any(y[alive] < lo) or np.any(y[alive] > hi):
+                        raise BlowUp("trajectory left the bounding box")
+                if freeze_box is not None:
+                    lo, hi = freeze_box
+                    alive &= np.all((y >= lo) & (y <= hi), axis=1)
+                factor = 5.0 if err_norm == 0.0 else 0.9 * err_norm ** -0.2
+            else:
+                k1 = ks[0]
+                factor = 0.2 if not np.isfinite(err_norm) else 0.9 * err_norm ** -0.2
+            h *= min(5.0, max(0.2, factor))
+    out[done:] = y  # the last sample, and those after every row froze
+    if stop is not None:
+        out = out[:np.argmax(np.append(stop(out), True))]
+    return out[:, 0] if np.ndim(y0) == 1 else out
 
 
 def _field_fun(xi: VectorField):
@@ -168,8 +201,8 @@ def _unit_orthogonal_fun(xi: VectorField):
 def flow(xi: VectorField, p, t: float, *, rtol: float = 1e-10, atol: float = 1e-10,
          bbox=None) -> np.ndarray:
     """Point reached from ``p`` after flowing along ``xi`` for time ``t``."""
-    return _integrate(_field_fun(xi), np.asarray(p, dtype=float), float(t), rtol, atol,
-                      bbox=bbox)
+    return _integrate(_field_fun(xi), np.asarray(p, dtype=float), [float(t)], rtol, atol,
+                      bbox=bbox)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -276,46 +309,32 @@ class Tube:
 
 def build_tube(xi: VectorField, seed, window: Window, *, t_span: float = 3.0,
                max_samples: int = 4000) -> Tube:
-    """Integrate the orthogonal leaf through ``seed`` across the padded
-    window in steps of 1/150 of its larger extent, then tabulate its flow
-    saturation at 121 times with ``|t| <= t_span``; every integration
-    runs at ``rtol = atol = 1e-10``."""
+    """Sample the orthogonal leaf through ``seed`` every 1/150 of the
+    window's larger extent of arclength until it leaves the padded window,
+    then tabulate its flow saturation at 121 times with ``|t| <= t_span``.
+    The leaf takes one integration per direction and the saturation one
+    batched integration per time direction, sampled through the 4th-order
+    dense output; every integration runs at ``rtol = atol = 1e-10``."""
     seed = np.asarray(seed, dtype=float)
     ds = max(window.x1 - window.x0, window.y1 - window.y0) / 150.0
     pad, rtol, atol = 0.75, 1e-10, 1e-10
     lo, hi = window.padded_box(pad)
-    perp = _unit_orthogonal_fun(xi)
-
-    def march(sign: float) -> list[np.ndarray]:
-        out = []
-        y = seed.copy()
-        for _ in range(max_samples):
-            y = _integrate(perp, y, sign * ds, rtol, atol)
-            if np.any(y < lo) or np.any(y > hi):
-                break
-            out.append(y.copy())
-        return out
-
-    forward = march(+1.0)
-    backward = march(-1.0)
-    transversal = np.array(backward[::-1] + [seed] + forward)
+    arclength = ds * np.arange(1, max_samples + 1)
+    backward, forward = (
+        _integrate(_unit_orthogonal_fun(xi), seed, sign * arclength, rtol, atol,
+                   stop=lambda ys: np.any((ys < lo) | (ys > hi), axis=(1, 2)))
+        for sign in (-1.0, 1.0))
+    transversal = np.concatenate([backward[::-1], seed[None], forward])
 
     n_t = 121  # odd, so t = 0 is on the grid
     times = np.linspace(-t_span, t_span, n_t)
     zero = n_t // 2
-    states = np.empty((len(transversal), n_t, 2))
-    states[:, zero] = transversal
-    fun = _field_fun(xi)
     # trajectories freeze once they exit the padded box, so leaves that
     # escape in finite time cannot stall the rest of the batch
-    for idx in range(zero + 1, n_t):
-        states[:, idx] = _integrate(fun, states[:, idx - 1],
-                                    float(times[idx] - times[idx - 1]), rtol, atol,
-                                    freeze_box=(lo, hi))
-    for idx in range(zero - 1, -1, -1):
-        states[:, idx] = _integrate(fun, states[:, idx + 1],
-                                    float(times[idx] - times[idx + 1]), rtol, atol,
-                                    freeze_box=(lo, hi))
+    before, after = (_integrate(_field_fun(xi), transversal, times[part], rtol, atol,
+                                freeze_box=(lo, hi))
+                     for part in (slice(zero - 1, None, -1), slice(zero + 1, None)))
+    states = np.concatenate([before[::-1], transversal[None], after]).swapaxes(0, 1)
     return Tube(xi, seed, window, transversal, times, states, pad)
 
 

@@ -593,12 +593,29 @@ class TestInputErrors:
         assert run(str(path), tmp_path / "out") == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: UnicodeDecodeError")
 
-    def test_library_value_error_names_the_file(self, tmp_path, capsys):
+    def test_render_levels_on_a_3d_chart_names_the_task_line(self, tmp_path, capsys):
         text = RENDER.format(levels="3").replace("coords = x, y", "coords = x, y, z")
         path = write(tmp_path, "lv.ini", text)
-        assert run(path, tmp_path / "out") == 1
+        out = tmp_path / "out"
+        assert run(path, out) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ValueError: level rendering needs")
+        line = text.splitlines().index("kind = render-levels") + 1
+        assert err.startswith(f"error: {path}:{line}: render-levels needs a two-dimensional chart")
+        assert "ValueError" not in err
+        assert not (out / "report.json").exists()
+
+    def test_library_error_names_the_file(self, tmp_path, capsys):
+        # a tube seeded on a zero of the field: the library raises, and the
+        # error names the file and the exception type, without a traceback
+        text = (TASK_TEXTS["transversal"].replace("field = 2*y, 1-y^2", "field = x, y")
+                .replace("seed = 0, -0.9\n", "").replace("seed = 0, 0.9\n", ""))
+        path = write(tmp_path, "zero.ini", text)
+        out = tmp_path / "out"
+        assert run(path, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: BlowUp: field vanishes on the orthogonal leaf")
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("empty", ["n_maps = 0", "n_points = 0"])
     def test_empty_genericity_sweep(self, tmp_path, empty):

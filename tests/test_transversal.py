@@ -6,9 +6,13 @@ from hfreemaps.expr import parse
 from hfreemaps.lie import parse_field
 from hfreemaps.transversal import (
     BumpProfile,
+    Tube,
     Window,
+    _field_fun,
+    _integrate,
     _nearest,
     _pchip_coefficients,
+    _unit_orthogonal_fun,
     build_tube,
     flow,
     glue,
@@ -85,6 +89,70 @@ class TestFlow:
             flow(xi, (0.0, 0.0), 3.0, bbox=(np.array([-10.0, -10.0]),
                                             np.array([10.0, 10.0])))
 
+    @pytest.mark.parametrize("t", [0.1 + 2 ** -55, 0.10000000000000009, 0.6 + 1e-14])
+    def test_time_just_past_a_step_is_reached(self, plane, t):
+        # the first step is 0.1 and an error-free field grows it fivefold,
+        # which would leave a remainder below the smallest allowed step
+        xi = parse_field(plane, "1", "0")
+        assert np.abs(flow(xi, (0.0, 0.0), t) - [t, 0.0]).max() <= 1e-15
+
+
+class TestDenseOutput:
+    def test_samples_of_a_rotation(self, plane):
+        xi = parse_field(plane, "-y", "x")
+        ts = np.linspace(0.05, 7.0, 140)
+        for sign in (1.0, -1.0):
+            got = _integrate(_field_fun(xi), np.array([1.0, 0.0]), sign * ts, 1e-10, 1e-10)
+            want = np.column_stack([np.cos(sign * ts), np.sin(sign * ts)])
+            assert got.shape == (140, 2)
+            assert np.abs(got - want).max() <= 1e-8
+
+    def test_last_sample_is_the_flow_end_state(self, stripe, rng):
+        xi = stripe[0].frame[0]
+        for p in rng.uniform(-0.5, 0.5, (5, 2)):
+            for t in (0.3, -1.7, 2.5):
+                ts = np.linspace(0.0, t, 9)[1:]
+                got = _integrate(_field_fun(xi), p, ts, 1e-10, 1e-10)
+                assert np.array_equal(got[-1], flow(xi, p, t))
+
+    def test_batch_rows_match_single_rows(self, plane):
+        # one row alone and inside a batch see different step sizes, so
+        # they agree to the tolerance, not bit for bit
+        xi = parse_field(plane, "-y", "x")
+        ys = np.array([[1.0, 0.0], [0.0, 0.5], [-0.3, 0.2]])
+        ts = np.linspace(0.1, 2.0, 20)
+        batch = _integrate(_field_fun(xi), ys, ts, 1e-12, 1e-12)
+        assert batch.shape == (20, 3, 2)
+        for i, y in enumerate(ys):
+            single = _integrate(_field_fun(xi), y, ts, 1e-12, 1e-12)
+            assert np.abs(batch[:, i] - single).max() <= 1e-10
+
+    def test_stop_drops_the_first_flagged_sample_and_after(self, plane):
+        xi = parse_field(plane, "1", "0")
+        ts = 0.01 * np.arange(1, 1001)
+        got = _integrate(_field_fun(xi), np.array([0.0, 0.0]), ts, 1e-10, 1e-10,
+                         stop=lambda ys: ys[:, 0, 0] > 0.505)
+        assert len(got) == 50
+        assert np.abs(got[:, 0] - ts[:50]).max() <= 1e-12
+
+    def test_rows_freeze_and_a_frozen_batch_ends(self, plane):
+        # every row leaves the box long before the last sample; once all
+        # are frozen the run must end, not keep rejecting steps
+        xi = parse_field(plane, "1", "0")
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        ys = np.array([[0.0, 0.0], [0.5, 0.3], [5.0, 0.0]])
+        ts = np.linspace(0.05, 50.0, 1000)
+        got = _integrate(_field_fun(xi), ys, ts, 1e-10, 1e-10, freeze_box=(lo, hi))
+        assert np.array_equal(got[:, 2], np.broadcast_to(ys[2], (1000, 2)))
+        for row in (0, 1):
+            # a row holds the end of the step that left the box
+            end = got[-1, row]
+            assert end[0] > 1.0
+            held = np.all(got[:, row] == end, axis=1)
+            first = int(np.argmax(held))
+            assert np.all(held[first:]) and first < 100
+            assert np.abs(got[:first, row, 0] - ys[row, 0] - ts[:first]).max() <= 1e-12
+
 
 class TestBumpProfile:
     def test_step_midpoint_exact(self, profile):
@@ -159,12 +227,14 @@ class TestScipyOracle:
             want = interpolate.PchipInterpolator(x, y).c
             assert np.array_equal(_pchip_coefficients(x, y), want), trial
 
-    @pytest.mark.parametrize("n_points, n_targets", [(7, 1), (50, 3), (3000, 257)])
+    @pytest.mark.parametrize("n_points, n_targets",
+                             [(7, 1), (50, 3), (3000, 257), (20000, 8001)])
     def test_nearest_matches_kdtree(self, rng, n_points, n_targets):
         spatial = pytest.importorskip("scipy.spatial")
         points = rng.uniform(-2.0, 2.0, (n_points, 2))
         targets = rng.uniform(-1.0, 1.0, (n_targets, 2))
-        # 3000 x 257 pairs take several chunks of at most 2**18
+        # 3000 x 257 pairs take several chunks of at most 2**18; 20000 x 8001
+        # take rows of 32 points
         _, want = spatial.cKDTree(targets).query(points)
         assert np.array_equal(_nearest(points, targets), want)
 
@@ -207,6 +277,12 @@ class TestTubes:
         tv = tube_function(xi, tube, profile)
         assert np.all(tv.values[:, 0] == 0.0)   # x = -4 is beyond t = -1
         assert np.all(tv.values[:, -1] == 1.0)  # x = +4 is beyond t = +1
+
+    def test_leaf_of_no_samples_is_the_seed(self, plane):
+        xi = parse_field(plane, "1", "0")
+        tube = build_tube(xi, (0.0, 0.0), Window(-1, 1, -1, 1, 11, 11), max_samples=0)
+        assert np.array_equal(tube.transversal, [[0.0, 0.0]])
+        assert np.abs(tube.states[0, :, 0] - tube.times).max() <= 1e-12
 
     def test_unclassifiable_node_raises(self, plane, profile):
         # truncate the transversal so nodes straight above its endpoint
@@ -354,3 +430,94 @@ def test_grid_csv_write_is_atomic(tmp_path, monkeypatch):
         write_grid_csv(path, w, np.zeros((2, 3)), np.ones((2, 3)))
     assert path.read_text() == "old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv"]
+
+
+# ---------------------------------------------------------------------------
+# tubes against a tight reference
+
+_TIGHT = 1e-13
+
+
+def _leaf_march(xi, seed, window, n_steps, sign, box=None):
+    """The orthogonal leaf marched one arclength step at a time at the
+    tight tolerance, each sample the end state of its own integration;
+    the march stops before the first sample outside ``box``."""
+    ds = max(window.x1 - window.x0, window.y1 - window.y0) / 150.0
+    perp, y, out = _unit_orthogonal_fun(xi), np.asarray(seed, dtype=float), []
+    for _ in range(n_steps):
+        y = _integrate(perp, y, [sign * ds], _TIGHT, _TIGHT)[-1]
+        if box is not None and (np.any(y < box[0]) or np.any(y > box[1])):
+            break
+        out.append(y)
+    return np.array(out).reshape(-1, 2)
+
+
+def _tabulate(xi, transversal, times, box):
+    """``build_tube``'s states, each tabulated time reached from the one
+    before it by its own integration at the tight tolerance."""
+    zero = len(times) // 2
+    states = np.empty((len(transversal), len(times), 2))
+    states[:, zero] = transversal
+    for idx in list(range(zero + 1, len(times))) + list(range(zero - 1, -1, -1)):
+        prev = idx - 1 if idx > zero else idx + 1
+        states[:, idx] = _integrate(_field_fun(xi), states[:, prev],
+                                    [times[idx] - times[prev]], _TIGHT, _TIGHT,
+                                    freeze_box=box)[-1]
+    return states
+
+
+def _reference_tube(xi, seed, window, t_span=3.0):
+    """``build_tube``'s sample rule at the tight tolerance: the leaf stops
+    before its first sample outside the padded window."""
+    lo, hi = window.padded_box(0.75)
+    backward, forward = (_leaf_march(xi, seed, window, 4000, sign, (lo, hi))
+                         for sign in (-1.0, 1.0))
+    transversal = np.concatenate([backward[::-1], np.asarray(seed, float)[None], forward])
+    times = np.linspace(-t_span, t_span, 121)
+    return Tube(xi, np.asarray(seed, float), window, transversal, times,
+                _tabulate(xi, transversal, times, (lo, hi)), 0.75)
+
+
+@pytest.mark.parametrize("field, seed", [
+    (("2*y", "1-y^2"), (0.05, -0.9)), (("2*y", "1-y^2"), (0.05, 0.0)),
+    (("2*y", "1-y^2"), (-0.3, 0.4)), (("1", "0"), (0.0, 0.0)), (("1", "0"), (0.3, -0.2)),
+    # defined on the padded window (y >= -1.75) but not much beyond: the
+    # leaf's growing steps reach y < -2 and must be retried shorter
+    (("sqrt(y+2)", "0"), (0.0, 0.0)),
+])
+def test_tube_within_bound_of_tight_reference(plane, field, seed):
+    # measured: states 1.3e-9 and leaf 2.9e-9 at worst over these cases
+    xi = parse_field(plane, *field)
+    w = Window(-1, 1, -1, 1, 101, 101)
+    tube = build_tube(xi, seed, w)
+    lo, hi = w.padded_box(tube.pad)
+    zero = int(np.nonzero(np.all(tube.transversal == tube.seed, axis=1))[0][0])
+    forward = _leaf_march(xi, seed, w, len(tube.transversal) - zero - 1, 1.0)
+    backward = _leaf_march(xi, seed, w, zero, -1.0)
+    assert np.abs(tube.transversal[zero + 1:] - forward).max(initial=0.0) <= 5e-9
+    assert np.abs(tube.transversal[:zero][::-1] - backward).max(initial=0.0) <= 5e-9
+    ref = _tabulate(xi, tube.transversal, tube.times, (lo, hi))
+    inside = np.all((tube.states >= lo) & (tube.states <= hi), axis=2)
+    assert inside.mean() > 0.25  # the bound is not vacuous
+    assert np.abs(tube.states - ref)[inside].max() <= 1e-8
+
+
+def test_glue_agrees_with_tight_reference_on_generated_scenarios(plane, profile):
+    # seeds move together along x, as in the benchmark's glue op
+    rng = np.random.default_rng(4)
+    xi = parse_field(plane, "2*y", "1-y^2")
+    w = Window(-1, 1, -1, 1, 61, 61)
+    for _ in range(3):
+        dx = round(float(rng.uniform(-0.1, 0.1)), 4)
+        summary = []
+        for make in (build_tube, _reference_tube):
+            tubes = [make(xi, (dx, y), w) for y in (-0.9, 0.0, 0.9)]
+            fields = [tube_function(xi, tube, profile, w) for tube in tubes]
+            located = [np.mean(~np.isnan(tv.times)) for tv in fields]
+            covered = np.zeros((w.ny, w.nx), dtype=bool)
+            for tv in fields:
+                with np.errstate(invalid="ignore"):
+                    covered |= np.abs(tv.times) < 1.0
+            result = glue(xi, tubes, [1.0, 1.0, 1.0], profile, w)
+            summary.append((located, covered.mean(), result.min_interior > 0.0))
+        assert summary[0] == summary[1], dx

@@ -375,17 +375,6 @@ def _grad_exprs(e: Expr, chart: Chart) -> list[Expr]:
     return [derivative(e, name) for name in chart.coords]
 
 
-def rp_bracket_expr(spec: RPBracketSpec, f: Expr, g: Expr) -> Expr:
-    """The bracket as an expression tree (Euclidean metric only)."""
-    if spec.metric is not None:
-        raise ValueError("symbolic bracket supports the Euclidean metric only")
-    rows = [_grad_exprs(h, spec.chart) for h in spec.casimirs]
-    rows.append(_grad_exprs(f, spec.chart))
-    rows.append(_grad_exprs(g, spec.chart))
-    det = _det_expr(rows)
-    return det if spec.orientation == 1 else _negate(det)
-
-
 def _negate(e: Expr) -> Expr:
     return fold_sub(Num(0.0), e)
 

@@ -17,9 +17,8 @@ from itertools import product
 import numpy as np
 
 from .artifacts import write_text
-from .expr import Bin, Chart, Coord, Expr, Num
 from .geometry import DEFAULT_RANK_TOL, Distribution
-from .hfree import MapSpec, _certify_ranks, _jet_rows, _stack_rows, required_rank
+from .hfree import _certify_ranks, _jet_rows, _stack_rows, required_rank
 
 _Z95 = 1.959963984540054
 
@@ -27,8 +26,7 @@ _Z95 = 1.959963984540054
 # basis jets, which grows with the pairs times the monomials
 _BLOCK_PAIRS = 4096
 
-__all__ = ["RandomMapSpec", "GenericityResult", "random_poly_map",
-           "genericity_trial", "write_trials_csv"]
+__all__ = ["RandomMapSpec", "GenericityResult", "genericity_trial", "write_trials_csv"]
 
 
 @dataclass(frozen=True)
@@ -106,33 +104,6 @@ def _poly_jets(coeffs: np.ndarray, exponents: np.ndarray, pts: np.ndarray):
     for i, (a, b) in enumerate(pairs):
         upper[a, b] = upper[b, a] = i
     return contract(G), contract(H)[..., upper]
-
-
-def _poly_expr(coeffs: np.ndarray, exponents: list[tuple[int, ...]],
-               chart: Chart) -> Expr:
-    terms: list[Expr] = []
-    for c, exps in zip(coeffs, exponents):
-        term: Expr = Num(float(c))
-        for name, e in zip(chart.coords, exps):
-            if e == 1:
-                term = term * Coord(name)
-            elif e > 1:
-                term = term * Bin("^", Coord(name), Num(float(e)))
-        terms.append(term)
-    out = terms[0]
-    for term in terms[1:]:
-        out = out + term
-    return out
-
-
-def random_poly_map(spec: RandomMapSpec, chart: Chart) -> MapSpec:
-    """Deterministic map for ``(seed, stream)``; identical inputs render
-    byte-identical component expressions."""
-    if chart.dim != spec.dim:
-        raise ValueError(f"chart dimension {chart.dim} != spec dimension {spec.dim}")
-    exponents = _monomials(spec.dim, spec.degree)
-    coeffs = _coefficients(spec.seed, spec.stream, spec.q, len(exponents))
-    return MapSpec(chart, tuple(_poly_expr(row, exponents, chart) for row in coeffs))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ comma-separated lists are unambiguous)::
     kind = check-hfree
 
 Exactly one ``[task]`` section is required; every other section is
-optional and validated by the task that consumes it.
+optional and validated by the task that consumes it.  ``TASK_KEYS``
+lists the ``[task]`` keys of each kind, and any other key fails at its
+line, as an unknown key does in every other section.
 """
 
 from __future__ import annotations
@@ -42,17 +44,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constructions import FreeCurve
 from .errors import ExprSyntaxError, ScenarioError
-from .expr import Chart, Expr, parse
+from .expr import Chart, Expr, coordinates, parse
 from .geometry import Distribution
 from .hfree import MapSpec
 from .lie import VectorField
 from .transversal import Window
 
-TASK_KINDS = (
-    "check-hfree", "induced-metric", "invert", "construct-1d", "construct-cis",
-    "construct-rp", "rp-bracket", "transversal", "genericity", "render-levels",
-)
+# task kind -> the [task] keys its runner reads, besides ``kind``
+TASK_KEYS = {
+    "check-hfree": (),
+    "induced-metric": (),
+    "invert": ("point", "psi", "dg"),
+    "construct-1d": ("f", "curve"),
+    "construct-cis": ("f", "curve"),
+    "construct-rp": ("casimir", "orientation", "h", "f", "curve"),
+    "rp-bracket": ("casimir", "orientation", "f", "g"),
+    "transversal": ("f", "seed", "weights", "t_span"),
+    "genericity": ("q", "degree", "n_maps", "n_points", "seed", "box"),
+    "render-levels": ("expr", "levels"),
+}
 
 KNOWN_SECTIONS = ("chart", "exprs", "distribution", "map", "points", "window", "task")
 
@@ -60,7 +72,7 @@ KNOWN_SECTIONS = ("chart", "exprs", "distribution", "map", "points", "window", "
 @dataclass
 class Entry:
     key: str
-    value: str
+    value: str  # or, from Scenario.param, the value read from it
     line: int
 
 
@@ -83,14 +95,24 @@ class Scenario:
     def fail(self, message: str, line: int | None = None):
         raise ScenarioError(message, self.path, line)
 
-    def task_get(self, key: str, default: str | None = None) -> str | None:
+    def param(self, key: str, read=None, default=None, *, required: bool = False,
+              each: bool = False, **options):
+        """The ``[task]`` value of ``key``: the last entry wins, and its text
+        is read by ``read(text, line, **options)``, so that a bad value fails
+        at its line.  Without an entry, ``default``, or a failure at the task
+        line when ``required``.  ``each`` returns every entry instead, as
+        :class:`Entry` objects holding the read values, in file order."""
         hits = [e for e in self.task_entries if e.key == key]
-        if not hits:
-            return default
-        return hits[-1].value
+        if read is not None:
+            hits = [Entry(e.key, read(e.value, e.line, **options), e.line) for e in
+                    (hits if each else hits[-1:])]
+        if each:
+            return hits
+        if not hits and required:
+            self.fail(f"{self.task} needs '{key} = ...'", self.task_line)
+        return hits[-1].value if hits else default
 
-    def task_get_all(self, key: str) -> list[Entry]:
-        return [e for e in self.task_entries if e.key == key]
+    # -- readers: each turns the text of an entry into a value or fails at its line
 
     def expr(self, text: str, line: int | None = None) -> Expr:
         """Resolve a named expression or parse inline text."""
@@ -101,10 +123,71 @@ class Scenario:
             e = parse(text)
         except ExprSyntaxError as err:
             self.fail(f"unknown name or invalid expression {text!r}: {err}", line)
-        undeclared = _undeclared(e, self.chart)
+        undeclared = sorted(coordinates(e) - set(self.chart.coords))
         if undeclared:
             self.fail(f"unknown name {undeclared[0]!r} in {text!r}", line)
         return e
+
+    def exprs(self, text: str, line: int | None = None) -> list[Expr]:
+        return [self.expr(part, line) for part in text.split(",")]
+
+    def numbers(self, text: str, line: int | None = None,
+                count: int | None = None) -> list[float]:
+        try:
+            values = [float(part) for part in text.split(",")]
+        except ValueError:
+            self.fail(f"expected comma-separated numbers, got {text!r}", line)
+        if count is not None and len(values) != count:
+            self.fail(f"expected {count} comma-separated numbers, got {text!r}", line)
+        return values
+
+    def integer(self, text: str, line: int | None = None, low: int | None = None,
+                among: tuple[int, ...] | None = None) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            self.fail(f"expected an integer, got {text!r}", line)
+        if low is not None and value < low:
+            self.fail(f"expected an integer of at least {low}, got {value}", line)
+        if among is not None and value not in among:
+            self.fail(f"expected one of {', '.join(map(str, among))}, got {value}", line)
+        return value
+
+    def box(self, text: str, line: int | None = None, dim: int | None = None) -> np.ndarray:
+        """``lo:hi`` ranges, one per coordinate of the chart (or of ``dim``)."""
+        dim = self.chart.dim if dim is None else dim
+        ranges = []
+        for part in text.split(","):
+            pieces = part.split(":")
+            if len(pieces) != 2:
+                self.fail(f"box ranges look like lo:hi, got {part.strip()!r}", line)
+            try:
+                lo, hi = float(pieces[0]), float(pieces[1])
+            except ValueError:
+                self.fail(f"invalid box bound in {part.strip()!r}", line)
+            if not lo < hi:
+                self.fail(f"empty box range {part.strip()!r}", line)
+            ranges.append((lo, hi))
+        if len(ranges) != dim:
+            self.fail(f"box needs {dim} ranges, got {len(ranges)}", line)
+        return np.array(ranges)
+
+    def curve(self, text: str, line: int | None = None) -> FreeCurve:
+        """``exp``, ``circle`` or ``custom: a(t), b(t)``."""
+        text = text.strip()
+        if text == "exp":
+            return FreeCurve.exp()
+        if text == "circle":
+            return FreeCurve.circle()
+        if text.startswith("custom:"):
+            parts = text[len("custom:"):].split(",")
+            if len(parts) != 2:
+                self.fail("custom curve looks like 'custom: a(t), b(t)'", line)
+            try:
+                return FreeCurve.custom(parts[0].strip(), parts[1].strip())
+            except ValueError as err:
+                self.fail(str(err), line)
+        self.fail(f"unknown curve {text!r} (expected exp, circle or custom: a, b)", line)
 
     def distribution(self, line: int | None = None) -> Distribution:
         if not self.frame:
@@ -123,18 +206,13 @@ class Scenario:
         count, box, seed = 0, None, 0
         for e in self.points_entries:
             if e.key == "point":
-                vals = _floats(e.value, self, e.line)
-                if len(vals) != m:
-                    self.fail(f"point needs {m} coordinates", e.line)
-                explicit.append(vals)
+                explicit.append(self.numbers(e.value, e.line, count=m))
             elif e.key == "count":
-                count = _int(e.value, self, e.line)
-                if count < 0:
-                    self.fail(f"count must be non-negative, got {count}", e.line)
+                count = self.integer(e.value, e.line, low=0)
             elif e.key == "box":
-                box = _box(e.value, m, self, e.line)
+                box = self.box(e.value, e.line)
             elif e.key == "seed":
-                seed = _int(e.value, self, e.line)
+                seed = self.integer(e.value, e.line)
             else:
                 self.fail(f"unknown key {e.key!r} in [points]", e.line)
         if seed_override is not None:
@@ -149,43 +227,6 @@ class Scenario:
         if not pts:
             self.fail("task needs a [points] section with points")
         return np.concatenate(pts, axis=0), seed
-
-
-def _undeclared(e: Expr, chart: Chart) -> list[str]:
-    from .expr import coordinates
-    return sorted(coordinates(e) - set(chart.coords))
-
-
-def _floats(text: str, sc: Scenario, line: int) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError:
-        sc.fail(f"expected comma-separated numbers, got {text!r}", line)
-
-
-def _int(text: str, sc: Scenario, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        sc.fail(f"expected an integer, got {text!r}", line)
-
-
-def _box(text: str, m: int, sc: Scenario, line: int) -> np.ndarray:
-    ranges = []
-    for part in text.split(","):
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            sc.fail(f"box ranges look like lo:hi, got {part.strip()!r}", line)
-        try:
-            lo, hi = float(pieces[0]), float(pieces[1])
-        except ValueError:
-            sc.fail(f"invalid box bound in {part.strip()!r}", line)
-        if not lo < hi:
-            sc.fail(f"empty box range {part.strip()!r}", line)
-        ranges.append((lo, hi))
-    if len(ranges) != m:
-        sc.fail(f"box needs {m} ranges, got {len(ranges)}", line)
-    return np.array(ranges)
 
 
 def _parse_sections(text: str, path: str) -> dict[str, list[Entry]]:
@@ -261,9 +302,9 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
         grid = (101, 101)
         for e in window_entries:
             if e.key == "box":
-                box = _box(e.value, 2, sc, e.line)
+                box = sc.box(e.value, e.line, dim=2)
             elif e.key == "grid":
-                vals = [_int(v, sc, e.line) for v in e.value.split(",")]
+                vals = [sc.integer(v, e.line) for v in e.value.split(",")]
                 if len(vals) != 2:
                     sc.fail("grid needs two resolutions", e.line)
                 if min(vals) < 2:
@@ -282,13 +323,17 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     kinds = [e for e in task_entries if e.key == "kind"]
     if len(kinds) != 1:
         raise ScenarioError("[task] needs exactly one kind", path)
-    if kinds[0].value not in TASK_KINDS:
+    if kinds[0].value not in TASK_KEYS:
         raise ScenarioError(
             f"unknown task kind {kinds[0].value!r} (expected one of "
-            f"{', '.join(TASK_KINDS)})", path, kinds[0].line)
+            f"{', '.join(TASK_KEYS)})", path, kinds[0].line)
     sc.task = kinds[0].value
     sc.task_line = kinds[0].line
     sc.task_entries = [e for e in task_entries if e.key != "kind"]
+    for e in sc.task_entries:
+        if e.key not in TASK_KEYS[sc.task]:
+            sc.fail(f"unknown key {e.key!r} in [task] of kind {sc.task} (it reads "
+                    f"{', '.join(TASK_KEYS[sc.task]) or 'no other key'})", e.line)
     return sc
 
 

@@ -184,16 +184,18 @@ def _field_fun(xi: VectorField):
     return fun
 
 
-def _unit_orthogonal_fun(xi: VectorField):
+def _unit_orthogonal_fun(xi: VectorField, floor: float = 0.0):
+    """The field turned by a quarter and normalized; NaN where the field's
+    norm is at most ``floor``, so that a step meeting such a point is
+    rejected and a trajectory that runs into one ends in a step size
+    underflow."""
     fun = _field_fun(xi)
 
     def perp(y: np.ndarray) -> np.ndarray:
         v = fun(y)
         norm = np.linalg.norm(v, axis=-1, keepdims=True)
-        if np.any(norm == 0.0):
-            raise BlowUp("field vanishes on the orthogonal leaf")
         rotated = np.stack([-v[..., 1], v[..., 0]], axis=-1)
-        return rotated / norm
+        return rotated / np.where(norm > floor, norm, np.nan)
 
     return perp
 
@@ -314,14 +316,23 @@ def build_tube(xi: VectorField, seed, window: Window, *, t_span: float = 3.0,
     then tabulate its flow saturation at 121 times with ``|t| <= t_span``.
     The leaf takes one integration per direction and the saturation one
     batched integration per time direction, sampled through the 4th-order
-    dense output; every integration runs at ``rtol = atol = 1e-10``."""
+    dense output; every integration runs at ``rtol = atol = 1e-10``.
+    A leaf that runs into a zero of the field raises :class:`BlowUp`."""
     seed = np.asarray(seed, dtype=float)
     ds = max(window.x1 - window.x0, window.y1 - window.y0) / 150.0
     pad, rtol, atol = 0.75, 1e-10, 1e-10
     lo, hi = window.padded_box(pad)
     arclength = ds * np.arange(1, max_samples + 1)
+    # the unit orthogonal field has no limit at a zero of the field, so a
+    # leaf that runs into one (a focus, a centre) would creep on in ever
+    # shorter steps and never reach its next sample; undefined where the
+    # field falls to 1e-6 of its norm at the seed, it ends such a leaf in
+    # BlowUp
+    floor = 1e-6 * float(np.linalg.norm(_field_fun(xi)(seed)))
+    if floor == 0.0:
+        raise BlowUp("field vanishes on the orthogonal leaf")
     backward, forward = (
-        _integrate(_unit_orthogonal_fun(xi), seed, sign * arclength, rtol, atol,
+        _integrate(_unit_orthogonal_fun(xi, floor), seed, sign * arclength, rtol, atol,
                    stop=lambda ys: np.any((ys < lo) | (ys > hi), axis=(1, 2)))
         for sign in (-1.0, 1.0))
     transversal = np.concatenate([backward[::-1], seed[None], forward])

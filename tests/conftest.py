@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,27 @@ def stripe(plane):
     xi = parse_field(plane, "2*y", "1-y^2")
     dist = Distribution(plane, (xi,))
     return dist, parse("y*exp(x)"), parse("(y^2-1)*exp(x)")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def deadline():
+    """``deadline(seconds)`` raises TimeoutError in its block once the block
+    has run that long, so that a test of a former hang fails instead."""
+    return _deadline
 
 
 @pytest.fixture

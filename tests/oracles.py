@@ -5,16 +5,20 @@ own formula, apart from the freedom matrix's second-order rows;
 ``brute_force_cis_constant`` reads the product-map determinant constant
 off one numeric determinant; ``evaluate`` is the interpreter that the
 evaluator's compiled plans replaced, walking the trees by identity on
-every call.
+every call.  ``random_poly_map`` builds a sweep's map as expressions,
+the path that the sweep's monomial jets replaced, and
+``rp_bracket_expr`` the bracket as one cofactor expansion.
 """
 
 import numpy as np
 
-from hfreemaps.constructions import FreeCurve, build_cis
+from hfreemaps.constructions import (FreeCurve, RPBracketSpec, _det_expr, _grad_exprs,
+                                     _negate, build_cis)
 from hfreemaps.expr import (_BINARY, _UNARY, Bin, Call, Chart, Coord, Expr, Neg, Num,
                             _constant_exponent, eval_jet2, eval_jets_many)
+from hfreemaps.genericity import RandomMapSpec, _coefficients, _monomials
 from hfreemaps.geometry import Distribution
-from hfreemaps.hfree import freedom_matrix_many
+from hfreemaps.hfree import MapSpec, freedom_matrix_many
 from hfreemaps.jet import Jet2, jpow
 from hfreemaps.lie import VectorField
 
@@ -57,6 +61,44 @@ def brute_force_cis_constant(n: int) -> float:
     point = np.concatenate([np.zeros(n), angles])
     matrices, _, _, _ = freedom_matrix_many(dist, cis.map_spec, point[None, :])
     return float(np.linalg.det(matrices[0])) / float(np.prod(np.exp(angles)))
+
+
+def _poly_expr(coeffs: np.ndarray, exponents: list[tuple[int, ...]],
+               chart: Chart) -> Expr:
+    terms: list[Expr] = []
+    for c, exps in zip(coeffs, exponents):
+        term: Expr = Num(float(c))
+        for name, e in zip(chart.coords, exps):
+            if e == 1:
+                term = term * Coord(name)
+            elif e > 1:
+                term = term * Bin("^", Coord(name), Num(float(e)))
+        terms.append(term)
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out
+
+
+def random_poly_map(spec: RandomMapSpec, chart: Chart) -> MapSpec:
+    """Deterministic map for ``(seed, stream)``; identical inputs render
+    byte-identical component expressions."""
+    if chart.dim != spec.dim:
+        raise ValueError(f"chart dimension {chart.dim} != spec dimension {spec.dim}")
+    exponents = _monomials(spec.dim, spec.degree)
+    coeffs = _coefficients(spec.seed, spec.stream, spec.q, len(exponents))
+    return MapSpec(chart, tuple(_poly_expr(row, exponents, chart) for row in coeffs))
+
+
+def rp_bracket_expr(spec: RPBracketSpec, f: Expr, g: Expr) -> Expr:
+    """The bracket as an expression tree (Euclidean metric only)."""
+    if spec.metric is not None:
+        raise ValueError("symbolic bracket supports the Euclidean metric only")
+    rows = [_grad_exprs(h, spec.chart) for h in spec.casimirs]
+    rows.append(_grad_exprs(f, spec.chart))
+    rows.append(_grad_exprs(g, spec.chart))
+    det = _det_expr(rows)
+    return det if spec.orientation == 1 else _negate(det)
 
 
 def schedule(roots: tuple[Expr, ...]):

@@ -17,7 +17,6 @@ from hfreemaps.constructions import (
     cis_determinant_constant,
     compose_1d,
     rp_bracket,
-    rp_bracket_expr,
     verify_1d,
     verify_cis,
 )
@@ -42,7 +41,7 @@ from hfreemaps.hfree import (
 from hfreemaps.lie import VectorField, lie_expr, parse_field
 from hfreemaps.transversal import BumpProfile, Window, build_tube, glue, verify_transversal
 
-from oracles import brute_force_cis_constant
+from oracles import brute_force_cis_constant, rp_bracket_expr
 from test_jets_ad import _rejection_sample, fd_gradient, fd_hessian
 
 

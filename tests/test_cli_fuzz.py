@@ -1,6 +1,7 @@
 """The ``hfree`` contract on generated scenario files: ``run`` returns
 0, 1 or 2 and never raises, a written ``report.json`` is strict JSON,
-and no temporary file is left behind."""
+no temporary file is left behind, and a ``[task]`` key that the kind
+does not read fails at its line."""
 
 import contextlib
 import io
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from hfreemaps.cli import run
 from hfreemaps.expr import render
-from hfreemaps.scenario import TASK_KINDS
+from hfreemaps.errors import ScenarioError
+from hfreemaps.scenario import TASK_KEYS, parse_scenario
 from test_expr import _exprs
 
 _MALFORMED = ("many", "2.5", "-3", "0", "1e999", "nan", "", "1, 2")
@@ -53,23 +55,42 @@ def _scenario_texts(draw):
     lines += [f"point = {point(m)}" for _ in range(draw(st.integers(0, 2)))]
     lines += ["[window]", f"box = {box(2)}",
               f"grid = {number(st.integers(2, 6))}, {number(st.integers(2, 6))}"]
-    lines += ["[task]", f"kind = {draw(st.sampled_from(TASK_KINDS))}"]
-    for key in ("f", "g", "h", "casimir", "expr"):
-        lines += [f"{key} = {draw(exprs)}" for _ in range(draw(st.integers(0, 2)))]
-    for key in ("psi", "dg"):  # lists of expressions
-        lines += [f"{key} = {', '.join(draw(st.lists(exprs, min_size=1, max_size=2)))}"
-                  for _ in range(draw(st.integers(0, 2)))]
-    lines += maybe(f"curve = {draw(st.sampled_from(['exp', 'circle', 'custom: t, t^2']))}")
-    lines += maybe(f"point = {point(m)}")
-    # tube seeds switch transversal to its glue mode, the slowest task
-    lines += [f"seed = {point(2)}" for _ in range(draw(st.sampled_from([0] * 5 + [1])))]
-    lines += maybe(f"t_span = {number(st.sampled_from([0.5, 1.0]))}")
-    lines += maybe(f"orientation = {number(st.sampled_from([1, -1]))}")
-    lines += maybe(f"levels = {number(st.integers(1, 4))}")
-    lines += [f"q = {number(st.integers(1, 8))}", f"degree = {number(st.integers(2, 3))}",
-              f"n_maps = {number(st.integers(0, 3))}",
-              f"n_points = {number(st.integers(0, 3))}", f"box = {box(m)}"]
-    return "\n".join(lines) + "\n"
+    kind = draw(st.sampled_from(list(TASK_KEYS)))
+
+    def key_lines(key):
+        if key in ("f", "g", "h", "casimir", "expr"):
+            return [f"{key} = {draw(exprs)}" for _ in range(draw(st.integers(0, 2)))]
+        if key in ("psi", "dg"):  # lists of expressions
+            return [f"{key} = {', '.join(draw(st.lists(exprs, min_size=1, max_size=2)))}"
+                    for _ in range(draw(st.integers(0, 2)))]
+        if key == "seed" and kind == "transversal":
+            # tube seeds switch transversal to its glue mode, the slowest task
+            return [f"seed = {point(2)}" for _ in range(draw(st.sampled_from([0] * 5 + [1])))]
+        if key == "point":
+            return maybe(f"point = {point(m)}")
+        if key == "box":
+            return [f"box = {box(m)}"]
+        if key == "curve":
+            return maybe(f"curve = {draw(st.sampled_from(['exp', 'circle', 'custom: t, t^2']))}")
+        good = {"weights": st.sampled_from([1, 2]), "t_span": st.sampled_from([0.5, 1.0]),
+                "orientation": st.sampled_from([1, -1]), "levels": st.integers(1, 4),
+                "q": st.integers(1, 8), "degree": st.integers(2, 3),
+                "n_maps": st.integers(0, 3), "n_points": st.integers(0, 3),
+                "seed": st.integers(0, 99)}[key]
+        text = f"{key} = {number(good)}"
+        return [text] if key in ("q", "degree", "n_maps", "n_points") else maybe(text)
+
+    lines += ["[task]", f"kind = {kind}"]
+    for key in TASK_KEYS[kind]:
+        lines += key_lines(key)
+    # now and then one key that this kind does not read, anywhere in [task]
+    line = None
+    if draw(st.sampled_from([False] * 7 + [True])):
+        unread = sorted(set().union(*TASK_KEYS.values()) - set(TASK_KEYS[kind]))
+        at = draw(st.integers(lines.index("[task]") + 1, len(lines)))
+        lines.insert(at, f"{draw(st.sampled_from(unread + ['curv', 'levles']))} = 1")
+        line = "\n".join(lines[:at + 1]).count("\n") + 1
+    return "\n".join(lines) + "\n", line
 
 
 def _strict(text):
@@ -78,9 +99,10 @@ def _strict(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@given(text=_scenario_texts())
+@given(case=_scenario_texts())
 @settings(max_examples=60, deadline=None)
-def test_cli_contract_on_generated_scenarios(text):
+def test_cli_contract_on_generated_scenarios(case):
+    text, unread_line = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.ini")
         with open(path, "w", encoding="utf-8") as handle:
@@ -93,6 +115,18 @@ def test_cli_contract_on_generated_scenarios(text):
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert err.getvalue().startswith("error: ")
+        if unread_line is not None:
+            # a key the kind does not read fails at its line, unless the
+            # file without it already fails to parse
+            assert code == 1 and not os.path.exists(os.path.join(out, "report.json"))
+            rest = text.splitlines()
+            del rest[unread_line - 1]
+            try:
+                parse_scenario("\n".join(rest), path)
+            except ScenarioError:
+                pass
+            else:
+                assert err.getvalue().startswith(f"error: {path}:{unread_line}: unknown key")
         report = os.path.join(out, "report.json")
         if os.path.exists(report):
             with open(report, encoding="utf-8") as handle:

@@ -11,7 +11,6 @@ from hfreemaps.constructions import (
     curve_freeness,
     hamiltonian_field,
     rp_bracket,
-    rp_bracket_expr,
     verify_1d,
     verify_cis,
     verify_rp,
@@ -23,7 +22,7 @@ from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import is_hfree_at
 from hfreemaps.lie import parse_field
 
-from oracles import brute_force_cis_constant
+from oracles import brute_force_cis_constant, rp_bracket_expr
 
 
 class TestFreeCurves:

@@ -13,11 +13,12 @@ from hfreemaps.geometry import Distribution
 from hfreemaps.genericity import (
     RandomMapSpec,
     genericity_trial,
-    random_poly_map,
     write_trials_csv,
 )
 from hfreemaps.hfree import freedom_matrix_many, is_hfree_at, required_rank
 from hfreemaps.lie import parse_field
+
+from oracles import random_poly_map
 
 BOX = np.array([[-2.0, 2.0], [-2.0, 2.0]])
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 import hfreemaps
 from hfreemaps.cli import run
 from hfreemaps.errors import ScenarioError
-from hfreemaps.scenario import parse_scenario
+from hfreemaps.scenario import TASK_KEYS, parse_scenario
 
 CONTACT = """
 [chart]
@@ -587,6 +588,34 @@ class TestInputErrors:
         line = text.splitlines().index("kind = rp-bracket") + 1
         assert f"{path}:{line}: {message}" in err
 
+    @pytest.mark.parametrize("kind", list(TASK_KEYS))
+    def test_key_the_kind_does_not_read(self, tmp_path, capsys, kind):
+        # 'curv' is no key of any kind: a misspelled 'curve' fails at its line
+        text = TASK_TEXTS[kind].replace(f"kind = {kind}\n", f"kind = {kind}\ncurv = circle\n")
+        line = text.splitlines().index("curv = circle") + 1
+        path = write(tmp_path, "bad.ini", text)
+        out = tmp_path / "out"
+        assert run(path, out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: unknown key 'curv'")
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("mode, unread", [
+        ("glue", "f = y*exp(x)"), ("verify", "weights = 1"), ("verify", "t_span = 2")])
+    def test_transversal_key_of_the_other_mode(self, tmp_path, capsys, mode, unread):
+        # tube seeds select the glue mode, which reads no 'f'; only it reads
+        # 'weights' and 't_span'
+        text = TASK_TEXTS["transversal"]
+        if mode == "verify":
+            text = text.replace("seed = 0, -0.9\nseed = 0, 0\nseed = 0, 0.9\n", "f = x\n")
+        text = text.replace("kind = transversal\n", f"kind = transversal\n{unread}\n")
+        line = text.splitlines().index(unread) + 1
+        path = write(tmp_path, "bad.ini", text)
+        out = tmp_path / "out"
+        assert run(path, out) == 1
+        key = unread.split()[0]
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: '{key}'")
+        assert not (out / "report.json").exists()
+
     def test_file_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_bytes(b"[chart]\ncoords = x\xff\n")
@@ -615,6 +644,17 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: BlowUp: field vanishes on the orthogonal leaf")
         assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+    def test_leaf_into_a_focus_is_a_library_error(self, tmp_path, capsys, deadline):
+        # the orthogonal leaf of a spiral field reaches its focus: exit 1, no hang
+        text = (TASK_TEXTS["transversal"].replace("field = 2*y, 1-y^2", "field = x - y, x + y")
+                .replace("seed = 0, -0.9\nseed = 0, 0\nseed = 0, 0.9\n", "seed = 0.5, 0\n"))
+        path = write(tmp_path, "focus.ini", text)
+        out = tmp_path / "out"
+        with deadline(10):
+            assert run(path, out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: BlowUp:")
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("empty", ["n_maps = 0", "n_points = 0"])
@@ -791,7 +831,49 @@ casimir = x
 f = y
 g = z
 """,
+    "construct-rp": """
+[chart]
+coords = x, y, z
+
+[points]
+point = 0, 0, 0
+
+[task]
+kind = construct-rp
+casimir = x
+h = y
+f = z
+""",
+    "construct-1d": """
+[chart]
+coords = x, y
+
+[distribution]
+field = 2*y, 1-y^2
+
+[points]
+point = 0.1, 0.2
+
+[task]
+kind = construct-1d
+f = y*exp(x)
+""",
+    "check-hfree": CONTACT,
+    "render-levels": RENDER.format(levels=3),
 }
+
+
+def test_readme_task_table_lists_the_task_keys():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        rows = [line for line in handle if line.startswith("| `")]
+    listed = {}
+    for row in rows:
+        kind, parameters = re.split(r"(?<!\\)\|", row)[1:3]
+        listed[kind.strip().strip("`")] = set(re.findall(r"`([a-z_]+)", parameters))
+    assert {kind: listed.get(kind) for kind in TASK_KEYS} == {
+        kind: set(keys) for kind, keys in TASK_KEYS.items()}
 
 
 def test_cli_import_leaves_scipy_out():

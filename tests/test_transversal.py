@@ -284,6 +284,16 @@ class TestTubes:
         assert np.array_equal(tube.transversal, [[0.0, 0.0]])
         assert np.abs(tube.states[0, :, 0] - tube.times).max() <= 1e-12
 
+    @pytest.mark.parametrize("field, seed", [
+        (("x - y", "x + y"), (0.5, 0.0)),   # the leaf spirals into a focus
+        (("y", "-x"), (0.28, 0.0)),          # the radial leaf runs into a centre
+    ])
+    def test_leaf_into_a_zero_of_the_field_raises(self, plane, deadline, field, seed):
+        # the leaf reaches the zero at the origin within its arclength, where
+        # the unit orthogonal field has no limit: BlowUp, not an endless creep
+        with deadline(10), pytest.raises(BlowUp, match="step size underflow"):
+            build_tube(parse_field(plane, *field), seed, Window(-1, 1, -1, 1))
+
     def test_unclassifiable_node_raises(self, plane, profile):
         # truncate the transversal so nodes straight above its endpoint
         # sit exactly orthogonal to the flow direction there

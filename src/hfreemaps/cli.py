@@ -262,7 +262,8 @@ def _run_genericity(sc: Scenario, outdir, seed, tol):
     n_maps = sc.param("n_maps", sc.integer, 100, low=0)
     n_points = sc.param("n_points", sc.integer, 100, low=0)
     box = sc.param("box", sc.box, required=True)
-    seed_used = seed if seed is not None else sc.param("seed", sc.integer, 0)
+    task_seed = sc.param("seed", sc.integer, 0)  # read even when --seed overrides it
+    seed_used = task_seed if seed is None else seed
     result = genericity_trial(dist, q, degree, n_maps, n_points, seed_used, box, tol=tol)
     write_trials_csv(os.path.join(outdir, "genericity.csv"), [result])
     return True, {"seed": seed_used,

@@ -2,13 +2,16 @@
 
 Three families are covered:
 
-* composition of a scalar function with a free curve (one-dimensional
-  distributions), whose freedom matrix determinant factors as
-  ``Dpsi(f) * (L_xi f)^3``;
 * products of free curves for commuting frames of integrable systems,
   whose determinant factors as ``C * prod_i g_i^(n+2) Dpsi_i(f^i)``
-  with the closed-form constant ``C = 2^(n(n-1)/2)``;
+  with ``g_i = L_i f^i`` and the closed-form constant ``C = 2^(n(n-1)/2)``;
+* the composition ``(a(f), b(f))`` of a scalar function with a free
+  curve (one-dimensional distributions): the product map with ``n = 1``
+  and ``C = 1``, so its determinant is ``Dpsi(f) * (L_xi f)^3``;
 * compositions along Hamiltonian fields of Riemann-Poisson brackets.
+
+The prediction reads ``g_i`` off the first-order jets of the ``f^i``
+and ``Dpsi_i`` off the jets of each curve at its points ``f^i``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .expr import (
     as_expr,
     derivative,
     eval_jets_many,
-    eval_value_many,
     fold_add,
     fold_mul,
     fold_sub,
@@ -42,7 +44,7 @@ from .expr import (
 )
 from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_jets, unsized_ranks
 from .hfree import MapSpec, _retained, freedom_matrix_many, required_rank
-from .lie import VectorField, lie_expr, lie_rows
+from .lie import VectorField, lie_rows
 
 CURVE_VAR = "t"
 CURVE_CHART = Chart((CURVE_VAR,))
@@ -99,43 +101,6 @@ def curve_freeness_many(curve: FreeCurve, ts) -> np.ndarray:
     return d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1]
 
 
-def _freeness_expr(curve: FreeCurve) -> Expr:
-    a, b = curve.components
-    da, db = derivative(a, CURVE_VAR), derivative(b, CURVE_VAR)
-    dda, ddb = derivative(da, CURVE_VAR), derivative(db, CURVE_VAR)
-    return fold_sub(fold_mul(da, ddb), fold_mul(dda, db))
-
-
-def _compose(curve_component: Expr, f: Expr) -> Expr:
-    return substitute(curve_component, {CURVE_VAR: f})
-
-
-# ---------------------------------------------------------------------------
-# one-dimensional composition
-
-
-@dataclass(frozen=True)
-class Composed1d:
-    """Result of composing ``f`` with a free curve: the two-component map
-    and the curve freeness pulled back through ``f``."""
-
-    map_spec: MapSpec
-    f: Expr
-    curve: FreeCurve
-    freeness_of_f: Expr
-
-    def predicted_det(self, xi: VectorField) -> Expr:
-        """Predicted determinant ``Dpsi(f) * (L_xi f)^3`` as an expression."""
-        return fold_mul(self.freeness_of_f, lie_expr(xi, self.f) ** 3)
-
-
-def compose_1d(f, curve: FreeCurve, chart: Chart) -> Composed1d:
-    """Map ``(a(f), b(f))`` together with its predicted determinant factor."""
-    f = parse(f) if isinstance(f, str) else as_expr(f)
-    comps = tuple(_compose(c, f) for c in curve.components)
-    return Composed1d(MapSpec(chart, comps), f, curve, _compose(_freeness_expr(curve), f))
-
-
 @dataclass(frozen=True)
 class PointwiseCheck:
     """Per-point determinant identity check plus the rank certificate.
@@ -171,34 +136,8 @@ class PointwiseCheck:
         return float(np.max(np.abs(self.determinants - self.predicted)))
 
 
-def _pointwise_check(d: Distribution, F: MapSpec, pts: np.ndarray,
-                     predicted: np.ndarray, tol: float) -> PointwiseCheck:
-    """Determinants and rank certificates of ``F`` at ``pts`` against ``predicted``."""
-    matrices, svals, thresholds, ranks = freedom_matrix_many(d, F, pts)
-    dets = np.linalg.det(matrices)
-    identity = np.abs(dets - predicted) <= tol * np.maximum(1.0, np.abs(dets))
-    # a determinant within the identity tolerance of zero certifies
-    # nothing: with degenerate inputs the assembled entries are pure
-    # rounding noise and their relative-threshold rank is meaningless
-    certified = ((ranks == required_rank(d.k))
-                 & (np.abs(dets) > tol * np.maximum(1.0, np.abs(dets))))
-    return PointwiseCheck(pts, dets, predicted, identity, certified, tol,
-                          ranks, _retained(svals, ranks), thresholds)
-
-
-def verify_1d(d: Distribution, built: Composed1d, points,
-              tol: float = 1e-9) -> PointwiseCheck:
-    """Check ``det = Dpsi(f) (L_xi f)^3`` at each point, to relative
-    tolerance ``tol * max(1, |det|)``."""
-    if d.k != 1:
-        raise ValueError("one-dimensional verification needs k = 1")
-    pts = np.asarray(points, dtype=float)
-    predicted = eval_value_many(built.predicted_det(d.frame[0]), d.chart, pts)
-    return _pointwise_check(d, built.map_spec, pts, predicted, tol)
-
-
 # ---------------------------------------------------------------------------
-# commuting frames of integrable systems
+# products of free curves, and the one-dimensional composition
 
 
 @dataclass(frozen=True)
@@ -222,12 +161,17 @@ def build_cis(fs: Sequence, curves: Sequence[FreeCurve], chart: Chart) -> CisMap
         raise ValueError("need one curve per function")
     comps: list[Expr] = []
     for f, curve in zip(fs, curves):
-        comps.extend(_compose(c, f) for c in curve.components)
+        comps.extend(substitute(c, {CURVE_VAR: f}) for c in curve.components)
     n = len(fs)
     for i in range(n):
         for j in range(i + 1, n):
             comps.append(fs[i] * fs[j])
     return CisMap(MapSpec(chart, tuple(comps)), fs, curves)
+
+
+def compose_1d(f, curve: FreeCurve, chart: Chart) -> CisMap:
+    """The map ``(a(f), b(f))``: the product map of one function."""
+    return build_cis((f,), (curve,), chart)
 
 
 def cis_determinant_constant(n: int) -> float:
@@ -242,6 +186,58 @@ def cis_determinant_constant(n: int) -> float:
     return 2.0 ** (n * (n - 1) // 2)
 
 
+def _verify_product(d: Distribution, built: CisMap, points, tol: float,
+                    commuting: bool) -> PointwiseCheck:
+    """Determinants and rank certificates of the product map at each point
+    against ``C * prod_i g_i^(n+2) Dpsi_i(f^i)``, to relative tolerance
+    ``tol * max(1, |det|)``; ``g_i`` is the diagonal of the first-order
+    rows ``L_i f^j``.  ``commuting`` first enforces the bracket pattern of
+    :func:`verify_cis`."""
+    n = built.n
+    if d.k != n:
+        raise ValueError(f"distribution has k={d.k}, map was built for n={n}")
+    pts = np.asarray(points, dtype=float)
+    fjet = eval_jets_many(built.fs, d.chart, pts, order=1)
+    L = lie_rows(_frame_jets(d, pts).value, fjet.gradient)  # L_{xi_i} f^j
+    g = np.einsum("bii->bi", L).copy()
+    if commuting:
+        scale = np.maximum(1.0, np.max(np.abs(g), axis=1))[:, None, None]
+        bad = (np.abs(L) > 1e-9 * scale) & ~np.eye(n, dtype=bool)
+        if np.any(bad):
+            b, i, j = (int(x[0]) for x in np.nonzero(bad))
+            raise CommutationViolation(
+                f"L_{i+1} f^{j+1} = {L[b, i, j]:.3e} != 0 at {pts[b]}")
+        if np.any(g <= 0.0):
+            b, i = np.unravel_index(int(np.argmin(g)), g.shape)
+            raise CommutationViolation(
+                f"g_{i+1} = {g[b, i]:.3e} <= 0 at {pts[b]}")
+
+    predicted = np.full(len(pts), cis_determinant_constant(n))
+    for i, curve in enumerate(built.curves):  # each curve at its own points f^i
+        predicted *= g[:, i] ** (n + 2) * curve_freeness_many(curve, fjet.value[:, i])
+    matrices, svals, thresholds, ranks = freedom_matrix_many(d, built.map_spec, pts)
+    dets = np.linalg.det(matrices)
+    identity = np.abs(dets - predicted) <= tol * np.maximum(1.0, np.abs(dets))
+    # a determinant within the identity tolerance of zero certifies
+    # nothing: with degenerate inputs the assembled entries are pure
+    # rounding noise and their relative-threshold rank is meaningless
+    certified = ((ranks == required_rank(d.k))
+                 & (np.abs(dets) > tol * np.maximum(1.0, np.abs(dets))))
+    return PointwiseCheck(pts, dets, predicted, identity, certified, tol,
+                          ranks, _retained(svals, ranks), thresholds)
+
+
+def verify_1d(d: Distribution, built: CisMap, points,
+              tol: float = 1e-9) -> PointwiseCheck:
+    """Check ``det = Dpsi(f) (L_xi f)^3`` at each point: the product
+    identity with ``n = 1``, without the sign check of :func:`verify_cis`,
+    so a first integral (``L_xi f = 0``) gives a check that certifies no
+    point."""
+    if d.k != 1:
+        raise ValueError("one-dimensional verification needs k = 1")
+    return _verify_product(d, built, points, tol, commuting=False)
+
+
 def verify_cis(d: Distribution, built: CisMap, points, tol: float = 1e-8) -> PointwiseCheck:
     """Check the product-map determinant identity at each point.
 
@@ -250,31 +246,7 @@ def verify_cis(d: Distribution, built: CisMap, points, tol: float = 1e-8) -> Poi
     then compares ``det`` with ``C * prod_i g_i^(n+2) Dpsi_i(f^i)``.  An
     ``L_i f^j`` counts as 0 within ``1e-9 * max(1, max_i |g_i|)``.
     """
-    n = built.n
-    if d.k != n:
-        raise ValueError(f"distribution has k={d.k}, map was built for n={n}")
-    pts = np.asarray(points, dtype=float)
-
-    fjet = eval_jets_many(built.fs, d.chart, pts, order=1)
-    L = lie_rows(_frame_jets(d, pts).value, fjet.gradient)  # L_{xi_i} f^j
-    g = np.einsum("bii->bi", L).copy()
-    scale = np.maximum(1.0, np.max(np.abs(g), axis=1))[:, None, None]
-    off = ~np.eye(n, dtype=bool)
-    bad = np.abs(L) > 1e-9 * scale
-    bad &= off
-    if np.any(bad):
-        b, i, j = (int(x[0]) for x in np.nonzero(bad))
-        raise CommutationViolation(
-            f"L_{i+1} f^{j+1} = {L[b, i, j]:.3e} != 0 at {pts[b]}")
-    if np.any(g <= 0.0):
-        b, i = np.unravel_index(int(np.argmin(g)), g.shape)
-        raise CommutationViolation(
-            f"g_{i+1} = {g[b, i]:.3e} <= 0 at {pts[b]}")
-
-    predicted = np.full(len(pts), cis_determinant_constant(n))
-    for i, curve in enumerate(built.curves):  # each curve at its own points f^i
-        predicted *= g[:, i] ** (n + 2) * curve_freeness_many(curve, fjet.value[:, i])
-    return _pointwise_check(d, built.map_spec, pts, predicted, tol)
+    return _verify_product(d, built, points, tol, commuting=True)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +403,8 @@ def build_rp(spec: RPBracketSpec, h, f, curve: FreeCurve, check_points,
         worst = pts[int(np.argmin(brackets))]
         raise NonTransversal(
             f"{{h, f}} = {float(np.min(brackets)):.3e} <= 0 at {worst}")
-    comps = tuple(_compose(c, f) for c in curve.components)
-    return RpMap(MapSpec(spec.chart, comps), hamiltonian_field(spec, h), h, f, curve)
+    return RpMap(compose_1d(f, curve, spec.chart).map_spec, hamiltonian_field(spec, h),
+                 h, f, curve)
 
 
 def verify_rp(spec: RPBracketSpec, built: RpMap, points,

@@ -33,7 +33,9 @@ comma-separated lists are unambiguous)::
     kind = check-hfree
 
 Exactly one ``[task]`` section is required; every other section is
-optional and validated by the task that consumes it.  ``TASK_KEYS``
+optional.  The keys and values of every section but ``[task]`` are
+checked when the file is parsed; the ``[task]`` values, and whether the
+task finds the sections it needs, when the task runs.  ``TASK_KEYS``
 lists the ``[task]`` keys of each kind, and any other key fails at its
 line, as an unknown key does in every other section.
 """
@@ -85,7 +87,10 @@ class Scenario:
     map_components: list[Expr]
     task: str
     task_entries: list[Entry]
-    points_entries: list[Entry] = field(default_factory=list)
+    point_rows: list[list[float]] = field(default_factory=list)  # [points] 'point' lines
+    point_count: int = 0  # [points] drawn from point_box by point_seed
+    point_box: np.ndarray | None = None
+    point_seed: int = 0
     window: Window | None = None
     task_line: int | None = None  # line of the task's 'kind = ...'
     field_lines: list[int] = field(default_factory=list)  # line of each frame field
@@ -201,29 +206,13 @@ class Scenario:
 
     def points(self, seed_override: int | None = None) -> tuple[np.ndarray, int]:
         """Evaluation points and the seed in effect."""
-        m = self.chart.dim
-        explicit = []
-        count, box, seed = 0, None, 0
-        for e in self.points_entries:
-            if e.key == "point":
-                explicit.append(self.numbers(e.value, e.line, count=m))
-            elif e.key == "count":
-                count = self.integer(e.value, e.line, low=0)
-            elif e.key == "box":
-                box = self.box(e.value, e.line)
-            elif e.key == "seed":
-                seed = self.integer(e.value, e.line)
-            else:
-                self.fail(f"unknown key {e.key!r} in [points]", e.line)
-        if seed_override is not None:
-            seed = seed_override
-        pts = [np.array(explicit)] if explicit else []
-        if count:
-            if box is None:
-                self.fail("[points] with count needs a box")
+        seed = self.point_seed if seed_override is None else seed_override
+        pts = [np.array(self.point_rows)] if self.point_rows else []
+        if self.point_count:
             rng = np.random.Generator(np.random.Philox(
                 key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)))
-            pts.append(rng.uniform(box[:, 0], box[:, 1], size=(count, m)))
+            box, size = self.point_box, (self.point_count, self.chart.dim)
+            pts.append(rng.uniform(box[:, 0], box[:, 1], size=size))
         if not pts:
             self.fail("task needs a [points] section with points")
         return np.concatenate(pts, axis=0), seed
@@ -294,7 +283,20 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     if len(sc.map_components) == 1:
         sc.fail("a map needs at least two components", sections["map"][-1].line)
 
-    sc.points_entries = sections.get("points", [])
+    count_line = None
+    for e in sections.get("points", []):
+        if e.key == "point":
+            sc.point_rows.append(sc.numbers(e.value, e.line, count=chart.dim))
+        elif e.key == "count":
+            sc.point_count, count_line = sc.integer(e.value, e.line, low=0), e.line
+        elif e.key == "box":
+            sc.point_box = sc.box(e.value, e.line)
+        elif e.key == "seed":
+            sc.point_seed = sc.integer(e.value, e.line)
+        else:
+            sc.fail(f"unknown key {e.key!r} in [points]", e.line)
+    if sc.point_count and sc.point_box is None:
+        sc.fail("[points] with count needs a box", count_line)
 
     window_entries = sections.get("window", [])
     if window_entries:

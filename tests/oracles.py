@@ -6,21 +6,24 @@ own formula, apart from the freedom matrix's second-order rows;
 off one numeric determinant; ``evaluate`` is the interpreter that the
 evaluator's compiled plans replaced, walking the trees by identity on
 every call.  ``random_poly_map`` builds a sweep's map as expressions,
-the path that the sweep's monomial jets replaced, and
-``rp_bracket_expr`` the bracket as one cofactor expansion.
+the path that the sweep's monomial jets replaced,
+``rp_bracket_expr`` the bracket as one cofactor expansion, and
+``predicted_1d_expr`` the composition's determinant ``Dpsi(f) (L_xi f)^3``
+from symbolic derivatives, where the library reads it off jets.
 """
 
 import numpy as np
 
-from hfreemaps.constructions import (FreeCurve, RPBracketSpec, _det_expr, _grad_exprs,
-                                     _negate, build_cis)
+from hfreemaps.constructions import (CURVE_VAR, FreeCurve, RPBracketSpec, _det_expr,
+                                     _grad_exprs, _negate, build_cis)
 from hfreemaps.expr import (_BINARY, _UNARY, Bin, Call, Chart, Coord, Expr, Neg, Num,
-                            _constant_exponent, eval_jet2, eval_jets_many)
+                            _constant_exponent, derivative, eval_jet2, eval_jets_many,
+                            fold_mul, fold_sub, substitute)
 from hfreemaps.genericity import RandomMapSpec, _coefficients, _monomials
 from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import MapSpec, freedom_matrix_many
 from hfreemaps.jet import Jet2, jpow
-from hfreemaps.lie import VectorField
+from hfreemaps.lie import VectorField, lie_expr
 
 
 def lie2(xi: VectorField, eta: VectorField, f, p) -> float:
@@ -99,6 +102,82 @@ def rp_bracket_expr(spec: RPBracketSpec, f: Expr, g: Expr) -> Expr:
     rows.append(_grad_exprs(g, spec.chart))
     det = _det_expr(rows)
     return det if spec.orientation == 1 else _negate(det)
+
+
+def predicted_1d_expr(xi: VectorField, f: Expr, curve: FreeCurve) -> Expr:
+    """``Dpsi(f) * (L_xi f)^3`` as one expression: the curve freeness
+    ``a'b'' - a''b'`` from symbolic derivatives, substituted into ``f``,
+    times the cube of the symbolic directional derivative."""
+    a, b = curve.components
+    da, db = derivative(a, CURVE_VAR), derivative(b, CURVE_VAR)
+    dda, ddb = derivative(da, CURVE_VAR), derivative(db, CURVE_VAR)
+    freeness = fold_sub(fold_mul(da, ddb), fold_mul(dda, db))
+    return fold_mul(substitute(freeness, {CURVE_VAR: f}), lie_expr(xi, f) ** 3)
+
+
+# each function and its slope, for term_size
+_CALLS = {"sin": (np.sin, np.cos), "cos": (np.cos, lambda u: -np.sin(u)),
+          "exp": (np.exp, np.exp), "log": (np.log, lambda u: 1.0 / u),
+          "sqrt": (np.sqrt, lambda u: 0.5 / np.sqrt(u)),
+          "tanh": (np.tanh, lambda u: 1.0 - np.tanh(u) ** 2)}
+
+
+def term_size(e: Expr, chart: Chart, pts: np.ndarray) -> np.ndarray:
+    """The size of the terms of ``e`` at ``pts (B, m)``: a sum weighs the
+    sizes of its terms, not their sum; a product multiplies the sizes of
+    its factors; a quotient scales the sizes of its operands by its
+    slopes; a power or a function scales the size of its argument by its
+    slope and adds its own value.  So the size is at
+    least ``|e|``, and a first-order rounding error analysis bounds any
+    evaluation of ``e`` that rounds ``N`` times by ``N * eps * size``:
+    each rounding errs by ``eps`` times a value at most its size, and
+    reaches the result through the slopes counted here."""
+    memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def walk(node):  # (value, size)
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, Num):
+            out = (np.full(len(pts), node.value), np.full(len(pts), abs(node.value)))
+        elif isinstance(node, Coord):
+            v = pts[:, chart.index(node.name)]
+            out = (v, np.abs(v))
+        elif isinstance(node, Neg):
+            v, size = walk(node.arg)
+            out = (-v, size)
+        elif isinstance(node, Call):
+            u, su = walk(node.arg)
+            func, slope = _CALLS[node.func]
+            out = (func(u), np.abs(slope(u)) * su + np.abs(func(u)))
+        else:
+            (a, sa), (b, sb) = walk(node.left), walk(node.right)
+            c = _constant_exponent(node.right) if node.op == "^" else None
+            if node.op in "+-":
+                out = (a + b if node.op == "+" else a - b, sa + sb)
+            elif node.op == "*":
+                out = (a * b, sa * sb)
+            elif node.op == "/":
+                out = (a / b, sa / np.abs(b) + np.abs(a) * sb / b ** 2)
+            elif c is not None:
+                out = (a ** c, np.abs(c * a ** (c - 1)) * sa + np.abs(a ** c))
+            else:
+                raise ValueError("term_size takes constant exponents only")
+        memo[id(node)] = out
+        return out
+
+    return walk(e)[1]
+
+
+def node_count(e: Expr) -> int:
+    """Nodes of the tree ``e``, a node shared by several parents once."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, name) for name in ("arg", "left", "right")
+                         if hasattr(node, name))
+    return len(seen)
 
 
 def schedule(roots: tuple[Expr, ...]):

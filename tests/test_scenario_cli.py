@@ -581,7 +581,9 @@ class TestInputErrors:
         ("coords = x, y, z\n", "coords = x\n", "brackets need dimension >= 2"),
     ])
     def test_rp_counts_name_the_task_line(self, tmp_path, capsys, old, new, message):
-        text = TASK_TEXTS["rp-bracket"].replace(old, new)
+        # a 3-D point would fail at its own line on the 1-D chart, when
+        # the file is parsed, before the task checks its counts
+        text = TASK_TEXTS["rp-bracket"].replace(old, new).replace("point = 0, 0, 0\n", "")
         path = write(tmp_path, "bad.ini", text)
         assert run(path, tmp_path / "out") == 1
         err = capsys.readouterr().err
@@ -664,6 +666,35 @@ class TestInputErrors:
         assert run(path, out) == 0
         summary = json.loads((out / "report.json").read_text())["summary"]
         assert (summary["n_pairs"], summary["successes"]) == (0, 0)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("cont = 5", "unknown key 'cont' in [points]"),
+        ("count = five", "expected an integer"),
+        ("count = -1", "expected an integer of at least 0"),
+        ("seed = twelve", "expected an integer"),
+        ("box = 2:-2", "empty box range"),
+        ("point = 0, a", "expected comma-separated numbers"),
+    ])
+    @pytest.mark.parametrize("kind", list(TASK_KEYS))
+    def test_points_section_fails_at_its_line(self, tmp_path, capsys, kind, bad, message):
+        # checked when the file is parsed, also for the kinds that read no points
+        text = TASK_TEXTS[kind].rstrip("\n") + f"\n\n[points]\n{bad}\n"
+        line = len(text.splitlines())
+        path = write(tmp_path, "bad.ini", text)
+        out = tmp_path / "out"
+        assert run(path, out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: {message}")
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("override", [None, 3])
+    def test_genericity_seed_is_read_under_a_seed_override(self, tmp_path, capsys, override):
+        text = TASK_TEXTS["genericity"] + "seed = twelve\n"
+        line = len(text.splitlines())
+        path = write(tmp_path, "gen.ini", text)
+        out = tmp_path / "out"
+        assert run(path, out, seed=override) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: expected an integer")
+        assert not (out / "report.json").exists()
 
 
 def _strict(text):

@@ -30,7 +30,7 @@ from .expr import (Chart, Expr, Num, eval_jet2, eval_jet2_many, eval_jets_many, 
                    parse, render, substitute)
 from .jet import Jet2
 from .lie import VectorField, lie, lie_expr, parse_field
-from .geometry import Distribution, FrameChange, change_frame, frame_rank
+from .geometry import Distribution, frame_rank
 from .hfree import (
     FreedomMatrix,
     HFreeCertificate,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -49,37 +49,71 @@ from .transversal import (
 __all__ = ["run", "main"]
 
 
-def _finite_json(value):
-    """``value`` with every non-finite float replaced by ``None``."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _finite_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_json(v) for v in value]
-    return value
+# a JSON string, matched whole so that no token inside it is taken as bare
+_STRING = r'"(?:[^"\\]|\\.)*"'
+_LEAF = re.compile(f"({_STRING})|null")
+_NONFINITE = re.compile(f"({_STRING})|NaN|-?Infinity")
+_TEXT = {"b": {False: "false", True: "true"}.__getitem__,
+         "i": int.__repr__, "u": int.__repr__, "f": float.__repr__}
+
+
+class _Table:
+    """The per-point columns of a report, kept as arrays until
+    ``_write_report`` writes them as one record per point."""
+
+    def __init__(self, columns: dict):
+        self.columns = {name: np.asarray(column) for name, column in sorted(columns.items())}
+
+    def __len__(self) -> int:
+        return len(self.columns["point"])
+
+    def encode(self) -> tuple[str, bool]:
+        """The records as ``json.dumps(report, indent=2, sort_keys=True)``
+        writes them under a top-level key, with non-finite numbers as
+        ``null``, and whether there was none."""
+        n = len(self)
+        if n == 0:
+            return "[]", True
+        skeleton = {name: np.full(column.shape[1:], None, dtype=object).tolist()
+                    for name, column in self.columns.items()}
+        template = _LEAF.sub(lambda m: m[1].replace("%", "%%") if m[1] else "%s",
+                             json.dumps(skeleton, indent=2, sort_keys=True))
+        template = "    " + template.replace("\n", "\n    ")
+        leaves, finite = [], True
+        for column in self.columns.values():
+            flat = column.reshape(n, -1)
+            texts = list(map(_TEXT[column.dtype.kind], flat.ravel().tolist()))
+            if column.dtype.kind == "f":
+                for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+                    texts[i] = "null"
+                    finite = False
+            leaves += (texts[j::flat.shape[1]] for j in range(flat.shape[1]))
+        return "[\n" + ",\n".join(map(template.__mod__, zip(*leaves))) + "\n  ]", finite
 
 
 def _write_report(outdir: str, report: dict) -> bool:
-    """Write ``report.json`` as strict JSON.  Non-finite numbers are
-    written as ``null``; returns False when there were any."""
-    finite = True
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        finite = False
-        text = json.dumps(_finite_json(report), indent=2, sort_keys=True,
-                          allow_nan=False)
+    """Write ``report.json``: the text of ``json.dumps(report, indent=2,
+    sort_keys=True)`` and a newline, with every non-finite number written
+    as ``null``; the table under ``points`` is encoded on its own and
+    spliced in.  Returns False when there was any non-finite number."""
+    table = report.get("points")
+    dumped = json.dumps(report if table is None else {**report, "points": None},
+                        indent=2, sort_keys=True)
+    text = _NONFINITE.sub(lambda m: m[1] or "null", dumped)
+    finite = text == dumped  # only a bare NaN or Infinity changes the text
+    if table is not None:
+        rows, rows_finite = table.encode()
+        # no string holds a raw newline, so only a top-level key follows
+        # a newline, two spaces and a quote
+        text = text.replace('\n  "points": null', '\n  "points": ' + rows, 1)
+        finite = finite and rows_finite
     write_text(os.path.join(outdir, "report.json"), text + "\n")
     return finite
 
 
-def _records(points, **columns) -> list[dict]:
-    """One report record per point: its coordinates and its entry of each
-    column, each column converted to Python numbers by ``tolist``."""
-    columns = {"point": points, **columns}
-    rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
-    return [dict(zip(columns, row)) for row in rows]
+def _records(points, **columns) -> _Table:
+    """The report table: per point, its coordinates and each column's entry."""
+    return _Table({"point": points, **columns})
 
 
 def _rank_columns(dist, F, points, tol):

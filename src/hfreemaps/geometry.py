@@ -1,4 +1,4 @@
-"""Distributions given by explicit frames, and frame changes."""
+"""Distributions given by explicit frames."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Chart, Expr, as_expr, eval_jets_many
+from .expr import Chart, eval_jets_many
 from .jet import Jet2
 from .lie import VectorField
 
@@ -56,24 +56,6 @@ class Distribution:
         return len(self.frame)
 
 
-@dataclass(frozen=True)
-class FrameChange:
-    """Pointwise-invertible ``k x k`` matrix of expressions."""
-
-    entries: tuple[tuple[Expr, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(as_expr(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        k = len(rows)
-        if any(len(row) != k for row in rows):
-            raise ValueError("frame change must be square")
-
-    @property
-    def k(self) -> int:
-        return len(self.entries)
-
-
 def _frame_jets(d: Distribution, points, order: int = 0) -> Jet2:
     """Jets of the frame components at ``points (B, m)`` from one walk:
     value ``XV (B, k, m)`` and, at ``order`` 1, gradient
@@ -89,19 +71,3 @@ def frame_rank(d: Distribution, p, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the ``k x m`` frame component matrix at ``p``."""
     return int(unsized_ranks(_frame_jets(d, np.asarray(p, dtype=float)[None, :]).value,
                              tol)[0])
-
-
-def change_frame(d: Distribution, lam: FrameChange) -> Distribution:
-    """New frame ``zeta_a = sum_b lam[a][b] * xi_b``, composed symbolically."""
-    if lam.k != d.k:
-        raise ValueError(f"frame change is {lam.k}x{lam.k}, distribution has k={d.k}")
-    new_fields = []
-    for row in lam.entries:
-        comps = []
-        for alpha in range(d.chart.dim):
-            acc: Expr = row[0] * d.frame[0].components[alpha]
-            for lam_ab, field in zip(row[1:], d.frame[1:]):
-                acc = acc + lam_ab * field.components[alpha]
-            comps.append(acc)
-        new_fields.append(VectorField(d.chart, tuple(comps)))
-    return Distribution(d.chart, tuple(new_fields))

@@ -10,15 +10,20 @@ the path that the sweep's monomial jets replaced,
 ``rp_bracket_expr`` the bracket as one cofactor expansion, and
 ``predicted_1d_expr`` the composition's determinant ``Dpsi(f) (L_xi f)^3``
 from symbolic derivatives, where the library reads it off jets.
+``FrameChange`` and ``change_frame`` compose a new frame of a
+distribution symbolically, for the checks that H-freeness does not
+depend on the frame.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from hfreemaps.constructions import (CURVE_VAR, FreeCurve, RPBracketSpec, _det_expr,
                                      _grad_exprs, _negate, build_cis)
 from hfreemaps.expr import (_BINARY, _UNARY, Bin, Call, Chart, Coord, Expr, Neg, Num,
-                            _constant_exponent, derivative, eval_jet2, eval_jets_many,
-                            fold_mul, fold_sub, substitute)
+                            _constant_exponent, as_expr, derivative, eval_jet2,
+                            eval_jets_many, fold_mul, fold_sub, substitute)
 from hfreemaps.genericity import RandomMapSpec, _coefficients, _monomials
 from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import MapSpec, freedom_matrix_many
@@ -262,3 +267,37 @@ def evaluate(roots: tuple[Expr, ...], chart: Chart, pts: np.ndarray,
                 jet = args[0].powi(int(c)) if float(c).is_integer() else args[0].powf(c)
         results[id(node)] = jet
     return results
+
+
+@dataclass(frozen=True)
+class FrameChange:
+    """Pointwise-invertible ``k x k`` matrix of expressions."""
+
+    entries: tuple[tuple[Expr, ...], ...]
+
+    def __post_init__(self):
+        rows = tuple(tuple(as_expr(x) for x in row) for row in self.entries)
+        object.__setattr__(self, "entries", rows)
+        k = len(rows)
+        if any(len(row) != k for row in rows):
+            raise ValueError("frame change must be square")
+
+    @property
+    def k(self) -> int:
+        return len(self.entries)
+
+
+def change_frame(d: Distribution, lam: FrameChange) -> Distribution:
+    """New frame ``zeta_a = sum_b lam[a][b] * xi_b``, composed symbolically."""
+    if lam.k != d.k:
+        raise ValueError(f"frame change is {lam.k}x{lam.k}, distribution has k={d.k}")
+    new_fields = []
+    for row in lam.entries:
+        comps = []
+        for alpha in range(d.chart.dim):
+            acc: Expr = row[0] * d.frame[0].components[alpha]
+            for lam_ab, field in zip(row[1:], d.frame[1:]):
+                acc = acc + lam_ab * field.components[alpha]
+            comps.append(acc)
+        new_fields.append(VectorField(d.chart, tuple(comps)))
+    return Distribution(d.chart, tuple(new_fields))

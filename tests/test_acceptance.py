@@ -27,7 +27,7 @@ from hfreemaps.expr import (
     eval_value,
     parse,
 )
-from hfreemaps.geometry import Distribution, FrameChange, change_frame
+from hfreemaps.geometry import Distribution
 from hfreemaps.genericity import genericity_trial
 from hfreemaps.hfree import (
     MapSpec,
@@ -41,7 +41,7 @@ from hfreemaps.hfree import (
 from hfreemaps.lie import VectorField, lie_expr, parse_field
 from hfreemaps.transversal import BumpProfile, Window, build_tube, glue, verify_transversal
 
-from oracles import brute_force_cis_constant, rp_bracket_expr
+from oracles import FrameChange, brute_force_cis_constant, change_frame, rp_bracket_expr
 from test_jets_ad import _rejection_sample, fd_gradient, fd_hessian
 
 

@@ -1,7 +1,8 @@
 """The ``hfree`` contract on generated scenario files: ``run`` returns
-0, 1 or 2 and never raises, a written ``report.json`` is strict JSON,
-no temporary file is left behind, and a ``[task]`` key that the kind
-does not read fails at its line."""
+0, 1 or 2 and never raises, a written ``report.json`` is strict JSON in
+the form that ``json.dumps(indent=2, sort_keys=True)`` gives, no
+temporary file is left behind, and a ``[task]`` key that the kind does
+not read fails at its line."""
 
 import contextlib
 import io
@@ -130,7 +131,9 @@ def test_cli_contract_on_generated_scenarios(case):
         report = os.path.join(out, "report.json")
         if os.path.exists(report):
             with open(report, encoding="utf-8") as handle:
-                _strict(handle.read())
+                text = handle.read()
+            assert json.dumps(_strict(text), indent=2, sort_keys=True,
+                              allow_nan=False) + "\n" == text
         leftovers = [name for _, _, files in os.walk(tmp) for name in files
                      if name.endswith(".tmp")]
         assert not leftovers

@@ -6,15 +6,15 @@ from hfreemaps.expr import Chart, Num, eval_value, parse
 from hfreemaps.geometry import (
     DEFAULT_RANK_TOL,
     Distribution,
-    FrameChange,
     _frame_jets,
     certified_ranks,
-    change_frame,
     frame_rank,
     unsized_ranks,
 )
 from hfreemaps.hfree import _check_frame, freedom_matrix, is_h_immersion_at, parse_map
 from hfreemaps.lie import parse_field
+
+from oracles import FrameChange, change_frame
 
 
 def test_contact_frame_rank(contact, rng):

@@ -3,7 +3,7 @@ import pytest
 
 from hfreemaps.errors import DegenerateFrame, NotHFree, NotImmersion, TooFewTargets
 from hfreemaps.expr import Num, eval_value, parse
-from hfreemaps.geometry import Distribution, FrameChange, change_frame
+from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import (
     MapSpec,
     freedom_matrix,
@@ -18,6 +18,8 @@ from hfreemaps.hfree import (
     wintergarten_rank,
 )
 from hfreemaps.lie import lie_expr, parse_field
+
+from oracles import FrameChange, change_frame
 
 
 def test_map_needs_two_components(plane):

@@ -758,6 +758,31 @@ kind = induced-metric
         assert report["points"][0]["metric"] == [[None]]
         assert "written as null" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", [None, float("inf")])
+    def test_non_finite_record_and_summary_values_are_null(self, tmp_path, capsys, tol):
+        text = """
+[chart]
+coords = x, y
+
+[points]
+point = 1, 0
+point = 0, 0
+
+[task]
+kind = rp-bracket
+f = exp(800*x)
+g = y
+"""
+        path = write(tmp_path, "rp.ini", text)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run(path, out, tol=tol) == 2
+        report = _strict((out / "report.json").read_text())
+        assert [r["bracket"] for r in report["points"]] == [None, pytest.approx(800.0)]
+        assert report["summary"]["min"] is None and report["summary"]["max"] is None
+        assert report["tolerance"] == (1e-9 if tol is None else None)
+        assert "written as null" in capsys.readouterr().err
+
     def test_non_finite_metric_is_not_positive_definite(self, tmp_path):
         text = """
 [chart]

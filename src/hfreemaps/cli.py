@@ -40,7 +40,7 @@ from .contours import render_levels
 from .scenario import Scenario, load_scenario
 from .transversal import (
     BumpProfile,
-    build_tube,
+    build_tubes,
     glue,
     verify_transversal,
     write_grid_csv,
@@ -280,7 +280,7 @@ def _run_transversal(sc: Scenario, outdir, seed, tol):
         return rep.n_nonfinite == 0 and rep.min_value > 0.0, {"mode": mode, "summary": summary}
     weights = sc.param("weights", sc.numbers, [1.0] * len(seeds), count=len(seeds))
     t_span = sc.param("t_span", sc.numbers, [3.0], count=1)[0]
-    tubes = [build_tube(xi, e.value, window, t_span=t_span) for e in seeds]
+    tubes = build_tubes(xi, [e.value for e in seeds], window, t_span=t_span)
     result = glue(xi, tubes, weights, BumpProfile(), window)
     write_grid_csv(os.path.join(outdir, "grid.csv"), window,
                    result.values, result.lie_values)
@@ -349,8 +349,13 @@ _RUNNERS = {
 
 def run(scenario_path, output_dir, *, seed: int | None = None,
         tol: float | None = None, threads: int | None = None) -> int:
-    """Execute a scenario; returns the process exit code.  ``threads`` is
-    accepted and ignored: every task runs in one thread."""
+    """Execute a scenario; returns the process exit code.  ``tol``, when
+    given, must be a positive finite number.  ``threads`` is accepted and
+    ignored: every task runs in one thread."""
+    if tol is not None and not 0.0 < tol < float("inf"):
+        print(f"error: the rank tolerance must be a positive finite number, got {tol!r}",
+              file=sys.stderr)
+        return 1
     try:
         sc = load_scenario(scenario_path)
     except (OSError, ScenarioError) as err:
@@ -392,7 +397,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the rank tolerance")
+                        help="override the rank tolerance (a positive finite number)")
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored: every task runs in "
                              "one thread")

@@ -47,18 +47,26 @@ def _case_table() -> np.ndarray:
 _CASES = _case_table()
 
 
-def _merge_segments(segments):
-    """Chain shared endpoints into polylines; deterministic ordering."""
-    if not segments:
-        return []
+def _endpoint_keys(segs: np.ndarray) -> list:
+    """The keys that chain segments ``(n, 2, 2)``: each endpoint rounded
+    to 9 decimals, as ``round`` rounds a numpy float, with -0.0 folded
+    into 0.0; one pair of ``(x, y)`` tuples per segment."""
+    return [(tuple(a), tuple(b)) for a, b in (np.round(segs, 9) + 0.0).tolist()]
 
-    def key(pt):
-        return (round(pt[0], 9), round(pt[1], 9))
+
+def _merge_segments(segments, keys=None):
+    """Chain shared endpoints into polylines; deterministic ordering.
+    ``keys`` are the segments' endpoint keys, by default computed from
+    the segments by :func:`_endpoint_keys`."""
+    if not len(segments):
+        return []
+    if keys is None:
+        keys = _endpoint_keys(np.array(segments, dtype=float).reshape(-1, 2, 2))
 
     adjacency: dict = {}
-    for idx, (a, b) in enumerate(segments):
-        adjacency.setdefault(key(a), []).append((idx, False))
-        adjacency.setdefault(key(b), []).append((idx, True))
+    for idx, (a, b) in enumerate(keys):
+        adjacency.setdefault(a, []).append((idx, False))
+        adjacency.setdefault(b, []).append((idx, True))
 
     used = [False] * len(segments)
 
@@ -66,15 +74,16 @@ def _merge_segments(segments):
         a, b = segments[idx]
         used[idx] = True
         path = [a, b] if not reverse else [b, a]
+        end = keys[idx][0 if reverse else 1]
         while True:
-            links = [entry for entry in adjacency.get(key(path[-1]), ())
-                     if not used[entry[0]]]
+            links = [entry for entry in adjacency[end] if not used[entry[0]]]
             if not links:
                 return path
             nxt, at_end = links[0]
             used[nxt] = True
             a, b = segments[nxt]
             path.append(a if at_end else b)
+            end = keys[nxt][0 if at_end else 1]
 
     polylines = []
     endpoints = sorted(
@@ -130,10 +139,8 @@ def marching_squares(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
     cells = np.arange(code.size)[:, None, None]
     segs = points[cells, np.maximum(pairs, 0)]            # (cells, pair, end, xy)
     keep = (pairs[..., 0] >= 0) & (segs[:, :, 0] != segs[:, :, 1]).any(axis=-1)
-    # tuples of numpy scalars, as _merge_segments keys them
-    flat = iter(segs[keep].reshape(-1))
-    ends = list(zip(flat, flat))
-    return _merge_segments(list(zip(ends[0::2], ends[1::2]))), skipped
+    segs = segs[keep]
+    return _merge_segments(segs.tolist(), _endpoint_keys(segs)), skipped
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,26 @@ functions, glues weighted tubes into a single grid function, and checks
 positivity of the directional derivative, either by centered
 differences on the glued grid or by exact jets for closed-form
 candidates.
+
+One Dormand-Prince loop integrates independent groups of rows at once
+(:func:`_integrate_groups`); a single integration (:func:`_integrate`,
+:func:`flow`) is its one-group case, and :func:`build_tubes` makes the
+tubes of a glue in two such calls, one for the leaves and one for their
+saturations.  Tube location pairs each table cell with the window
+nodes in its bounding box, read off the node raster.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import write_text
-from .errors import BlowUp, CoverageGap, DomainError, OutsideTube
+from .errors import BlowUp, CoverageGap, DomainError, HfreeError, OutsideTube
 from .expr import eval_jet2_many
 from .lie import VectorField, lie_rows
 
@@ -28,6 +38,7 @@ __all__ = [
     "TransversalReport",
     "flow",
     "build_tube",
+    "build_tubes",
     "tube_function",
     "glue",
     "verify_transversal",
@@ -92,89 +103,243 @@ _DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
                   -1453857185 / 822651844, 69997945 / 29380423])
 
 
+@dataclass(frozen=True)
+class _Group:
+    """One problem of a grouped integration: the state ``y0`` (one row or
+    a batch of rows), its sample ``times``, and its own ``stop``,
+    ``freeze_box`` and ``bbox``, read as :func:`_integrate` reads them."""
+
+    y0: np.ndarray
+    times: np.ndarray
+    stop: Callable | None = None
+    freeze_box: tuple | None = None
+    bbox: tuple | None = None
+
+
+# the coefficient of each stage derivative (column) in each sum (row):
+# the five stage increments, the 5th-order step, the error estimate and
+# the dense output's fourth-order term.  Derivative i enters rows i to 7,
+# the last one rows 6 and 7 only, so no padding zero is ever added.
+_DP_SUMS = np.array([a + (0.0,) * (7 - len(a)) for a in _DP_A[1:]] + [_DP_B5, _DP_E, _DP_D])
+
+
+def _dp_stages(fun, y, k1, step, rows):
+    """One step of length ``step`` (per row) from ``y``: the end state,
+    its derivative, and the sums of the error estimate and of the dense
+    output's fourth-order term, each still to be multiplied by ``step``.
+    Each stage derivative is added into every sum that takes it at once;
+    every sum adds its terms in stage order onto 0."""
+    sums = np.zeros((8,) + y.shape)
+    k = k1
+    for stage in range(6):
+        sums[stage:] += _DP_SUMS[stage:, stage, None, None] * k
+        if stage < 5:
+            k = fun(y + step * sums[stage], rows)
+    y5 = y + step * sums[5]
+    k7 = fun(y5, rows)
+    sums[6:] += _DP_SUMS[6:, 6, None, None] * k7
+    return [y5, k7, sums[6], sums[7]]
+
+
+def _row_bounds(groups, sizes, dim: int, name: str) -> list:
+    """Lower and upper bound per row of each group's box ``name``;
+    infinite for a group without one."""
+    lo = np.full((int(sizes.sum()), dim), -np.inf)
+    hi = np.full((int(sizes.sum()), dim), np.inf)
+    for group, a, b in zip(groups, sizes.cumsum() - sizes, sizes.cumsum()):
+        if getattr(group, name) is not None:
+            lo[a:b], hi[a:b] = getattr(group, name)
+    return [lo, hi]
+
+
+def _across(op, mask: np.ndarray) -> np.ndarray:
+    """``op`` of the columns of a 2-D mask, per row; for a few columns
+    far cheaper than a reduction along the rows."""
+    return functools.reduce(op, mask.T)
+
+
+def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> list:
+    """Integrate independent groups of rows of ``dy/ds = fun(y, rows)``;
+    ``rows`` indexes the evaluated rows among the stacked rows of all
+    groups.  Returns, per group, what :func:`_integrate` returns for that
+    group alone, or the library error (:class:`HfreeError`) that it raises.
+
+    Every group keeps its own times, direction, step size, error norm
+    (the mean over its own live rows), dense-output samples, ``stop``,
+    freeze and errors, so it takes the steps it takes alone.  The stage
+    derivatives and stage sums run once per step over the rows of every
+    running group.  When they raise, every group tries its step alone:
+    the groups that raise shorten their step or end, and the others take
+    it again with the next step.  ``fun`` must give each row the bits it
+    gives that row alone.
+    """
+    if not groups:
+        return []
+    y0s = [np.atleast_2d(np.array(g.y0, dtype=float)) for g in groups]
+    sizes = np.array([len(y) for y in y0s], dtype=np.intp)
+    reach = [np.abs(np.asarray(g.times, dtype=float)) for g in groups]
+    out = [np.empty((len(r),) + y.shape) for r, y in zip(reach, y0s)]
+    last = np.array([float(g.times[-1]) if len(g.times) else 0.0 for g in groups])
+    direction = np.where(last > 0, 1.0, -1.0)
+    remaining = np.abs(last)
+    h = np.minimum(remaining, 0.1)
+    done = np.zeros(len(groups), dtype=np.intp)  # samples written
+    start = np.zeros(len(groups))                # time reached, in absolute value
+    results: list = [None] * len(groups)         # None while the group runs
+
+    def finish(g, y_g):
+        samples = out[g]
+        samples[done[g]:] = y_g  # the last sample, and those after every row froze
+        stop = groups[g].stop
+        if stop is not None:
+            samples = samples[:np.argmax(np.append(stop(samples), True))]
+        results[g] = samples[:, 0] if np.ndim(groups[g].y0) == 1 else samples
+
+    def attempt(call, seg):
+        """``call(rows)``, a list of arrays, over the rows of all running
+        groups, else group by group; returns the arrays (None when some
+        group raised) and each raising group's exception by position."""
+        try:
+            return call(slice(None)), {}
+        except HfreeError:
+            pass
+        parts, failed = [], {}
+        for i, (a, b) in enumerate(zip(seg[:-1], seg[1:])):
+            try:
+                parts.append(call(slice(a, b)))
+            except HfreeError as exc:
+                failed[i] = exc
+        return (None if failed else [np.concatenate(p) for p in zip(*parts)]), failed
+
+    # the running groups and the state of their rows, in group order
+    act = np.arange(len(groups))
+    y = np.concatenate(y0s)
+    rows = np.arange(len(y))
+    bounds = (_row_bounds(groups, sizes, y.shape[1], "freeze_box")
+              + _row_bounds(groups, sizes, y.shape[1], "bbox"))
+    live = _across(np.logical_and, (y >= bounds[0]) & (y <= bounds[1]))
+    k1 = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            keep = np.array([results[g] is None for g in act.tolist()], dtype=bool)
+            if not keep.all():
+                take = np.repeat(keep, sizes[act])
+                act, y, live, rows = act[keep], y[take], live[take], rows[take]
+                k1 = None if k1 is None else k1[take]
+                bounds = [b[take] for b in bounds]
+            if not len(act):
+                break
+            seg = np.append(0, sizes[act].cumsum())
+            if k1 is None:  # the first stage derivative of the first step
+                values, failed = attempt(lambda t: [fun(y[t], rows[t])], seg)
+                for i, exc in failed.items():
+                    results[act[i]] = exc
+                if values is not None:
+                    k1 = values[0]
+                    for i, g in enumerate(act.tolist()):
+                        if not (remaining[g] > 0.0 and np.any(live[seg[i]:seg[i + 1]])):
+                            finish(g, y[seg[i]:seg[i + 1]])
+                continue
+            # a step that would leave less than the smallest allowed one takes it all
+            h[act] = np.where(h[act] > remaining[act] - 1e-13, remaining[act], h[act])
+            if np.any(h[act] < 1e-13):
+                for g in act[h[act] < 1e-13].tolist():
+                    results[g] = BlowUp("step size underflow (trajectory is not integrable here)")
+                continue
+            step = np.repeat(direction[act] * h[act], sizes[act])[:, None]
+            values, failed = attempt(
+                lambda t: _dp_stages(fun, y[t], k1[t], step[t], rows[t]), seg)
+            for i, exc in failed.items():
+                # a long step can reach past the field's domain: retry it shorter
+                if isinstance(exc, DomainError) and not h[act[i]] * 0.2 < 1e-13:
+                    h[act[i]] *= 0.2
+                else:
+                    results[act[i]] = exc
+            if values is None:
+                continue
+            y5, k7, err_sum, fourth_sum = values
+            err = step * err_sum
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+            if live.all():
+                ratios, cut = (err / scale) ** 2, seg
+            else:
+                ratios = (err[live] / scale[live]) ** 2
+                cut = np.append(0, np.cumsum(live))[seg]
+            err_norm = np.sqrt([np.mean(ratios[a:b]) for a, b in zip(cut[:-1], cut[1:])])
+            accepted = np.isfinite(err_norm) & (err_norm <= 1.0)
+            factor = [0.2 if not math.isfinite(e) else 5.0 if e == 0.0 else 0.9 * e ** -0.2
+                      for e in err_norm.tolist()]
+            h_step = h[act]
+            h[act] *= np.minimum(5.0, np.maximum(0.2, factor))
+            if not accepted.any():
+                continue
+
+            acc = act[accepted]
+            remaining[acc] -= h_step[accepted]
+            reached = np.abs(last) - remaining
+            rise = y5 - y
+            slope = step * k1 - rise
+            bend = rise - step * k7 - slope
+            fourth = step * fourth_sum
+            everywhere = live.all()
+            held = y5 if everywhere else np.where(live[:, None], y5, y)
+            # the dense output of each accepted step; new[g] holds its samples
+            new = {}
+            for i, g in zip(np.flatnonzero(accepted).tolist(), acc.tolist()):
+                upto = int(np.searchsorted(reach[g], reached[g]))
+                rows_g = slice(seg[i], seg[i + 1])
+                s = ((reach[g][done[g]:upto] - start[g]) / h_step[i])[:, None, None]
+                dense = y[rows_g] + s * (rise[rows_g] + (1 - s) * (
+                    slope[rows_g] + s * (bend[rows_g] + (1 - s) * fourth[rows_g])))
+                new[g] = out[g][done[g]:upto]
+                new[g][...] = dense if everywhere else np.where(live[rows_g, None], dense,
+                                                                y[rows_g])
+                done[g], start[g] = upto, reached[g]
+
+            if accepted.all():
+                y, k1 = held, k7
+            else:
+                moved = np.repeat(accepted, sizes[act])[:, None]
+                y, k1 = np.where(moved, held, y), np.where(moved, k7, k1)
+            diverged = live & ~_across(np.logical_and, np.isfinite(held))
+            escaped = live & _across(np.logical_or, (held < bounds[2]) | (held > bounds[3]))
+            inside = _across(np.logical_and, (held >= bounds[0]) & (held <= bounds[1]))
+            live = live & (inside | ~np.repeat(accepted, sizes[act]))
+            flags = np.add.reduceat(np.column_stack([diverged, escaped, live]), seg[:-1],
+                                    axis=0)[accepted].tolist()
+            for i, g, (diverged, escaped, any_live) in zip(
+                    np.flatnonzero(accepted).tolist(), acc.tolist(), flags):
+                stop = groups[g].stop
+                if stop is not None and np.any(stop(new[g])):
+                    finish(g, y[seg[i]:seg[i + 1]])
+                elif diverged:
+                    results[g] = BlowUp("trajectory diverged to a non-finite state")
+                elif escaped:
+                    results[g] = BlowUp("trajectory left the bounding box")
+                elif not (remaining[g] > 0.0 and any_live):
+                    finish(g, y[seg[i]:seg[i + 1]])
+    return results
+
+
 def _integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
                bbox=None, freeze_box=None, stop=None) -> np.ndarray:
     """States of the autonomous system ``dy/ds = fun(y)`` at ``times``,
-    which move away from 0 in one direction.  The last state ends the last
-    step; the others come from the dense output of the step holding them.
+    which move away from 0 in one direction, by an adaptive Dormand-Prince
+    5(4) pair.  The last state ends the last step; the others come from
+    the dense output of the step holding them.
 
     ``stop`` flags batches of sampled states; the run ends before the
     first flagged one.  ``bbox`` raises :class:`BlowUp` on exit.
     ``freeze_box`` instead holds any batch row at the end of the step that
     leaves the box, so the rest of a batch can keep integrating past a
-    runaway trajectory.
+    runaway trajectory.  This is the one-group case of
+    :func:`_integrate_groups`.
     """
-    y = np.atleast_2d(np.array(y0, dtype=float))
-    reach = np.abs(np.asarray(times, dtype=float))
-    out = np.empty((len(reach),) + y.shape)
-    alive = np.ones(y.shape[0], dtype=bool)
-    if freeze_box is not None:
-        lo, hi = freeze_box
-        alive &= np.all((y >= lo) & (y <= hi), axis=1)
-    last = float(times[-1]) if len(times) else 0.0
-    direction = 1.0 if last > 0 else -1.0
-    remaining = abs(last)
-    h = min(remaining, 0.1)
-    k1 = fun(y)
-    done, start = 0, 0.0  # samples written; time reached, in absolute value
-    with np.errstate(over="ignore", invalid="ignore"):
-        while remaining > 0.0 and np.any(alive):
-            # a step that would leave less than the smallest allowed one takes it all
-            h = remaining if h > remaining - 1e-13 else h
-            if h < 1e-13:
-                raise BlowUp("step size underflow (trajectory is not integrable here)")
-            ks = [k1]
-            try:
-                for stage in range(1, 6):
-                    incr = sum(a * k for a, k in zip(_DP_A[stage], ks))
-                    ks.append(fun(y + direction * h * incr))
-                y5 = y + direction * h * sum(b * k for b, k in zip(_DP_B5[:6], ks))
-                k7 = fun(y5)
-            except DomainError:
-                # a long step can reach past the field's domain: retry it shorter
-                if h * 0.2 < 1e-13:
-                    raise
-                h *= 0.2
-                continue
-            ks.append(k7)
-            err = direction * h * sum(e * k for e, k in zip(_DP_E, ks))
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            ratios = (err[alive] / scale[alive]) ** 2
-            err_norm = float(np.sqrt(np.mean(ratios)))
-            if np.isfinite(err_norm) and err_norm <= 1.0:
-                remaining -= h
-                end = abs(last) - remaining
-                upto = np.searchsorted(reach, end)
-                s = ((reach[done:upto] - start) / h)[:, None, None]
-                rise, step = y5 - y, direction * h
-                slope = step * k1 - rise
-                fourth = step * sum(d * k for d, k in zip(_DP_D, ks))
-                dense = y + s * (rise + (1 - s) * (slope + s * (rise - step * k7 - slope
-                                                                 + (1 - s) * fourth)))
-                out[done:upto] = np.where(alive[:, None], dense, y)
-                new, done, start = slice(done, upto), upto, end
-                y = np.where(alive[:, None], y5, y)
-                k1 = k7
-                if stop is not None and np.any(stop(out[new])):
-                    break
-                if not np.all(np.isfinite(y[alive])):
-                    raise BlowUp("trajectory diverged to a non-finite state")
-                if bbox is not None:
-                    lo, hi = bbox
-                    if np.any(y[alive] < lo) or np.any(y[alive] > hi):
-                        raise BlowUp("trajectory left the bounding box")
-                if freeze_box is not None:
-                    lo, hi = freeze_box
-                    alive &= np.all((y >= lo) & (y <= hi), axis=1)
-                factor = 5.0 if err_norm == 0.0 else 0.9 * err_norm ** -0.2
-            else:
-                k1 = ks[0]
-                factor = 0.2 if not np.isfinite(err_norm) else 0.9 * err_norm ** -0.2
-            h *= min(5.0, max(0.2, factor))
-    out[done:] = y  # the last sample, and those after every row froze
-    if stop is not None:
-        out = out[:np.argmax(np.append(stop(out), True))]
-    return out[:, 0] if np.ndim(y0) == 1 else out
+    result, = _integrate_groups(lambda y, rows: fun(y),
+                                [_Group(y0, times, stop, freeze_box, bbox)], rtol, atol)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _field_fun(xi: VectorField):
@@ -184,20 +349,14 @@ def _field_fun(xi: VectorField):
     return fun
 
 
-def _unit_orthogonal_fun(xi: VectorField, floor: float = 0.0):
-    """The field turned by a quarter and normalized; NaN where the field's
-    norm is at most ``floor``, so that a step meeting such a point is
+def _unit_orthogonal(v: np.ndarray, floor) -> np.ndarray:
+    """The field values ``v`` turned by a quarter and normalized; NaN where
+    their norm is at most ``floor``, so that a step meeting such a point is
     rejected and a trajectory that runs into one ends in a step size
     underflow."""
-    fun = _field_fun(xi)
-
-    def perp(y: np.ndarray) -> np.ndarray:
-        v = fun(y)
-        norm = np.linalg.norm(v, axis=-1, keepdims=True)
-        rotated = np.stack([-v[..., 1], v[..., 0]], axis=-1)
-        return rotated / np.where(norm > floor, norm, np.nan)
-
-    return perp
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    rotated = np.stack([-v[..., 1], v[..., 0]], axis=-1)
+    return rotated / np.where(norm > floor, norm, np.nan)
 
 
 def flow(xi: VectorField, p, t: float, *, rtol: float = 1e-10, atol: float = 1e-10,
@@ -309,6 +468,72 @@ class Tube:
     pad: float
 
 
+def build_tubes(xi: VectorField, seeds, window: Window, *, t_span: float = 3.0,
+                max_samples: int = 4000) -> list[Tube]:
+    """The tube of each seed, bit for bit as :func:`build_tube` builds it
+    alone, from two grouped integrations (:func:`_integrate_groups`): one
+    for every leaf, two groups per seed (one per direction) that keep the
+    ``1e-6 * |xi(seed)|`` floor of their seed, and one for every
+    saturation, two groups per tube (one per time direction).  Raises the
+    first error that building the tubes seed by seed would raise; the
+    seeds after a failed floor or leaf are not integrated further."""
+    seeds = [np.asarray(seed, dtype=float) for seed in seeds]
+    ds = max(window.x1 - window.x0, window.y1 - window.y0) / 150.0
+    pad, rtol, atol = 0.75, 1e-10, 1e-10
+    lo, hi = window.padded_box(pad)
+    arclength = ds * np.arange(1, max_samples + 1)
+    field = _field_fun(xi)
+    # the unit orthogonal field has no limit at a zero of the field, so a
+    # leaf that runs into one (a focus, a centre) would creep on in ever
+    # shorter steps and never reach its next sample; undefined where the
+    # field falls to 1e-6 of its norm at the seed, it ends such a leaf in
+    # BlowUp.  The seeds after the first that fails here build nothing.
+    floors, failure = [], None
+    for seed in seeds:
+        try:
+            floor = 1e-6 * float(np.linalg.norm(field(seed)))
+            if floor == 0.0:
+                raise BlowUp("field vanishes on the orthogonal leaf")
+        except HfreeError as exc:
+            failure = exc
+            break
+        floors.append(floor)
+    row_floor = np.repeat(floors, 2)[:, None]  # one leaf row per direction and seed
+    leaves = _integrate_groups(
+        lambda y, rows: _unit_orthogonal(field(y), row_floor[rows]),
+        [_Group(seed, sign * arclength,
+                stop=lambda ys: np.any((ys < lo) | (ys > hi), axis=(1, 2)))
+         for seed in seeds[:len(floors)] for sign in (-1.0, 1.0)], rtol, atol)
+    transversals = []
+    for seed, backward, forward in zip(seeds, leaves[0::2], leaves[1::2]):
+        if isinstance(backward, Exception) or isinstance(forward, Exception):
+            failure = backward if isinstance(backward, Exception) else forward
+            break
+        transversals.append(np.concatenate([backward[::-1], seed[None], forward]))
+
+    n_t = 121  # odd, so t = 0 is on the grid
+    times = np.linspace(-t_span, t_span, n_t)
+    zero = n_t // 2
+    # trajectories freeze once they exit the padded box, so leaves that
+    # escape in finite time cannot stall the rest of a tube
+    halves = _integrate_groups(
+        lambda y, rows: field(y),
+        [_Group(transversal, times[part], freeze_box=(lo, hi))
+         for transversal in transversals
+         for part in (slice(zero - 1, None, -1), slice(zero + 1, None))], rtol, atol)
+    tubes = []
+    for seed, transversal, before, after in zip(seeds, transversals, halves[0::2],
+                                                halves[1::2]):
+        for half in (before, after):
+            if isinstance(half, Exception):
+                raise half
+        states = np.concatenate([before[::-1], transversal[None], after]).swapaxes(0, 1)
+        tubes.append(Tube(xi, seed, window, transversal, times, states, pad))
+    if failure is not None:
+        raise failure
+    return tubes
+
+
 def build_tube(xi: VectorField, seed, window: Window, *, t_span: float = 3.0,
                max_samples: int = 4000) -> Tube:
     """Sample the orthogonal leaf through ``seed`` every 1/150 of the
@@ -317,36 +542,9 @@ def build_tube(xi: VectorField, seed, window: Window, *, t_span: float = 3.0,
     The leaf takes one integration per direction and the saturation one
     batched integration per time direction, sampled through the 4th-order
     dense output; every integration runs at ``rtol = atol = 1e-10``.
-    A leaf that runs into a zero of the field raises :class:`BlowUp`."""
-    seed = np.asarray(seed, dtype=float)
-    ds = max(window.x1 - window.x0, window.y1 - window.y0) / 150.0
-    pad, rtol, atol = 0.75, 1e-10, 1e-10
-    lo, hi = window.padded_box(pad)
-    arclength = ds * np.arange(1, max_samples + 1)
-    # the unit orthogonal field has no limit at a zero of the field, so a
-    # leaf that runs into one (a focus, a centre) would creep on in ever
-    # shorter steps and never reach its next sample; undefined where the
-    # field falls to 1e-6 of its norm at the seed, it ends such a leaf in
-    # BlowUp
-    floor = 1e-6 * float(np.linalg.norm(_field_fun(xi)(seed)))
-    if floor == 0.0:
-        raise BlowUp("field vanishes on the orthogonal leaf")
-    backward, forward = (
-        _integrate(_unit_orthogonal_fun(xi, floor), seed, sign * arclength, rtol, atol,
-                   stop=lambda ys: np.any((ys < lo) | (ys > hi), axis=(1, 2)))
-        for sign in (-1.0, 1.0))
-    transversal = np.concatenate([backward[::-1], seed[None], forward])
-
-    n_t = 121  # odd, so t = 0 is on the grid
-    times = np.linspace(-t_span, t_span, n_t)
-    zero = n_t // 2
-    # trajectories freeze once they exit the padded box, so leaves that
-    # escape in finite time cannot stall the rest of the batch
-    before, after = (_integrate(_field_fun(xi), transversal, times[part], rtol, atol,
-                                freeze_box=(lo, hi))
-                     for part in (slice(zero - 1, None, -1), slice(zero + 1, None)))
-    states = np.concatenate([before[::-1], transversal[None], after]).swapaxes(0, 1)
-    return Tube(xi, seed, window, transversal, times, states, pad)
+    A leaf that runs into a zero of the field raises :class:`BlowUp`.
+    This is the one-seed case of :func:`build_tubes`."""
+    return build_tubes(xi, [seed], window, t_span=t_span, max_samples=max_samples)[0]
 
 
 def _invert_bilinear(nodes: np.ndarray, p00, p10, p01, p11):
@@ -389,10 +587,11 @@ def _invert_bilinear(nodes: np.ndarray, p00, p10, p01, p11):
         with np.errstate(invalid="ignore", divide="ignore"):
             ux = -(A[:, 0] + root * C[:, 0]) / denom_x
             uy = -(A[:, 1] + root * C[:, 1]) / denom_y
-        uu = np.where(use_x, ux, uy)
-        # accept only solutions that actually map back onto the node
-        residual = (A + uu[:, None] * B + root[:, None] * C
-                    + (uu * root)[:, None] * D)
+            uu = np.where(use_x, ux, uy)
+            # accept only solutions that actually map back onto the node; a
+            # degenerate cell's infinite u gives a NaN residual, never accepted
+            residual = (A + uu[:, None] * B + root[:, None] * C
+                        + (uu * root)[:, None] * D)
         res_ok = np.einsum("nd,nd->n", residual, residual) <= (1e-7 * diam) ** 2 + 1e-28
         good = cand & (uu >= -eps) & (uu <= 1.0 + eps) & res_ok
         u[good] = uu[good]
@@ -401,14 +600,17 @@ def _invert_bilinear(nodes: np.ndarray, p00, p10, p01, p11):
     return u, v, ok
 
 
-def _locate_times(tube: Tube, nodes: np.ndarray, window: Window) -> np.ndarray:
-    """Flow-time coordinate of every node that lies in the tabulated tube.
+def _locate_times(tube: Tube, window: Window) -> np.ndarray:
+    """Flow-time coordinate of every window node, in ``window.nodes()``
+    order, that lies in the tabulated tube; NaN for nodes in no cell.
 
     The tube chart can fold over the window (the orthogonal leaf may run
     almost parallel to distant flow lines), so a node can have several
-    preimages; all cells whose bounding box meets the node's raster bin
-    are tested and the preimage with the smallest ``|t|`` wins.  Nodes
-    in no cell get NaN.
+    preimages.  Each kept cell is paired with every node in its bounding
+    box: ``searchsorted`` on the node coordinates gives the box's
+    rectangle of node indices, and one ragged pass enumerates the pairs,
+    cell by cell.  The preimage with the smallest ``|t|`` wins; of equal
+    ``|t|``, the one in the lowest cell index.
     """
     S, T = tube.states.shape[:2]
     p00 = tube.states[:-1, :-1].reshape(-1, 2)
@@ -423,73 +625,40 @@ def _locate_times(tube: Tube, nodes: np.ndarray, window: Window) -> np.ndarray:
     wlo = np.array([window.x0, window.y0])
     whi = np.array([window.x1, window.y1])
     diag = float(np.linalg.norm(whi - wlo))
-    edge = np.maximum.reduce([
-        np.linalg.norm(p10 - p00, axis=1), np.linalg.norm(p01 - p00, axis=1),
-        np.linalg.norm(p11 - p10, axis=1), np.linalg.norm(p11 - p01, axis=1)])
+    edge = np.maximum.reduce([np.sqrt(_across(np.add, d * d))
+                              for d in (p10 - p00, p01 - p00, p11 - p10, p11 - p01)])
     # discard cells sheared apart by frozen trajectories; genuine cells
     # stay small, at the scale of one sample spacing times the flow speed
-    keep = (np.all(lo <= whi, axis=1) & np.all(hi >= wlo, axis=1)
-            & np.all(np.isfinite(lo), axis=1) & np.all(np.isfinite(hi), axis=1)
-            & (edge <= 0.25 * diag) & (edge > 0.0))
+    keep = (_across(np.logical_and, (lo <= whi) & (hi >= wlo) & np.isfinite(lo)
+                    & np.isfinite(hi)) & (edge <= 0.25 * diag) & (edge > 0.0))
     cells = np.nonzero(keep)[0]
-    best_t = np.full(len(nodes), np.nan)
-    if cells.size == 0:
+    best_t = np.full(window.nx * window.ny, np.nan)
+
+    # the nodes with lo <= node <= hi, as index ranges [first, stop) per axis
+    xs, ys = window.xs(), window.ys()
+    ix = np.searchsorted(xs, lo[cells, 0], side="left")
+    iy = np.searchsorted(ys, lo[cells, 1], side="left")
+    nx = np.searchsorted(xs, hi[cells, 0], side="right") - ix
+    ny = np.searchsorted(ys, hi[cells, 1], side="right") - iy
+    counts = nx * ny
+    cand = np.repeat(cells, counts)
+    if cand.size == 0:
         return best_t
+    local = np.arange(cand.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = np.repeat(nx, counts)
+    col = np.repeat(ix, counts) + local % width
+    line = np.repeat(iy, counts) + local // width
+    node = line * window.nx + col
 
-    grid = 64
-    span = whi - wlo
-
-    def to_bins(xy: np.ndarray) -> np.ndarray:
-        return np.clip(((xy - wlo) / span * grid).astype(int), 0, grid - 1)
-
-    blo = to_bins(np.maximum(lo[cells], wlo))
-    bhi = to_bins(np.minimum(hi[cells], whi))
-    # (bin, cell) incidence pairs, one vectorized pass per bin offset
-    pair_bins, pair_cells = [], []
-    spans = bhi - blo
-    for dx in range(int(spans[:, 0].max()) + 1):
-        for dy in range(int(spans[:, 1].max()) + 1):
-            mask = (spans[:, 0] >= dx) & (spans[:, 1] >= dy)
-            if not np.any(mask):
-                continue
-            bx = blo[mask, 0] + dx
-            by = blo[mask, 1] + dy
-            pair_bins.append(bx * grid + by)
-            pair_cells.append(cells[mask])
-    pair_bins = np.concatenate(pair_bins)
-    pair_cells = np.concatenate(pair_cells)
-    order = np.argsort(pair_bins, kind="stable")
-    pair_bins = pair_bins[order]
-    pair_cells = pair_cells[order]
-
-    node_bins_xy = to_bins(nodes)
-    node_bins = node_bins_xy[:, 0] * grid + node_bins_xy[:, 1]
-    starts = np.searchsorted(pair_bins, node_bins, side="left")
-    ends = np.searchsorted(pair_bins, node_bins, side="right")
-    counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
-        return best_t
-    node_rep = np.repeat(np.arange(len(nodes)), counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    flat = np.arange(total) - np.repeat(offsets, counts) + np.repeat(starts, counts)
-    cand = pair_cells[flat]
-
-    inside = np.all((nodes[node_rep] >= lo[cand]) & (nodes[node_rep] <= hi[cand]), axis=1)
-    node_rep, cand = node_rep[inside], cand[inside]
-    if node_rep.size == 0:
-        return best_t
-
-    _, v, ok = _invert_bilinear(nodes[node_rep], p00[cand], p10[cand],
-                                p01[cand], p11[cand])
-    node_rep, cand, v = node_rep[ok], cand[ok], v[ok]
-    if node_rep.size == 0:
-        return best_t
+    _, v, ok = _invert_bilinear(np.column_stack([xs[col], ys[line]]),
+                                *(np.take(p, cand, axis=0) for p in (p00, p10, p01, p11)))
+    node, cand, v = node[ok], cand[ok], v[ok]
     t_val = t_lo[cand] + v * t_dt[cand]
-    order = np.lexsort((np.abs(t_val), node_rep))
-    node_sorted = node_rep[order]
-    first = np.unique(node_sorted, return_index=True)[1]
-    best_t[node_sorted[first]] = t_val[order][first]
+    # stable, so that the pairs of a node keep their cell order on ties
+    order = np.lexsort((np.abs(t_val), node))
+    node_sorted = node[order]
+    first = np.flatnonzero(np.diff(node_sorted, prepend=-1))
+    best_t[node_sorted[first]] = t_val[order[first]]
     return best_t
 
 
@@ -537,7 +706,7 @@ def tube_function(xi: VectorField, tube: Tube, profile: BumpProfile,
     if window is None:
         window = tube.window
     nodes = window.nodes()
-    t_of_node = _locate_times(tube, nodes, window)
+    t_of_node = _locate_times(tube, window)
 
     values = np.empty(len(nodes))
     located = ~np.isnan(t_of_node)

@@ -12,7 +12,11 @@ the path that the sweep's monomial jets replaced,
 from symbolic derivatives, where the library reads it off jets.
 ``FrameChange`` and ``change_frame`` compose a new frame of a
 distribution symbolically, for the checks that H-freeness does not
-depend on the frame.
+depend on the frame.  ``sequential_integrate`` is the Dormand-Prince
+loop of one batch with scalar step state, which the grouped integrator
+replaced, and ``bin_raster_locate_times`` the tube location that paired
+cells with nodes through a 64 x 64 raster of bins and a sort, which the
+node raster replaced.
 """
 
 from dataclasses import dataclass
@@ -21,6 +25,7 @@ import numpy as np
 
 from hfreemaps.constructions import (CURVE_VAR, FreeCurve, RPBracketSpec, _det_expr,
                                      _grad_exprs, _negate, build_cis)
+from hfreemaps.errors import BlowUp, DomainError
 from hfreemaps.expr import (_BINARY, _UNARY, Bin, Call, Chart, Coord, Expr, Neg, Num,
                             _constant_exponent, as_expr, derivative, eval_jet2,
                             eval_jets_many, fold_mul, fold_sub, substitute)
@@ -29,6 +34,8 @@ from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import MapSpec, freedom_matrix_many
 from hfreemaps.jet import Jet2, jpow
 from hfreemaps.lie import VectorField, lie_expr
+from hfreemaps.transversal import (_DP_A, _DP_B5, _DP_D, _DP_E, Tube, Window,
+                                   _invert_bilinear)
 
 
 def lie2(xi: VectorField, eta: VectorField, f, p) -> float:
@@ -301,3 +308,180 @@ def change_frame(d: Distribution, lam: FrameChange) -> Distribution:
             comps.append(acc)
         new_fields.append(VectorField(d.chart, tuple(comps)))
     return Distribution(d.chart, tuple(new_fields))
+
+
+def bin_raster_locate_times(tube: Tube, nodes: np.ndarray, window: Window) -> np.ndarray:
+    """Flow-time coordinate of every node that lies in the tabulated tube.
+
+    The tube chart can fold over the window (the orthogonal leaf may run
+    almost parallel to distant flow lines), so a node can have several
+    preimages; all cells whose bounding box meets the node's raster bin
+    are tested and the preimage with the smallest ``|t|`` wins.  Nodes
+    in no cell get NaN.
+    """
+    S, T = tube.states.shape[:2]
+    p00 = tube.states[:-1, :-1].reshape(-1, 2)
+    p10 = tube.states[1:, :-1].reshape(-1, 2)
+    p01 = tube.states[:-1, 1:].reshape(-1, 2)
+    p11 = tube.states[1:, 1:].reshape(-1, 2)
+    t_lo = np.broadcast_to(tube.times[:-1], (S - 1, T - 1)).reshape(-1)
+    t_dt = np.broadcast_to(np.diff(tube.times), (S - 1, T - 1)).reshape(-1)
+
+    lo = np.minimum(np.minimum(p00, p10), np.minimum(p01, p11))
+    hi = np.maximum(np.maximum(p00, p10), np.maximum(p01, p11))
+    wlo = np.array([window.x0, window.y0])
+    whi = np.array([window.x1, window.y1])
+    diag = float(np.linalg.norm(whi - wlo))
+    edge = np.maximum.reduce([
+        np.linalg.norm(p10 - p00, axis=1), np.linalg.norm(p01 - p00, axis=1),
+        np.linalg.norm(p11 - p10, axis=1), np.linalg.norm(p11 - p01, axis=1)])
+    # discard cells sheared apart by frozen trajectories; genuine cells
+    # stay small, at the scale of one sample spacing times the flow speed
+    keep = (np.all(lo <= whi, axis=1) & np.all(hi >= wlo, axis=1)
+            & np.all(np.isfinite(lo), axis=1) & np.all(np.isfinite(hi), axis=1)
+            & (edge <= 0.25 * diag) & (edge > 0.0))
+    cells = np.nonzero(keep)[0]
+    best_t = np.full(len(nodes), np.nan)
+    if cells.size == 0:
+        return best_t
+
+    grid = 64
+    span = whi - wlo
+
+    def to_bins(xy: np.ndarray) -> np.ndarray:
+        return np.clip(((xy - wlo) / span * grid).astype(int), 0, grid - 1)
+
+    blo = to_bins(np.maximum(lo[cells], wlo))
+    bhi = to_bins(np.minimum(hi[cells], whi))
+    # (bin, cell) incidence pairs, one vectorized pass per bin offset
+    pair_bins, pair_cells = [], []
+    spans = bhi - blo
+    for dx in range(int(spans[:, 0].max()) + 1):
+        for dy in range(int(spans[:, 1].max()) + 1):
+            mask = (spans[:, 0] >= dx) & (spans[:, 1] >= dy)
+            if not np.any(mask):
+                continue
+            bx = blo[mask, 0] + dx
+            by = blo[mask, 1] + dy
+            pair_bins.append(bx * grid + by)
+            pair_cells.append(cells[mask])
+    pair_bins = np.concatenate(pair_bins)
+    pair_cells = np.concatenate(pair_cells)
+    order = np.argsort(pair_bins, kind="stable")
+    pair_bins = pair_bins[order]
+    pair_cells = pair_cells[order]
+
+    node_bins_xy = to_bins(nodes)
+    node_bins = node_bins_xy[:, 0] * grid + node_bins_xy[:, 1]
+    starts = np.searchsorted(pair_bins, node_bins, side="left")
+    ends = np.searchsorted(pair_bins, node_bins, side="right")
+    counts = ends - starts
+    total = int(counts.sum())
+    if total == 0:
+        return best_t
+    node_rep = np.repeat(np.arange(len(nodes)), counts)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    flat = np.arange(total) - np.repeat(offsets, counts) + np.repeat(starts, counts)
+    cand = pair_cells[flat]
+
+    inside = np.all((nodes[node_rep] >= lo[cand]) & (nodes[node_rep] <= hi[cand]), axis=1)
+    node_rep, cand = node_rep[inside], cand[inside]
+    if node_rep.size == 0:
+        return best_t
+
+    _, v, ok = _invert_bilinear(nodes[node_rep], p00[cand], p10[cand],
+                                p01[cand], p11[cand])
+    node_rep, cand, v = node_rep[ok], cand[ok], v[ok]
+    if node_rep.size == 0:
+        return best_t
+    t_val = t_lo[cand] + v * t_dt[cand]
+    order = np.lexsort((np.abs(t_val), node_rep))
+    node_sorted = node_rep[order]
+    first = np.unique(node_sorted, return_index=True)[1]
+    best_t[node_sorted[first]] = t_val[order][first]
+    return best_t
+
+
+def sequential_integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
+                         bbox=None, freeze_box=None, stop=None) -> np.ndarray:
+    """States of the autonomous system ``dy/ds = fun(y)`` at ``times``,
+    which move away from 0 in one direction.  The last state ends the last
+    step; the others come from the dense output of the step holding them.
+
+    ``stop`` flags batches of sampled states; the run ends before the
+    first flagged one.  ``bbox`` raises :class:`BlowUp` on exit.
+    ``freeze_box`` instead holds any batch row at the end of the step that
+    leaves the box, so the rest of a batch can keep integrating past a
+    runaway trajectory.
+    """
+    y = np.atleast_2d(np.array(y0, dtype=float))
+    reach = np.abs(np.asarray(times, dtype=float))
+    out = np.empty((len(reach),) + y.shape)
+    alive = np.ones(y.shape[0], dtype=bool)
+    if freeze_box is not None:
+        lo, hi = freeze_box
+        alive &= np.all((y >= lo) & (y <= hi), axis=1)
+    last = float(times[-1]) if len(times) else 0.0
+    direction = 1.0 if last > 0 else -1.0
+    remaining = abs(last)
+    h = min(remaining, 0.1)
+    k1 = fun(y)
+    done, start = 0, 0.0  # samples written; time reached, in absolute value
+    with np.errstate(over="ignore", invalid="ignore"):
+        while remaining > 0.0 and np.any(alive):
+            # a step that would leave less than the smallest allowed one takes it all
+            h = remaining if h > remaining - 1e-13 else h
+            if h < 1e-13:
+                raise BlowUp("step size underflow (trajectory is not integrable here)")
+            ks = [k1]
+            try:
+                for stage in range(1, 6):
+                    incr = sum(a * k for a, k in zip(_DP_A[stage], ks))
+                    ks.append(fun(y + direction * h * incr))
+                y5 = y + direction * h * sum(b * k for b, k in zip(_DP_B5[:6], ks))
+                k7 = fun(y5)
+            except DomainError:
+                # a long step can reach past the field's domain: retry it shorter
+                if h * 0.2 < 1e-13:
+                    raise
+                h *= 0.2
+                continue
+            ks.append(k7)
+            err = direction * h * sum(e * k for e, k in zip(_DP_E, ks))
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+            ratios = (err[alive] / scale[alive]) ** 2
+            err_norm = float(np.sqrt(np.mean(ratios)))
+            if np.isfinite(err_norm) and err_norm <= 1.0:
+                remaining -= h
+                end = abs(last) - remaining
+                upto = np.searchsorted(reach, end)
+                s = ((reach[done:upto] - start) / h)[:, None, None]
+                rise, step = y5 - y, direction * h
+                slope = step * k1 - rise
+                fourth = step * sum(d * k for d, k in zip(_DP_D, ks))
+                dense = y + s * (rise + (1 - s) * (slope + s * (rise - step * k7 - slope
+                                                                 + (1 - s) * fourth)))
+                out[done:upto] = np.where(alive[:, None], dense, y)
+                new, done, start = slice(done, upto), upto, end
+                y = np.where(alive[:, None], y5, y)
+                k1 = k7
+                if stop is not None and np.any(stop(out[new])):
+                    break
+                if not np.all(np.isfinite(y[alive])):
+                    raise BlowUp("trajectory diverged to a non-finite state")
+                if bbox is not None:
+                    lo, hi = bbox
+                    if np.any(y[alive] < lo) or np.any(y[alive] > hi):
+                        raise BlowUp("trajectory left the bounding box")
+                if freeze_box is not None:
+                    lo, hi = freeze_box
+                    alive &= np.all((y >= lo) & (y <= hi), axis=1)
+                factor = 5.0 if err_norm == 0.0 else 0.9 * err_norm ** -0.2
+            else:
+                k1 = ks[0]
+                factor = 0.2 if not np.isfinite(err_norm) else 0.9 * err_norm ** -0.2
+            h *= min(5.0, max(0.2, factor))
+    out[done:] = y  # the last sample, and those after every row froze
+    if stop is not None:
+        out = out[:np.argmax(np.append(stop(out), True))]
+    return out[:, 0] if np.ndim(y0) == 1 else out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hfreemaps
-from hfreemaps.cli import run
+from hfreemaps.cli import main, run
 from hfreemaps.errors import ScenarioError
 from hfreemaps.scenario import TASK_KEYS, parse_scenario
 
@@ -696,6 +696,35 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith(f"error: {path}:{line}: expected an integer")
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, capsys, tol):
+        # with --tol -1 the threshold is negative and exact zeros would count
+        # toward the rank: (x, x) along d/dx would be certified rank 2
+        text = """
+[chart]
+coords = x, y
+
+[distribution]
+field = 1, 0
+
+[map]
+component = x
+component = x
+
+[points]
+point = 0.5, 0.5
+
+[task]
+kind = check-hfree
+"""
+        path = write(tmp_path, "tol.ini", text)
+        out = tmp_path / "out"
+        assert main([path, "--out", str(out), "--tol", tol]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positive finite number" in err
+        assert not out.exists()
+        assert main([path, "--out", str(out), "--tol", "1e-9"]) == 2
+
 
 def _strict(text):
     def refuse(name):
@@ -775,12 +804,18 @@ g = y
 """
         path = write(tmp_path, "rp.ini", text)
         out = tmp_path / "out"
+        if tol is not None:
+            # an infinite tolerance is an input error, not a null in the report
+            assert run(path, out, tol=tol) == 1
+            assert not out.exists()
+            assert "positive finite number" in capsys.readouterr().err
+            return
         with np.errstate(all="ignore"):
             assert run(path, out, tol=tol) == 2
         report = _strict((out / "report.json").read_text())
         assert [r["bracket"] for r in report["points"]] == [None, pytest.approx(800.0)]
         assert report["summary"]["min"] is None and report["summary"]["max"] is None
-        assert report["tolerance"] == (1e-9 if tol is None else None)
+        assert report["tolerance"] == 1e-9
         assert "written as null" in capsys.readouterr().err
 
     def test_non_finite_metric_is_not_positive_definite(self, tmp_path):

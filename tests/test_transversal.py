@@ -1,25 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hfreemaps.errors import BlowUp, CoverageGap
-from hfreemaps.expr import parse
-from hfreemaps.lie import parse_field
+from hfreemaps.errors import BlowUp, CoverageGap, HfreeError
+from hfreemaps.expr import Chart, parse
+from hfreemaps.lie import VectorField, parse_field
 from hfreemaps.transversal import (
     BumpProfile,
     Tube,
     Window,
     _field_fun,
+    _Group,
     _integrate,
+    _integrate_groups,
+    _locate_times,
     _nearest,
     _pchip_coefficients,
-    _unit_orthogonal_fun,
+    _unit_orthogonal,
     build_tube,
+    build_tubes,
     flow,
     glue,
     tube_function,
     verify_transversal,
     write_grid_csv,
 )
+
+from oracles import bin_raster_locate_times, sequential_integrate
+from test_expr import _exprs
 
 
 @pytest.fixture(scope="module")
@@ -453,7 +462,12 @@ def _leaf_march(xi, seed, window, n_steps, sign, box=None):
     tight tolerance, each sample the end state of its own integration;
     the march stops before the first sample outside ``box``."""
     ds = max(window.x1 - window.x0, window.y1 - window.y0) / 150.0
-    perp, y, out = _unit_orthogonal_fun(xi), np.asarray(seed, dtype=float), []
+    field = _field_fun(xi)
+
+    def perp(v):
+        return _unit_orthogonal(field(v), 0.0)
+
+    y, out = np.asarray(seed, dtype=float), []
     for _ in range(n_steps):
         y = _integrate(perp, y, [sign * ds], _TIGHT, _TIGHT)[-1]
         if box is not None and (np.any(y < box[0]) or np.any(y > box[1])):
@@ -531,3 +545,198 @@ def test_glue_agrees_with_tight_reference_on_generated_scenarios(plane, profile)
             result = glue(xi, tubes, [1.0, 1.0, 1.0], profile, w)
             summary.append((located, covered.mean(), result.min_interior > 0.0))
         assert summary[0] == summary[1], dx
+
+
+# ---------------------------------------------------------------------------
+# grouped integration against each group alone
+
+_PLANE = Chart(("x", "y"))
+_RATES = st.sampled_from([(1e-10, 1e-10), (1e-6, 1e-8), (1e-3, 1e-3)])
+# named fields: the domain ends at y = -2 (shortened retries), the spiral
+# leaves every box (BlowUp), the rotation and the stripe stay bounded
+_NAMED = st.sampled_from([("sqrt(y+2)", "0"), ("x - y", "x + y"), ("-y", "x"),
+                          ("2*y", "1-y^2"), ("1", "0")]).map(lambda f: parse_field(_PLANE, *f))
+_FIELDS = st.one_of(_NAMED, st.tuples(_exprs(partial=True), _exprs()).map(
+    lambda c: VectorField(_PLANE, c)))
+_coord = st.floats(-1.5, 1.5, allow_nan=False).map(lambda v: round(v, 3))
+
+
+def _box(half):
+    return np.array([-half, -half]), np.array([half, half])
+
+
+@st.composite
+def _groups(draw):
+    n_rows = draw(st.integers(1, 4))
+    rows = np.array(draw(st.lists(st.tuples(_coord, _coord), min_size=n_rows,
+                                  max_size=n_rows)), dtype=float)
+    y0 = rows[0] if n_rows == 1 and draw(st.booleans()) else rows
+    n_times = draw(st.integers(0, 6))
+    times = np.cumsum(draw(st.lists(st.sampled_from([0.05, 0.1, 0.3, 0.7]),
+                                    min_size=n_times, max_size=n_times)))
+    times = draw(st.sampled_from([1.0, -1.0])) * times
+    half = draw(st.sampled_from([None, 1.2, 2.0]))
+    stop = None if half is None else (lambda ys: np.any(np.abs(ys) > half, axis=(1, 2)))
+    freeze = draw(st.sampled_from([None, 1.0, 1.6]))
+    bbox = draw(st.sampled_from([None, 3.0]))
+    return _Group(y0, times, stop, None if freeze is None else _box(freeze),
+                  None if bbox is None else _box(bbox))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except HfreeError as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert not isinstance(got, Exception), got
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(xi=_FIELDS, groups=st.lists(_groups(), min_size=1, max_size=4), rates=_RATES)
+@settings(max_examples=150, deadline=None)
+def test_grouped_integration_equals_each_group_alone(xi, groups, rates):
+    fun = _field_fun(xi)
+    grouped = _integrate_groups(lambda y, rows: fun(y), groups, *rates)
+    for group, got in zip(groups, grouped):
+        kwargs = dict(bbox=group.bbox, freeze_box=group.freeze_box, stop=group.stop)
+        alone = _outcome(lambda: _integrate(fun, group.y0, group.times, *rates, **kwargs))
+        _assert_same_outcome(got, alone)
+        # and the one-group case keeps the bits of the sequential loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _outcome(lambda: sequential_integrate(fun, group.y0, group.times, *rates,
+                                                         **kwargs))
+        _assert_same_outcome(alone, want)
+
+
+@pytest.mark.parametrize("field, seeds", [
+    (("2*y", "1-y^2"), [(0.05, -0.9), (0.05, 0.0), (0.05, 0.9)]),
+    (("sqrt(y+2)", "0"), [(0.0, 0.0), (0.3, -0.5)]),
+    (("1+x^2", "sin(3*y)"), [(0.1, 0.2), (-0.4, 0.6)]),
+    # the first seed's leaf spirals into the focus: its BlowUp comes first
+    (("x - y", "x + y"), [(0.5, 0.0), (0.0, 0.7)]),
+    (("y", "-x"), [(0.6, 0.0), (0.28, 0.0)]),
+    # the field vanishes at the second seed
+    (("x", "y"), [(0.5, 0.5), (0.0, 0.0), (0.3, 0.1)]),
+    # a domain error at the last seed
+    (("log(x+1)", "1"), [(0.2, 0.0), (-1.5, 0.0)]),
+])
+def test_tubes_equal_the_seed_by_seed_build(plane, field, seeds):
+    xi = parse_field(plane, *field)
+    w = Window(-1, 1, -1, 1, 11, 11)
+    grouped = _outcome(lambda: build_tubes(xi, seeds, w, max_samples=200))
+    alone = _outcome(lambda: [build_tube(xi, s, w, max_samples=200) for s in seeds])
+    if isinstance(alone, Exception):
+        _assert_same_outcome(grouped, alone)
+        return
+    assert not isinstance(grouped, Exception), grouped
+    for got, want in zip(grouped, alone, strict=True):
+        for name in ("seed", "transversal", "times", "states"):
+            _assert_same_outcome(getattr(got, name), getattr(want, name))
+    # each tube keeps the bits of the sequential loop
+    for tube in grouped:
+        ref = _sequential_tube(xi, tube.seed, w)
+        _assert_same_outcome(tube.transversal, ref.transversal)
+        _assert_same_outcome(tube.states, ref.states)
+
+
+def _sequential_tube(xi, seed, window, max_samples=200):
+    """``build_tube`` on the sequential integration loop."""
+    ds = max(window.x1 - window.x0, window.y1 - window.y0) / 150.0
+    lo, hi = window.padded_box(0.75)
+    seed = np.asarray(seed, dtype=float)
+    field = _field_fun(xi)
+    floor = 1e-6 * float(np.linalg.norm(field(seed)))
+    backward, forward = (
+        sequential_integrate(lambda y: _unit_orthogonal(field(y), floor), seed,
+                             sign * ds * np.arange(1, max_samples + 1), 1e-10, 1e-10,
+                             stop=lambda ys: np.any((ys < lo) | (ys > hi), axis=(1, 2)))
+        for sign in (-1.0, 1.0))
+    transversal = np.concatenate([backward[::-1], seed[None], forward])
+    times = np.linspace(-3.0, 3.0, 121)
+    before, after = (sequential_integrate(_field_fun(xi), transversal, times[part], 1e-10,
+                                          1e-10, freeze_box=(lo, hi))
+                     for part in (slice(59, None, -1), slice(61, None)))
+    states = np.concatenate([before[::-1], transversal[None], after]).swapaxes(0, 1)
+    return Tube(xi, seed, window, transversal, times, states, 0.75)
+
+
+# ---------------------------------------------------------------------------
+# tube location against the bin raster
+
+
+@st.composite
+def _charts(draw):
+    """Tubes of generated charts: sheared and folded ones, and lattice
+    charts whose vertices are window nodes, so that nodes lie exactly on
+    cell edges and corners."""
+    nx, ny = draw(st.integers(2, 23)), draw(st.integers(2, 23))
+    window = Window(-1.0, 1.0, -0.5, 1.5, nx, ny)
+    S, T = draw(st.integers(2, 14)), draw(st.integers(2, 14))
+    span = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    times = np.linspace(-span, span, T)
+    u = np.linspace(-1.2, 1.2, S)[:, None]
+    v = (times / span)[None, :]
+    kind = draw(st.sampled_from(["sheared", "folded", "lattice"]))
+    if kind == "sheared":
+        a, b, c, d = draw(st.lists(st.sampled_from([-1.0, -0.3, 0.0, 0.25, 0.5, 1.0]),
+                                   min_size=4, max_size=4))
+        x, y = u + a * v + b * u * v, 0.5 + c * u + v + d * v * v
+    elif kind == "folded":
+        # the flow lines bend back over the window: two preimages per node
+        x, y = u * np.cos(2.0 * v), 0.5 + 0.9 * np.sin(2.5 * v) + 0.2 * u
+    else:
+        xs, ys = window.xs(), window.ys()
+        i = draw(st.integers(0, max(0, nx - S)))
+        j = draw(st.integers(0, max(0, ny - T)))
+        x = xs[np.clip(i + np.arange(S), 0, nx - 1)][:, None] + 0.0 * v
+        y = ys[np.clip(j + np.arange(T), 0, ny - 1)][None, :] + 0.0 * u
+    states = np.stack(np.broadcast_arrays(x, y), axis=-1)
+    return Tube(None, states[0, 0], window, states[:, T // 2], times, states, 0.75)
+
+
+def _one_cell_times(tube, window):
+    """Located times of every node in each cell alone, ``(cells, nodes)``:
+    the location of the one-cell tubes, in cell order."""
+    S, T = tube.states.shape[:2]
+    return np.array([
+        _locate_times(Tube(None, tube.seed, window, tube.transversal, tube.times[j:j + 2],
+                           tube.states[i:i + 2, j:j + 2], tube.pad), window)
+        for i in range(S - 1) for j in range(T - 1)]).reshape(-1, window.nx * window.ny)
+
+
+@given(tube=_charts())
+@settings(max_examples=300, deadline=None)
+def test_node_raster_location_equals_the_bin_raster(tube):
+    window = tube.window
+    got = _locate_times(tube, window)
+    want = bin_raster_locate_times(tube, window.nodes(), window)
+    # the same preimage distance at every node; the sign may differ only
+    # where preimages of opposite sign tie, which the bin raster broke by
+    # its pair order
+    assert np.abs(got).tobytes() == np.abs(want).tobytes()
+    tied = np.flatnonzero(np.signbit(got) != np.signbit(want))
+    assert np.all(got[tied] == -want[tied])
+    # every node takes the smallest |t| of the cells that hold it, and of
+    # equal |t| the lowest cell's
+    per_cell = _one_cell_times(tube, window)
+    has = np.flatnonzero(~np.all(np.isnan(per_cell), axis=0))
+    assert np.array_equal(has, np.flatnonzero(~np.isnan(got)))
+    dist = np.abs(per_cell[:, has])
+    first = np.argmax(dist == np.nanmin(dist, axis=0), axis=0)
+    assert per_cell[first, has].tobytes() == got[has].tobytes()
+
+
+def test_node_raster_location_equals_the_bin_raster_on_glue_tubes(stripe):
+    xi = stripe[0].frame[0]
+    for window in (Window(-1, 1, -1, 1, 61, 47), Window(-1, 1, -1, 1, 101, 101)):
+        for tube in build_tubes(xi, [(0.05, -0.9), (0.05, 0.0), (0.05, 0.9)], window):
+            got = _locate_times(tube, window)
+            assert np.mean(~np.isnan(got)) > 0.5
+            assert got.tobytes() == bin_raster_locate_times(tube, window.nodes(),
+                                                            window).tobytes()

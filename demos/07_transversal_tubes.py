@@ -11,7 +11,6 @@ import numpy as np
 
 from hfreemaps import Chart, parse, parse_field
 from hfreemaps.transversal import (
-    BumpProfile,
     Window,
     build_tube,
     flow,
@@ -36,10 +35,10 @@ print("\nclosed-form candidate y*exp(x):")
 print("  min L_xi f =", report.min_value, " at", report.argmin,
       " (exp(-1) =", np.exp(-1), ")")
 
-# the constructive route: three tubes seeded on the vertical axis
-profile = BumpProfile()
+# the constructive route: three tubes seeded on the vertical axis; each
+# tube carries its field and window, which glue reads
 tubes = [build_tube(xi, (0.0, s), window) for s in (-0.9, 0.0, 0.9)]
-result = glue(xi, tubes, [1.0, 1.0, 1.0], profile, window)
+result = glue(tubes, [1.0, 1.0, 1.0])
 print("\nglued tubes:")
 print("  min L_xi f over interior nodes =", result.min_interior,
       " at", result.argmin)

@@ -23,13 +23,12 @@ from .artifacts import write_text
 from .constructions import (
     FreeCurve,
     RPBracketSpec,
+    _verify_product,
     build_cis,
     build_rp,
     cis_determinant_constant,
     compose_1d,
     rp_bracket_many,
-    verify_1d,
-    verify_cis,
 )
 from .errors import HfreeError, ScenarioError
 from .genericity import genericity_trial, write_trials_csv
@@ -39,7 +38,6 @@ from .hfree import (InducedMetric, _retained, freedom_matrix_many, induced_metri
 from .contours import render_levels
 from .scenario import Scenario, load_scenario
 from .transversal import (
-    BumpProfile,
     build_tubes,
     glue,
     verify_transversal,
@@ -188,7 +186,8 @@ def _run_construct_1d(sc: Scenario, outdir, seed, tol):
     f = sc.param("f", sc.expr, required=True)
     built = compose_1d(f, sc.param("curve", sc.curve, FreeCurve.exp()), sc.chart)
     points, seed_used = sc.points(seed)
-    check = verify_1d(dist, built, points, tol=max(tol, 1e-9))
+    check = _verify_product(dist, built, points, max(tol, 1e-9), commuting=False,
+                            rank_tol=tol)
     return _verified(check, seed_used, map=[str(c) for c in built.map_spec.components])
 
 
@@ -209,7 +208,8 @@ def _run_construct_cis(sc: Scenario, outdir, seed, tol):
     built = build_cis([e.value for e in fs],
                       [e.value for e in curves] or [FreeCurve.exp()] * len(fs), sc.chart)
     points, seed_used = sc.points(seed)
-    check = verify_cis(dist, built, points, tol=max(tol, 1e-8))
+    check = _verify_product(dist, built, points, max(tol, 1e-8), commuting=True,
+                            rank_tol=tol)
     return _verified(check, seed_used, map=[str(c) for c in built.map_spec.components],
                      determinant_constant=cis_determinant_constant(built.n))
 
@@ -281,7 +281,7 @@ def _run_transversal(sc: Scenario, outdir, seed, tol):
     weights = sc.param("weights", sc.numbers, [1.0] * len(seeds), count=len(seeds))
     t_span = sc.param("t_span", sc.numbers, [3.0], count=1)[0]
     tubes = build_tubes(xi, [e.value for e in seeds], window, t_span=t_span)
-    result = glue(xi, tubes, weights, BumpProfile(), window)
+    result = glue(tubes, weights)
     write_grid_csv(os.path.join(outdir, "grid.csv"), window,
                    result.values, result.lie_values)
     summary = {"min_lie_interior": result.min_interior, "argmin": result.argmin.tolist(),

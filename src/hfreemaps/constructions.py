@@ -187,12 +187,12 @@ def cis_determinant_constant(n: int) -> float:
 
 
 def _verify_product(d: Distribution, built: CisMap, points, tol: float,
-                    commuting: bool) -> PointwiseCheck:
+                    commuting: bool, rank_tol: float = DEFAULT_RANK_TOL) -> PointwiseCheck:
     """Determinants and rank certificates of the product map at each point
     against ``C * prod_i g_i^(n+2) Dpsi_i(f^i)``, to relative tolerance
     ``tol * max(1, |det|)``; ``g_i`` is the diagonal of the first-order
-    rows ``L_i f^j``.  ``commuting`` first enforces the bracket pattern of
-    :func:`verify_cis`."""
+    rows ``L_i f^j``.  The ranks are certified at ``rank_tol``.
+    ``commuting`` first enforces the bracket pattern of :func:`verify_cis`."""
     n = built.n
     if d.k != n:
         raise ValueError(f"distribution has k={d.k}, map was built for n={n}")
@@ -215,7 +215,7 @@ def _verify_product(d: Distribution, built: CisMap, points, tol: float,
     predicted = np.full(len(pts), cis_determinant_constant(n))
     for i, curve in enumerate(built.curves):  # each curve at its own points f^i
         predicted *= g[:, i] ** (n + 2) * curve_freeness_many(curve, fjet.value[:, i])
-    matrices, svals, thresholds, ranks = freedom_matrix_many(d, built.map_spec, pts)
+    matrices, svals, thresholds, ranks = freedom_matrix_many(d, built.map_spec, pts, rank_tol)
     dets = np.linalg.det(matrices)
     identity = np.abs(dets - predicted) <= tol * np.maximum(1.0, np.abs(dets))
     # a determinant within the identity tolerance of zero certifies

@@ -54,14 +54,11 @@ def _endpoint_keys(segs: np.ndarray) -> list:
     return [(tuple(a), tuple(b)) for a, b in (np.round(segs, 9) + 0.0).tolist()]
 
 
-def _merge_segments(segments, keys=None):
+def _merge_segments(segments, keys):
     """Chain shared endpoints into polylines; deterministic ordering.
-    ``keys`` are the segments' endpoint keys, by default computed from
-    the segments by :func:`_endpoint_keys`."""
+    ``keys`` are the segments' endpoint keys (:func:`_endpoint_keys`)."""
     if not len(segments):
         return []
-    if keys is None:
-        keys = _endpoint_keys(np.array(segments, dtype=float).reshape(-1, 2, 2))
 
     adjacency: dict = {}
     for idx, (a, b) in enumerate(keys):

@@ -68,7 +68,8 @@ class DegenerateCasimirs(HfreeError):
 
 
 class BlowUp(HfreeError):
-    """Flow trajectory left the configured bounding box."""
+    """Flow integration failed: a diverged state, a step size underflow,
+    or an orthogonal leaf that meets a zero of the field."""
 
 
 class OutsideTube(HfreeError):

@@ -12,7 +12,9 @@ One Dormand-Prince loop integrates independent groups of rows at once
 :func:`flow`) is its one-group case, and :func:`build_tubes` makes the
 tubes of a glue in two such calls, one for the leaves and one for their
 saturations.  Tube location pairs each table cell with the window
-nodes in its bounding box, read off the node raster.
+nodes in its bounding box, read off the node raster.  A tube carries its
+field and window, so :func:`tube_function` and :func:`glue` read them
+from their tubes, and both use the one :class:`BumpProfile`.
 """
 
 from __future__ import annotations
@@ -106,14 +108,13 @@ _DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 @dataclass(frozen=True)
 class _Group:
     """One problem of a grouped integration: the state ``y0`` (one row or
-    a batch of rows), its sample ``times``, and its own ``stop``,
-    ``freeze_box`` and ``bbox``, read as :func:`_integrate` reads them."""
+    a batch of rows), its sample ``times``, and its own ``stop`` and
+    ``freeze_box``, read as :func:`_integrate` reads them."""
 
     y0: np.ndarray
     times: np.ndarray
     stop: Callable | None = None
     freeze_box: tuple | None = None
-    bbox: tuple | None = None
 
 
 # the coefficient of each stage derivative (column) in each sum (row):
@@ -139,17 +140,6 @@ def _dp_stages(fun, y, k1, step, rows):
     k7 = fun(y5, rows)
     sums[6:] += _DP_SUMS[6:, 6, None, None] * k7
     return [y5, k7, sums[6], sums[7]]
-
-
-def _row_bounds(groups, sizes, dim: int, name: str) -> list:
-    """Lower and upper bound per row of each group's box ``name``;
-    infinite for a group without one."""
-    lo = np.full((int(sizes.sum()), dim), -np.inf)
-    hi = np.full((int(sizes.sum()), dim), np.inf)
-    for group, a, b in zip(groups, sizes.cumsum() - sizes, sizes.cumsum()):
-        if getattr(group, name) is not None:
-            lo[a:b], hi[a:b] = getattr(group, name)
-    return [lo, hi]
 
 
 def _across(op, mask: np.ndarray) -> np.ndarray:
@@ -215,9 +205,11 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
     act = np.arange(len(groups))
     y = np.concatenate(y0s)
     rows = np.arange(len(y))
-    bounds = (_row_bounds(groups, sizes, y.shape[1], "freeze_box")
-              + _row_bounds(groups, sizes, y.shape[1], "bbox"))
-    live = _across(np.logical_and, (y >= bounds[0]) & (y <= bounds[1]))
+    # each row's freeze box, unbounded for a group without one
+    boxes = [g.freeze_box or (-np.inf, np.inf) for g in groups]
+    lo, hi = (np.concatenate([np.broadcast_to(box[i], y0.shape) for box, y0 in zip(boxes, y0s)])
+              for i in (0, 1))
+    live = _across(np.logical_and, (y >= lo) & (y <= hi))
     k1 = None
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -226,7 +218,7 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
                 take = np.repeat(keep, sizes[act])
                 act, y, live, rows = act[keep], y[take], live[take], rows[take]
                 k1 = None if k1 is None else k1[take]
-                bounds = [b[take] for b in bounds]
+                lo, hi = lo[take], hi[take]
             if not len(act):
                 break
             seg = np.append(0, sizes[act].cumsum())
@@ -302,41 +294,38 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
                 moved = np.repeat(accepted, sizes[act])[:, None]
                 y, k1 = np.where(moved, held, y), np.where(moved, k7, k1)
             diverged = live & ~_across(np.logical_and, np.isfinite(held))
-            escaped = live & _across(np.logical_or, (held < bounds[2]) | (held > bounds[3]))
-            inside = _across(np.logical_and, (held >= bounds[0]) & (held <= bounds[1]))
+            inside = _across(np.logical_and, (held >= lo) & (held <= hi))
             live = live & (inside | ~np.repeat(accepted, sizes[act]))
-            flags = np.add.reduceat(np.column_stack([diverged, escaped, live]), seg[:-1],
+            flags = np.add.reduceat(np.column_stack([diverged, live]), seg[:-1],
                                     axis=0)[accepted].tolist()
-            for i, g, (diverged, escaped, any_live) in zip(
+            for i, g, (diverged, any_live) in zip(
                     np.flatnonzero(accepted).tolist(), acc.tolist(), flags):
                 stop = groups[g].stop
                 if stop is not None and np.any(stop(new[g])):
                     finish(g, y[seg[i]:seg[i + 1]])
                 elif diverged:
                     results[g] = BlowUp("trajectory diverged to a non-finite state")
-                elif escaped:
-                    results[g] = BlowUp("trajectory left the bounding box")
                 elif not (remaining[g] > 0.0 and any_live):
                     finish(g, y[seg[i]:seg[i + 1]])
     return results
 
 
 def _integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
-               bbox=None, freeze_box=None, stop=None) -> np.ndarray:
+               freeze_box=None, stop=None) -> np.ndarray:
     """States of the autonomous system ``dy/ds = fun(y)`` at ``times``,
     which move away from 0 in one direction, by an adaptive Dormand-Prince
     5(4) pair.  The last state ends the last step; the others come from
     the dense output of the step holding them.
 
     ``stop`` flags batches of sampled states; the run ends before the
-    first flagged one.  ``bbox`` raises :class:`BlowUp` on exit.
-    ``freeze_box`` instead holds any batch row at the end of the step that
-    leaves the box, so the rest of a batch can keep integrating past a
-    runaway trajectory.  This is the one-group case of
+    first flagged one.  ``freeze_box`` holds any batch row at the end of
+    the step that leaves the box, so the rest of a batch can keep
+    integrating past a runaway trajectory.  A diverged state or a step
+    size underflow raises :class:`BlowUp`.  This is the one-group case of
     :func:`_integrate_groups`.
     """
     result, = _integrate_groups(lambda y, rows: fun(y),
-                                [_Group(y0, times, stop, freeze_box, bbox)], rtol, atol)
+                                [_Group(y0, times, stop, freeze_box)], rtol, atol)
     if isinstance(result, Exception):
         raise result
     return result
@@ -359,11 +348,10 @@ def _unit_orthogonal(v: np.ndarray, floor) -> np.ndarray:
     return rotated / np.where(norm > floor, norm, np.nan)
 
 
-def flow(xi: VectorField, p, t: float, *, rtol: float = 1e-10, atol: float = 1e-10,
-         bbox=None) -> np.ndarray:
+def flow(xi: VectorField, p, t: float, *, rtol: float = 1e-10,
+         atol: float = 1e-10) -> np.ndarray:
     """Point reached from ``p`` after flowing along ``xi`` for time ``t``."""
-    return _integrate(_field_fun(xi), np.asarray(p, dtype=float), [float(t)], rtol, atol,
-                      bbox=bbox)[-1]
+    return _integrate(_field_fun(xi), np.asarray(p, dtype=float), [float(t)], rtol, atol)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +436,12 @@ class BumpProfile:
 
     def step_deriv(self, t) -> np.ndarray:
         return 0.5 * self.bump(t) / self._half_mass
+
+
+@functools.cache
+def _profile() -> BumpProfile:
+    """The step profile of every tube function, tabulated on first use."""
+    return BumpProfile()
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +678,7 @@ def _nearest(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TubeValues:
-    """Tube function sampled on the window grid.
+    """Tube function sampled on the grid of the tube's window.
 
     ``times`` holds the recovered flow-time coordinate, NaN where the
     node lay outside the tabulated tube and was classified by side.
@@ -692,39 +686,37 @@ class TubeValues:
 
     values: np.ndarray
     times: np.ndarray
-    window: Window
 
 
-def tube_function(xi: VectorField, tube: Tube, profile: BumpProfile,
-                  window: Window | None = None) -> TubeValues:
-    """Evaluate ``step(flow time)`` at every window node.
+def tube_function(tube: Tube) -> TubeValues:
+    """Evaluate ``step(flow time)`` at every node of the tube's window.
 
     Nodes inside the tabulated tube are located by inverse bilinear
     interpolation on the (arclength x time) grid; nodes outside it get
-    the saturated value of the side they lie on.
+    the saturated value of the side they lie on, against the tube's
+    field at the nearest leaf sample.
     """
-    if window is None:
-        window = tube.window
+    window = tube.window
     nodes = window.nodes()
     t_of_node = _locate_times(tube, window)
 
     values = np.empty(len(nodes))
     located = ~np.isnan(t_of_node)
-    values[located] = profile.step(t_of_node[located])
+    values[located] = _profile().step(t_of_node[located])
 
     if np.any(~located):
         # saturated side rule: compare against the flow direction at the
         # nearest transversal point
         missing = np.nonzero(~located)[0]
         base = tube.transversal[_nearest(nodes[missing], tube.transversal)]
-        side = np.einsum("nd,nd->n", nodes[missing] - base, xi.values(base))
+        side = np.einsum("nd,nd->n", nodes[missing] - base, tube.xi.values(base))
         if np.any(side == 0.0):
             bad = nodes[missing[side == 0.0][0]]
             raise OutsideTube(f"cannot classify node {bad} against the tube")
         values[missing] = np.where(side > 0.0, 1.0, 0.0)
 
     shape = (window.ny, window.nx)
-    return TubeValues(values.reshape(shape), t_of_node.reshape(shape), window)
+    return TubeValues(values.reshape(shape), t_of_node.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -753,19 +745,23 @@ class GlueResult:
     ok: bool
 
 
-def glue(xi: VectorField, tubes: list[Tube], weights, profile: BumpProfile,
-         window: Window) -> GlueResult:
-    """Weighted sum of tube functions, with coverage and positivity checks.
+def glue(tubes: list[Tube], weights) -> GlueResult:
+    """Weighted sum of tube functions on the tubes' one window, with
+    coverage and positivity checks.
 
     Every node must lie strictly inside the open band ``|t| < 1`` of at
     least one tube (:class:`CoverageGap` otherwise).  The directional
-    derivative of the glued grid is then evaluated by centered
-    differences; ``ok`` records positivity at all interior nodes.
+    derivative of the glued grid along the first tube's field is then
+    evaluated by centered differences; ``ok`` records positivity at all
+    interior nodes.
     """
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(tubes):
         raise ValueError("need one weight per tube")
-    fields = [tube_function(xi, tube, profile, window) for tube in tubes]
+    if not tubes or any(tube.window != tubes[0].window for tube in tubes):
+        raise ValueError("need at least one tube, all on one window")
+    xi, window = tubes[0].xi, tubes[0].window
+    fields = [tube_function(tube) for tube in tubes]
 
     covered = np.zeros((window.ny, window.nx), dtype=bool)
     for tv in fields:

@@ -403,16 +403,15 @@ def bin_raster_locate_times(tube: Tube, nodes: np.ndarray, window: Window) -> np
 
 
 def sequential_integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
-                         bbox=None, freeze_box=None, stop=None) -> np.ndarray:
+                         freeze_box=None, stop=None) -> np.ndarray:
     """States of the autonomous system ``dy/ds = fun(y)`` at ``times``,
     which move away from 0 in one direction.  The last state ends the last
     step; the others come from the dense output of the step holding them.
 
     ``stop`` flags batches of sampled states; the run ends before the
-    first flagged one.  ``bbox`` raises :class:`BlowUp` on exit.
-    ``freeze_box`` instead holds any batch row at the end of the step that
-    leaves the box, so the rest of a batch can keep integrating past a
-    runaway trajectory.
+    first flagged one.  ``freeze_box`` holds any batch row at the end of
+    the step that leaves the box, so the rest of a batch can keep
+    integrating past a runaway trajectory.
     """
     y = np.atleast_2d(np.array(y0, dtype=float))
     reach = np.abs(np.asarray(times, dtype=float))
@@ -469,10 +468,6 @@ def sequential_integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
                     break
                 if not np.all(np.isfinite(y[alive])):
                     raise BlowUp("trajectory diverged to a non-finite state")
-                if bbox is not None:
-                    lo, hi = bbox
-                    if np.any(y[alive] < lo) or np.any(y[alive] > hi):
-                        raise BlowUp("trajectory left the bounding box")
                 if freeze_box is not None:
                     lo, hi = freeze_box
                     alive &= np.all((y >= lo) & (y <= hi), axis=1)

@@ -39,7 +39,7 @@ from hfreemaps.hfree import (
     wintergarten_rank,
 )
 from hfreemaps.lie import VectorField, lie_expr, parse_field
-from hfreemaps.transversal import BumpProfile, Window, build_tube, glue, verify_transversal
+from hfreemaps.transversal import Window, build_tube, glue, verify_transversal
 
 from oracles import FrameChange, brute_force_cis_constant, change_frame, rp_bracket_expr
 from test_jets_ad import _rejection_sample, fd_gradient, fd_hessian
@@ -285,9 +285,8 @@ def test_criterion_07_transversal_window():
     report = verify_transversal(xi, f, window)
     assert abs(report.min_value - np.exp(-1)) <= 1e-12
     assert np.array_equal(report.argmin, [-1.0, 0.0])
-    profile = BumpProfile()
     tubes = [build_tube(xi, (0.0, s), window) for s in (-0.9, 0.0, 0.9)]
-    result = glue(xi, tubes, [1.0, 1.0, 1.0], profile, window)
+    result = glue(tubes, [1.0, 1.0, 1.0])
     elapsed = time.perf_counter() - start
     assert result.ok and result.min_interior > 0.0
     assert elapsed <= 5.0, f"took {elapsed:.2f}s"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfreemaps.expr import parse
-from hfreemaps.contours import _merge_segments, marching_squares, render_levels
+from hfreemaps.contours import _endpoint_keys, _merge_segments, marching_squares, render_levels
 from hfreemaps.transversal import Window
 
 
@@ -67,7 +67,8 @@ def _reference_marching_squares(xs, ys, values, level):
                     xs[ix], xs[ix + 1], ys[iy], ys[iy + 1],
                     values[iy, ix], values[iy, ix + 1],
                     values[iy + 1, ix], values[iy + 1, ix + 1], level))
-    return _merge_segments(segments), skipped
+    keys = _endpoint_keys(np.array(segments, dtype=float).reshape(-1, 2, 2))
+    return _merge_segments(segments, keys), skipped
 
 
 def _assert_matches_reference(xs, ys, values, level):

@@ -310,6 +310,23 @@ curve = exp
         assert report["summary"]["n_failures"] == 0
         assert np.isclose(report["determinant_constant"], 2.0)
 
+    @pytest.mark.parametrize("kind", ["construct-1d", "construct-cis"])
+    def test_tolerance_reaches_the_rank_certificate(self, tmp_path, kind):
+        # the report states the run's tolerance, so its thresholds must use it
+        path = (os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios",
+                             "construct_1d.ini") if kind == "construct-1d"
+                else write(tmp_path, "cis.ini", TASK_TEXTS[kind]))
+        reports = []
+        for args in ([], ["--tol", "1e-3"]):
+            out = tmp_path / f"out{len(reports)}"
+            assert main([path, "--out", str(out), *args]) in (0, 2)
+            reports.append(json.loads((out / "report.json").read_text()))
+        default, loose = reports
+        assert loose["tolerance"] == 1e-3
+        assert [r["point"] for r in loose["points"]] == [r["point"] for r in default["points"]]
+        for a, b in zip(default["points"], loose["points"], strict=True):
+            assert b["threshold"] == pytest.approx(1e6 * a["threshold"], rel=1e-12)
+
     def test_rp_bracket_and_construct(self, tmp_path):
         base = """
 [chart]

@@ -95,8 +95,7 @@ class TestFlow:
     def test_blowup_detected(self, plane):
         xi = parse_field(plane, "1+x^2", "0")
         with pytest.raises(BlowUp):
-            flow(xi, (0.0, 0.0), 3.0, bbox=(np.array([-10.0, -10.0]),
-                                            np.array([10.0, 10.0])))
+            flow(xi, (0.0, 0.0), 3.0)
 
     @pytest.mark.parametrize("t", [0.1 + 2 ** -55, 0.10000000000000009, 0.6 + 1e-14])
     def test_time_just_past_a_step_is_reached(self, plane, t):
@@ -265,25 +264,25 @@ class TestTubes:
         w = Window(-1, 1, -1, 1, 41, 41)
         xi = parse_field(plane, "1", "0")
         tube = build_tube(xi, (0.0, 0.0), w)
-        tv = tube_function(xi, tube, profile)
+        tv = tube_function(tube)
         xs = w.xs()
         for ix in (0, 10, 20, 30, 40):
             expected = profile.step(xs[ix])
             column = tv.values[:, ix]
             assert np.allclose(column, expected, atol=5e-9)
 
-    def test_midline_value(self, plane, profile):
+    def test_midline_value(self, plane):
         w = Window(-1, 1, -1, 1, 21, 21)
         xi = parse_field(plane, "1", "0")
         tube = build_tube(xi, (0.0, 0.0), w)
-        tv = tube_function(xi, tube, profile)
+        tv = tube_function(tube)
         assert np.allclose(tv.values[:, 10], 0.5, atol=1e-10)
 
-    def test_saturated_sides(self, plane, profile):
+    def test_saturated_sides(self, plane):
         w = Window(-4, 4, -1, 1, 41, 11)
         xi = parse_field(plane, "1", "0")
         tube = build_tube(xi, (0.0, 0.0), w, t_span=2.0)
-        tv = tube_function(xi, tube, profile)
+        tv = tube_function(tube)
         assert np.all(tv.values[:, 0] == 0.0)   # x = -4 is beyond t = -1
         assert np.all(tv.values[:, -1] == 1.0)  # x = +4 is beyond t = +1
 
@@ -303,7 +302,7 @@ class TestTubes:
         with deadline(10), pytest.raises(BlowUp, match="step size underflow"):
             build_tube(parse_field(plane, *field), seed, Window(-1, 1, -1, 1))
 
-    def test_unclassifiable_node_raises(self, plane, profile):
+    def test_unclassifiable_node_raises(self, plane):
         # truncate the transversal so nodes straight above its endpoint
         # sit exactly orthogonal to the flow direction there
         from hfreemaps.errors import OutsideTube
@@ -311,50 +310,72 @@ class TestTubes:
         xi = parse_field(plane, "1", "0")
         tube = build_tube(xi, (0.0, 0.0), w, max_samples=3)
         with pytest.raises(OutsideTube):
-            tube_function(xi, tube, profile)
+            tube_function(tube)
 
 
 class TestGlue:
-    def test_single_tube_constant_field(self, plane, profile):
+    def test_single_tube_constant_field(self, plane):
         w = Window(-1, 1, -1, 1, 51, 51)
         xi = parse_field(plane, "1", "0")
         tube = build_tube(xi, (0.0, 0.0), w)
-        result = glue(xi, [tube], [1.0], profile, w)
+        result = glue([tube], [1.0])
         assert result.ok
         assert result.min_interior > 0
 
-    def test_zero_weights_fail_verification(self, plane, profile):
+    def test_zero_weights_fail_verification(self, plane):
         w = Window(-1, 1, -1, 1, 31, 31)
         xi = parse_field(plane, "1", "0")
         tube = build_tube(xi, (0.0, 0.0), w)
-        result = glue(xi, [tube], [0.0], profile, w)
+        result = glue([tube], [0.0])
         assert not result.ok
         assert result.min_interior == 0.0
 
-    def test_coverage_gap_reported(self, plane, profile):
+    def test_coverage_gap_reported(self, plane):
         # a single narrow-span tube cannot band-cover a wide window
         w = Window(-4, 4, -1, 1, 41, 11)
         xi = parse_field(plane, "1", "0")
         tube = build_tube(xi, (0.0, 0.0), w, t_span=2.0)
         with pytest.raises(CoverageGap) as info:
-            glue(xi, [tube], [1.0], profile, w)
+            glue([tube], [1.0])
         assert len(info.value.cells) > 0
 
-    def test_stripe_fixture(self, stripe, profile):
+    def test_stripe_fixture(self, stripe):
         dist, _, _ = stripe
         xi = dist.frame[0]
         w = Window(-1, 1, -1, 1, 101, 101)
         tubes = [build_tube(xi, (0.0, s), w) for s in (-0.9, 0.0, 0.9)]
-        result = glue(xi, tubes, [1.0, 1.0, 1.0], profile, w)
+        result = glue(tubes, [1.0, 1.0, 1.0])
         assert result.ok
         assert result.min_interior > 0.0
 
-    def test_monotone_along_flow_direction(self, plane, profile):
+    def test_tubes_must_share_one_window(self, plane):
+        xi = parse_field(plane, "1", "0")
+        tubes = [build_tube(xi, (0.0, 0.0), Window(-1, 1, -1, 1, n, n)) for n in (11, 13)]
+        for bad in ([], tubes):
+            with pytest.raises(ValueError, match="one window"):
+                glue(bad, [1.0] * len(bad))
+
+    def test_a_step_fails_verification(self, stripe, profile):
+        # seeds apart along the flow leave a step where one tube's band
+        # ends inside another's: the centered differences of the glued grid
+        # see it, while the flow-box sum of step'(t) stays positive
+        xi = stripe[0].frame[0]
+        w = Window(-1, 1, -1, 1, 61, 61)
+        seeds = [(-0.188, 0.779), (0.111, 0.149), (-0.551, 0.049), (0.042, -0.781)]
+        tubes = build_tubes(xi, seeds, w)
+        result = glue(tubes, [1.0] * len(seeds))
+        assert not result.ok
+        assert result.min_interior < -0.9
+        flow_box = sum(np.where(np.isnan(tv.times), 0.0, profile.step_deriv(tv.times))
+                       for tv in map(tube_function, tubes))
+        assert flow_box[1:-1, 1:-1].min() > 0.2
+
+    def test_monotone_along_flow_direction(self, plane):
         # for the coordinate field the glued function must increase in x
         w = Window(-1, 1, -1, 1, 41, 41)
         xi = parse_field(plane, "1", "0")
         tubes = [build_tube(xi, (s, 0.0), w) for s in (-0.5, 0.5)]
-        result = glue(xi, tubes, [1.0, 2.0], profile, w)
+        result = glue(tubes, [1.0, 2.0])
         assert result.ok
         assert np.all(np.diff(result.values, axis=1) >= -1e-12)
 
@@ -379,12 +400,12 @@ class TestVerifyTransversal:
         assert abs(rep.min_value) <= 1e-14
         assert np.abs(rep.lie_values).max() <= 1e-14
 
-    def test_sign_agreement_with_glue(self, stripe, profile):
+    def test_sign_agreement_with_glue(self, stripe):
         dist, _, _ = stripe
         xi = dist.frame[0]
         w = Window(-1, 1, -1, 1, 61, 61)
         tubes = [build_tube(xi, (0.0, s), w) for s in (-0.9, 0.0, 0.9)]
-        result = glue(xi, tubes, [1.0, 1.0, 1.0], profile, w)
+        result = glue(tubes, [1.0, 1.0, 1.0])
         assert result.ok
         interior = result.lie_values[1:-1, 1:-1]
         assert np.all(interior > 0)
@@ -526,7 +547,7 @@ def test_tube_within_bound_of_tight_reference(plane, field, seed):
     assert np.abs(tube.states - ref)[inside].max() <= 1e-8
 
 
-def test_glue_agrees_with_tight_reference_on_generated_scenarios(plane, profile):
+def test_glue_agrees_with_tight_reference_on_generated_scenarios(plane):
     # seeds move together along x, as in the benchmark's glue op
     rng = np.random.default_rng(4)
     xi = parse_field(plane, "2*y", "1-y^2")
@@ -536,13 +557,13 @@ def test_glue_agrees_with_tight_reference_on_generated_scenarios(plane, profile)
         summary = []
         for make in (build_tube, _reference_tube):
             tubes = [make(xi, (dx, y), w) for y in (-0.9, 0.0, 0.9)]
-            fields = [tube_function(xi, tube, profile, w) for tube in tubes]
+            fields = [tube_function(tube) for tube in tubes]
             located = [np.mean(~np.isnan(tv.times)) for tv in fields]
             covered = np.zeros((w.ny, w.nx), dtype=bool)
             for tv in fields:
                 with np.errstate(invalid="ignore"):
                     covered |= np.abs(tv.times) < 1.0
-            result = glue(xi, tubes, [1.0, 1.0, 1.0], profile, w)
+            result = glue(tubes, [1.0, 1.0, 1.0])
             summary.append((located, covered.mean(), result.min_interior > 0.0))
         assert summary[0] == summary[1], dx
 
@@ -553,7 +574,8 @@ def test_glue_agrees_with_tight_reference_on_generated_scenarios(plane, profile)
 _PLANE = Chart(("x", "y"))
 _RATES = st.sampled_from([(1e-10, 1e-10), (1e-6, 1e-8), (1e-3, 1e-3)])
 # named fields: the domain ends at y = -2 (shortened retries), the spiral
-# leaves every box (BlowUp), the rotation and the stripe stay bounded
+# leaves every box (stopped or frozen there), the rotation and the stripe
+# stay bounded
 _NAMED = st.sampled_from([("sqrt(y+2)", "0"), ("x - y", "x + y"), ("-y", "x"),
                           ("2*y", "1-y^2"), ("1", "0")]).map(lambda f: parse_field(_PLANE, *f))
 _FIELDS = st.one_of(_NAMED, st.tuples(_exprs(partial=True), _exprs()).map(
@@ -578,9 +600,7 @@ def _groups(draw):
     half = draw(st.sampled_from([None, 1.2, 2.0]))
     stop = None if half is None else (lambda ys: np.any(np.abs(ys) > half, axis=(1, 2)))
     freeze = draw(st.sampled_from([None, 1.0, 1.6]))
-    bbox = draw(st.sampled_from([None, 3.0]))
-    return _Group(y0, times, stop, None if freeze is None else _box(freeze),
-                  None if bbox is None else _box(bbox))
+    return _Group(y0, times, stop, None if freeze is None else _box(freeze))
 
 
 def _outcome(call):
@@ -604,7 +624,7 @@ def test_grouped_integration_equals_each_group_alone(xi, groups, rates):
     fun = _field_fun(xi)
     grouped = _integrate_groups(lambda y, rows: fun(y), groups, *rates)
     for group, got in zip(groups, grouped):
-        kwargs = dict(bbox=group.bbox, freeze_box=group.freeze_box, stop=group.stop)
+        kwargs = dict(freeze_box=group.freeze_box, stop=group.stop)
         alone = _outcome(lambda: _integrate(fun, group.y0, group.times, *rates, **kwargs))
         _assert_same_outcome(got, alone)
         # and the one-group case keeps the bits of the sequential loop

@@ -364,22 +364,23 @@ def run(scenario_path, output_dir, *, seed: int | None = None,
     except ValueError as err:  # a file that is not UTF-8 text
         print(f"error: {scenario_path}: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    os.makedirs(output_dir, exist_ok=True)
     effective_tol = tol if tol is not None else DEFAULT_RANK_TOL
     try:
+        os.makedirs(output_dir, exist_ok=True)
         ok, body = _RUNNERS[sc.task](sc, output_dir, seed, effective_tol)
-    except ScenarioError as err:
+        # the skeleton of every report; a runner's body sets the seed it used
+        report = {"task": sc.task, "tolerance": effective_tol, "seed": 0, **body,
+                  "versions": {"hfreemaps": __version__}}
+        if "points" in report:
+            report["summary"]["n_points"] = len(report["points"])
+        finite = _write_report(output_dir, report)
+    except (OSError, ScenarioError) as err:  # OSError: an output that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (HfreeError, ValueError) as err:  # ValueError: a library check on the input
         print(f"error: {sc.path}: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    # the skeleton of every report; a runner's body sets the seed it used
-    report = {"task": sc.task, "tolerance": effective_tol, "seed": 0, **body,
-              "versions": {"hfreemaps": __version__}}
-    if "points" in report:
-        report["summary"]["n_points"] = len(report["points"])
-    if not _write_report(output_dir, report):
+    if not finite:
         print(f"error: {sc.path}: non-finite numbers, written as null in "
               f"report.json", file=sys.stderr)
         ok = False

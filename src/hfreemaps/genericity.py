@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .artifacts import write_text
-from .geometry import DEFAULT_RANK_TOL, Distribution
+from .geometry import DEFAULT_RANK_TOL, Distribution, _proven
 from .hfree import _certify_ranks, _jet_rows, _stack_rows, required_rank
 
 _Z95 = 1.959963984540054
@@ -137,8 +137,10 @@ def _sweep(d: Distribution, q: int, degree: int, n_maps: int, n_points: int,
            seed: int, box: np.ndarray, tol: float):
     """Certify the sweep's maps in blocks of whole maps, at most
     ``_BLOCK_PAIRS`` pairs each (one map when it alone has more points).
-    Yields ``(first map index, points (K, P, m), singular values
-    (K*P, R), thresholds (K*P,))`` per block, pairs in map-major order."""
+    Yields ``(first map index, points (K, P, m), proven (K*P,), singular
+    values (U, R), thresholds (U,))`` per block, pairs in map-major order:
+    ``proven`` marks the pairs that the Gram bound proves clear successes,
+    and the singular values and thresholds are those of the ``U`` others."""
     m = d.chart.dim
     if n_maps > 0:
         RandomMapSpec(m, q, degree, seed)  # validates the degree
@@ -151,8 +153,13 @@ def _sweep(d: Distribution, q: int, degree: int, n_maps: int, n_points: int,
             box[:, 0], box[:, 1], size=(n_points, m)) for i in maps])
         Fgrads, Fhesses = _poly_jets(coeffs, exponents, pts)
         _, first, L2 = _jet_rows(d, pts.reshape(-1, m), Fgrads, Fhesses, tol)
-        svals, thresholds, _ = _certify_ranks(_stack_rows(first, L2, False), tol)
-        yield start, pts, svals, thresholds
+        matrices = _stack_rows(first, L2, False)
+        # a clear success keeps sigma_need above 10 times the sized threshold
+        proven = _proven(matrices, 10.0 * tol * max(matrices.shape[-2:]))
+        if proven is None:
+            proven = np.zeros(len(matrices), dtype=bool)
+        svals, thresholds, _ = _certify_ranks(matrices[~proven], tol)
+        yield start, pts, proven, svals, thresholds
 
 
 def genericity_trial(d: Distribution, q: int, degree: int, n_maps: int,
@@ -178,19 +185,20 @@ def genericity_trial(d: Distribution, q: int, degree: int, n_maps: int,
 
     successes = marginals = 0
     failures, marginal_pairs = [], []
-    for start, pts, svals, thresholds in _sweep(d, q, degree, n_maps, n_points,
-                                                seed, box, tol):
+    for start, pts, proven, svals, thresholds in _sweep(d, q, degree, n_maps, n_points,
+                                                        seed, box, tol):
+        rest = np.flatnonzero(~proven)
         smallest = svals[:, need - 1]
         clear_success = smallest > 10.0 * thresholds
         clear_failure = smallest < 0.1 * thresholds
         marginal = ~clear_success & ~clear_failure
-        successes += int(np.count_nonzero(clear_success))
+        successes += int(np.count_nonzero(proven)) + int(np.count_nonzero(clear_success))
         marginals += int(np.count_nonzero(marginal))
         flat = pts.reshape(-1, m)
         failures += [(start + i // n_points, flat[i].copy())
-                     for i in np.nonzero(clear_failure)[0].tolist()]
+                     for i in rest[clear_failure].tolist()]
         marginal_pairs += [(start + i // n_points, flat[i].copy())
-                           for i in np.nonzero(marginal)[0].tolist()]
+                           for i in rest[marginal].tolist()]
 
     fraction = successes / n_pairs if n_pairs else 0.0
     ci_low, ci_high = _wilson(successes, n_pairs)

@@ -12,6 +12,16 @@ from .lie import VectorField
 
 DEFAULT_RANK_TOL = 1e-9
 
+# unit roundoff of float64
+_U = 2.0 ** -53
+# assumed accuracy of LAPACK's singular values: each computed value lies
+# within _SVD_ERROR * _U * sigma_max of the exact one
+_SVD_ERROR = 1000.0
+# stacks of at least this many matrices try the Gram bound before the SVD;
+# the bound costs about 25 us per call against about 4 us for one small
+# SVD, but 0.6 ms against 7 ms on ten thousand 2 x 3 matrices
+_PROOF_BATCH = 64
+
 
 def certified_ranks(svals: np.ndarray, shape, tol: float, sized: bool = True):
     """Thresholds and ranks for singular values ``svals (..., r)`` of
@@ -25,13 +35,91 @@ def certified_ranks(svals: np.ndarray, shape, tol: float, sized: bool = True):
         return thresholds, (svals > thresholds[..., None]).sum(axis=-1)
 
 
+def full_rank_proven(matrices: np.ndarray, ratio: float) -> np.ndarray:
+    """Which matrices of a stack ``(B, s, q)``, ``s <= q``, the SVD rule is
+    certain to call full row rank: ``sigma_s > ratio * sigma_max`` for the
+    singular values that ``np.linalg.svd`` returns, with the threshold
+    product rounded, given that each returned value is within
+    ``_SVD_ERROR * u * sigma_max`` of the exact one (an assumption).
+
+    That holds when the exact values satisfy ``sigma_s > kappa * sigma_max``
+    with ``kappa = ratio (1 + 8u)(1 + 1000u) + 1000u``.  Each matrix is
+    scaled by a power of two to a largest entry in [1/2, 1), and is proven
+    when the floating-point Cholesky of its Gram matrix minus ``alpha * I``
+    succeeds, with ``alpha`` twice ``kappa**2 + (s + q + 2) u`` times the
+    trace.  The ``(s + q + 2) u`` part covers the rounding of the Gram
+    product, of the shift and of the factorization (Rump, "Verification of
+    positive definiteness", BIT 46, 2006); the terms in ``2**-400`` and
+    ``2**-900`` cover underflow.  A matrix with a non-finite entry, or a
+    largest entry outside [2**-500, 2**500], is never proven."""
+    B, s, q = matrices.shape
+    x = np.ascontiguousarray(np.moveaxis(matrices, 0, -1))  # (s, q, B)
+    flat = x.reshape(s * q, B)
+    big = np.maximum(flat.max(axis=0), -flat.min(axis=0))  # nan when any entry is nan
+    proven = (big >= 2.0 ** -500) & (big <= 2.0 ** 500)
+    if not proven.all():
+        x[..., ~proven] = 0.0
+    _, exponents = np.frexp(np.where(proven, big, 1.0))
+    np.ldexp(x, -exponents, out=x)
+    kappa = ratio * (1 + 8 * _U) * (1 + _SVD_ERROR * _U) + _SVD_ERROR * _U + 2.0 ** -400
+    rho = 2.0 * (kappa * kappa + (s + q + 2) * _U + 2.0 ** -900)
+    # the upper triangle of the Gram matrix, one entry per (B,) array
+    gram = [[None] * s for _ in range(s)]
+    for i in range(s):
+        for j in range(i, s):
+            gram[i][j] = x[i, 0] * x[j, 0]
+            for k in range(1, q):
+                gram[i][j] += x[i, k] * x[j, k]
+    alpha = rho * sum(gram[j][j] for j in range(s))
+    factor = [[None] * s for _ in range(s)]
+    # a failed pivot makes later entries of its matrix inf or nan; they
+    # only reach later pivots of the same matrix, which then fail as well
+    with np.errstate(all="ignore"):
+        for j in range(s):
+            pivot = gram[j][j] - alpha
+            for k in range(j):
+                pivot = pivot - factor[k][j] * factor[k][j]
+            proven &= pivot > 0.0
+            root = np.sqrt(pivot)
+            for i in range(j + 1, s):
+                entry = gram[j][i]
+                for k in range(j):
+                    entry = entry - factor[k][j] * factor[k][i]
+                factor[j][i] = entry / root
+    return proven
+
+
+def _proven(stack: np.ndarray, ratio: float):
+    """:func:`full_rank_proven` on a stack ``(B, s, q)`` of at least
+    ``_PROOF_BATCH`` matrices with ``s <= q``; None on others, which are
+    not tried."""
+    B, s, q = stack.shape
+    if B < _PROOF_BATCH or s > q:
+        return None
+    return full_rank_proven(stack, ratio)
+
+
 def unsized_ranks(matrices: np.ndarray, tol: float) -> np.ndarray:
     """Ranks of a stack of matrices ``(..., rows, cols)`` by the unsized
     rule of :func:`certified_ranks`: the check that rows are independent.
-    One row's singular value is its 2-norm, which ``hypot`` keeps in range."""
-    svals = (np.hypot.reduce(matrices, axis=-1) if matrices.shape[-2] == 1
-             else np.linalg.svd(matrices, compute_uv=False))
-    return certified_ranks(svals, matrices.shape, tol, sized=False)[1]
+    One row's singular value is its 2-norm, which ``hypot`` keeps in range.
+    On large stacks, matrices that :func:`full_rank_proven` proves get
+    full rank without an SVD."""
+    rows, cols = matrices.shape[-2:]
+    if rows == 1:
+        svals = np.hypot.reduce(matrices, axis=-1)
+        return certified_ranks(svals, matrices.shape, tol, sized=False)[1]
+    stack = matrices.reshape(-1, rows, cols)
+    proven = _proven(stack, tol)
+    if proven is None:
+        svals = np.linalg.svd(matrices, compute_uv=False)
+        return certified_ranks(svals, matrices.shape, tol, sized=False)[1]
+    ranks = np.full(len(stack), rows)
+    rest = ~proven
+    if rest.any():
+        svals = np.linalg.svd(stack[rest], compute_uv=False)
+        ranks[rest] = certified_ranks(svals, stack.shape, tol, sized=False)[1]
+    return ranks.reshape(matrices.shape[:-2])
 
 
 @dataclass(frozen=True)

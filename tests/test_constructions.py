@@ -401,11 +401,13 @@ class TestBuildRp:
         with pytest.raises(DegenerateCasimirs):
             build_rp(spec, "2*x", "z", FreeCurve.exp(), pts)
 
-    def test_one_evaluation_and_one_svd_per_build(self, space, rng, monkeypatch):
+    def test_one_evaluation_and_one_rank_check_per_build(self, space, rng, monkeypatch):
         # one stack of casimir, h and f gradients serves both the
-        # independence check and the brackets {h, f}
-        from hfreemaps import expr
-        calls = {"evaluate": 0, "svd": 0}
+        # independence check and the brackets {h, f}; on 300 points the
+        # Gram bound proves every casimir and h pair independent, so the
+        # check needs no SVD
+        from hfreemaps import expr, geometry
+        calls = {"evaluate": 0, "proof": 0, "svd": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -414,7 +416,9 @@ class TestBuildRp:
             return wrapper
 
         monkeypatch.setattr(expr, "_evaluate", counted("evaluate", expr._evaluate))
+        monkeypatch.setattr(geometry, "full_rank_proven",
+                            counted("proof", geometry.full_rank_proven))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         spec = RPBracketSpec(space, (parse("x+0.1*z^2"),))
         build_rp(spec, "y", "z", FreeCurve.exp(), rng.uniform(-2, 2, size=(300, 3)))
-        assert calls == {"evaluate": 1, "svd": 1}
+        assert calls == {"evaluate": 1, "proof": 1, "svd": 0}

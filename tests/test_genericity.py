@@ -131,11 +131,11 @@ def test_csv_write_is_atomic(tmp_path, line_dist, monkeypatch):
 def per_map_sweep(d, q, degree, n_maps, n_points, seed, box, tol):
     """The sweep one map at a time: ``freedom_matrix_many`` on the
     expression map of ``random_poly_map``, at the points of the map's
-    own stream.  Returns the singular values of every pair and the
-    classified pairs, map by map."""
+    own stream.  Returns the singular values and the clear-success mask of
+    every pair and the classified pairs, map by map."""
     m = d.chart.dim
     need = required_rank(d.k)
-    svals, successes, marginals, failures, marginal_pairs = [], 0, 0, [], []
+    svals, clear, successes, marginals, failures, marginal_pairs = [], [], 0, 0, [], []
     for index in range(n_maps):
         F = random_poly_map(RandomMapSpec(m, q, degree, seed, stream=index + 1), d.chart)
         rng = genericity._generator(seed, (1 << 32) + index + 1)
@@ -144,13 +144,14 @@ def per_map_sweep(d, q, degree, n_maps, n_points, seed, box, tol):
         svals.append(s)
         smallest = s[:, need - 1]
         success = smallest > 10.0 * thresholds
+        clear.append(success)
         failure = smallest < 0.1 * thresholds
         marginal = ~success & ~failure
         successes += int(np.count_nonzero(success))
         marginals += int(np.count_nonzero(marginal))
         failures += [(index, pts[i]) for i in np.nonzero(failure)[0]]
         marginal_pairs += [(index, pts[i]) for i in np.nonzero(marginal)[0]]
-    return svals, successes, marginals, failures, marginal_pairs
+    return svals, clear, successes, marginals, failures, marginal_pairs
 
 
 def same_pairs(got, want):
@@ -173,13 +174,18 @@ def test_blocked_sweep_matches_per_map_path(line_dist, contact, dim, q, degree, 
                                             n_points, tol, blocks):
     d = line_dist if dim == 2 else contact[0]
     box = np.array([[-2.0, 2.0]] * dim)
-    svals, successes, marginals, failures, marginal_pairs = per_map_sweep(
+    svals, clear, successes, marginals, failures, marginal_pairs = per_map_sweep(
         d, q, degree, n_maps, n_points, 11, box, tol)
     swept = list(genericity._sweep(d, q, degree, n_maps, n_points, 11, box, tol))
     assert len(swept) == blocks
+    proven = np.concatenate([p for _, _, p, _, _ in swept])
+    assert proven.any()
     got, want = np.concatenate([s for *_, s, _ in swept]), np.concatenate(svals)
+    # the pairs the Gram bound proves are clear successes by the SVD rule
+    assert np.all(np.concatenate(clear)[proven])
     # rounding moves every singular value by a multiple of the matrix norm
     # sigma_max, so the tolerance is relative to it, not to each value
+    want = want[~proven]
     assert np.all(np.abs(got - want) <= 1e-12 * want[:, :1])
     res = genericity_trial(d, q, degree, n_maps, n_points, 11, box, tol=tol)
     assert (res.successes, res.marginals) == (successes, marginals)

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfreemaps.constructions import FreeCurve, RPBracketSpec, build_rp, rp_bracket
+from hfreemaps.errors import DegenerateFrame
 from hfreemaps.expr import Chart, Num, eval_value, parse
 from hfreemaps.geometry import (
+    _PROOF_BATCH,
     DEFAULT_RANK_TOL,
     Distribution,
     _frame_jets,
     certified_ranks,
     frame_rank,
+    full_rank_proven,
     unsized_ranks,
 )
 from hfreemaps.hfree import _check_frame, freedom_matrix, is_h_immersion_at, parse_map
@@ -110,6 +115,121 @@ def test_one_field_rank_agrees_with_the_svd(rng, scale, tol, m):
     want = certified_ranks(svals, fields.shape, tol, sized=False)[1]
     assert np.array_equal(unsized_ranks(fields, tol), want)
     assert np.array_equal(unsized_ranks(fields[0], tol), want[0])
+
+
+# ---------------------------------------------------------------------------
+# the Gram bound against the SVD rule it stands in for
+
+
+def _stack(seed, s, q, log_ratio, scale, defect, n=24):
+    """``n`` matrices ``U diag(sigma) V^T`` of shape ``s x q`` with
+    ``sigma_s / sigma_1`` spread around ``10**log_ratio``, times ``2**scale``,
+    and the defect (zero rows, subnormal, nan or infinite entries) put into
+    every third matrix."""
+    rng = np.random.default_rng(seed)
+    ratios = 10.0 ** np.clip(log_ratio + rng.uniform(-1.0, 1.0, n), -17.0, 0.0)
+    out = np.empty((n, s, q))
+    for b, ratio in enumerate(ratios):
+        u = np.linalg.qr(rng.normal(size=(s, s)))[0]
+        v = np.linalg.qr(rng.normal(size=(q, s)))[0]
+        sigma = np.sort(np.exp(rng.uniform(np.log(ratio), 0.0, s)))[::-1]
+        sigma[0], sigma[-1] = 1.0, ratio if s > 1 else 1.0
+        out[b] = (u * sigma) @ v.T
+    out = np.ldexp(out, scale)
+    hit = out[::3]
+    if defect == "zero row":
+        hit[:, rng.integers(s)] = 0.0
+    elif defect == "subnormal":
+        hit[rng.uniform(size=hit.shape) < 0.5] = 5e-324 * rng.integers(1, 1 << 20)
+    elif defect in ("nan", "inf", "-inf"):
+        hit[:, rng.integers(s), rng.integers(q)] = float(defect)
+    return out
+
+
+def _svd_full_rank(stack, tol, rule):
+    """Whether the SVD rule calls each matrix full row rank; a matrix whose
+    SVD does not converge is not."""
+    s = stack.shape[-2]
+    out = np.zeros(len(stack), dtype=bool)
+    for b, matrix in enumerate(stack):
+        try:
+            svals = np.linalg.svd(matrix, compute_uv=False)
+        except np.linalg.LinAlgError:
+            continue
+        thresholds, ranks = certified_ranks(svals, matrix.shape, tol, rule != "unsized")
+        out[b] = (svals[s - 1] > 10.0 * thresholds if rule == "clear success"
+                  else ranks == s)
+    return out
+
+
+def _rule_ratio(tol, rule, s, q):
+    return {"unsized": tol, "sized": tol * max(s, q),
+            "clear success": 10.0 * tol * max(s, q)}[rule]
+
+
+RULES = st.sampled_from(["unsized", "sized", "clear success"])
+TOLS = st.sampled_from([DEFAULT_RANK_TOL, 1e-12, 1e-6, 1e-3, 0.1])
+
+
+@st.composite
+def _shapes(draw):
+    s = draw(st.integers(1, 4))
+    return s, draw(st.integers(s, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=_shapes(), seed=st.integers(0, 2**32 - 1), log_ratio=st.floats(-17.0, 0.0),
+       scale=st.integers(-1000, 1000), tol=TOLS, rule=RULES,
+       defect=st.sampled_from(["none", "zero row", "subnormal", "nan", "inf", "-inf"]))
+def test_gram_bound_never_proves_what_the_svd_rule_rejects(shape, seed, log_ratio, scale,
+                                                         tol, rule, defect):
+    s, q = shape
+    stack = _stack(seed, s, q, log_ratio, scale, defect)
+    proven = full_rank_proven(stack, _rule_ratio(tol, rule, s, q))
+    assert proven.dtype == bool and proven.shape == (len(stack),)
+    assert not np.any(proven & ~_svd_full_rank(stack, tol, rule))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=_shapes(), seed=st.integers(0, 2**32 - 1), log_ratio=st.floats(-5.0, 0.0),
+       scale=st.integers(-450, 450), rule=RULES)
+def test_gram_bound_proves_well_conditioned_stacks(shape, seed, log_ratio, scale, rule):
+    # sigma_s / sigma_1 >= 1e-6 at the default tolerance: a bound that
+    # always fell back to the SVD would fail here
+    s, q = shape
+    stack = _stack(seed, s, q, log_ratio, scale, "none")
+    assert np.all(full_rank_proven(stack, _rule_ratio(DEFAULT_RANK_TOL, rule, s, q)))
+
+
+def test_unsized_ranks_on_large_mixed_stacks(rng):
+    # above the proof batch, proven matrices skip the SVD; the ranks stay
+    # those of the SVD rule, also for batch shapes of more than one axis
+    stack = np.concatenate([_stack(seed, 2, 3, log_ratio, 0, defect)
+                            for seed, log_ratio, defect in
+                            [(1, -1.0, "none"), (2, -9.0, "zero row"), (3, -15.0, "none"),
+                             (4, -3.0, "subnormal"), (5, -8.5, "none")]])
+    assert len(stack) >= _PROOF_BATCH
+    svals = np.linalg.svd(stack, compute_uv=False)
+    want = certified_ranks(svals, stack.shape, DEFAULT_RANK_TOL, sized=False)[1]
+    assert 0 < np.count_nonzero(want == 2) < len(stack)
+    assert np.array_equal(unsized_ranks(stack, DEFAULT_RANK_TOL), want)
+    assert np.array_equal(unsized_ranks(stack.reshape(4, 30, 2, 3), DEFAULT_RANK_TOL),
+                          want.reshape(4, 30))
+
+
+def test_frame_batch_with_degenerate_frames_raises_the_svd_message(contact, rng):
+    # 10^4 contact frames, five of them made rank one: the message names
+    # the count and the first batch index, as the SVD-only rule does
+    dist, _ = contact
+    XV = _frame_jets(dist, rng.uniform(-3, 3, size=(10_000, 3))).value
+    bad = [17, 4000, 4001, 7777, 9999]
+    XV[bad, 1] = 3.0 * XV[bad, 0]
+    svals = np.linalg.svd(XV, compute_uv=False)
+    ranks = certified_ranks(svals, XV.shape, DEFAULT_RANK_TOL, sized=False)[1]
+    assert np.flatnonzero(ranks < 2).tolist() == bad
+    with pytest.raises(DegenerateFrame) as err:
+        _check_frame(dist, XV, DEFAULT_RANK_TOL)
+    assert str(err.value) == "frame rank < 2 at 5 of 10000 points (first batch index 17)"
 
 
 def test_frame_size_bounds(plane):

@@ -742,6 +742,25 @@ kind = check-hfree
         assert not out.exists()
         assert main([path, "--out", str(out), "--tol", "1e-9"]) == 2
 
+    @pytest.mark.parametrize("where", ["file", "under a file", "report is a directory"])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, where):
+        # the output directory cannot be made, or an artifact cannot be
+        # written: an error line and exit 1, never a traceback
+        path = write(tmp_path, "contact.ini", CONTACT)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n")
+        out = {"file": blocker, "under a file": blocker / "sub",
+               "report is a directory": tmp_path / "out"}[where]
+        if where == "report is a directory":
+            (out / "report.json").mkdir(parents=True)
+        assert main([path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert blocker.read_text() == "keep\n"
+        if where == "report is a directory":
+            assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
 
 def _strict(text):
     def refuse(name):

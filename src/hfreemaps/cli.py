@@ -147,8 +147,12 @@ def _run_induced_metric(sc: Scenario, outdir, seed, tol):
     dist, F = sc.distribution(), sc.map_spec()
     points, seed_used = sc.points(seed)
     metrics = induced_metric_many(dist, F, points)
-    positive = [InducedMetric(g, p).is_positive_definite() for p, g in zip(points, metrics)]
-    return True, {"seed": seed_used, "summary": {"n_positive_definite": sum(positive)},
+    positive = np.all(np.isfinite(metrics), axis=(1, 2))
+    try:  # one factorization of the finite metrics; numpy raises if any one fails
+        np.linalg.cholesky(metrics[positive])
+    except np.linalg.LinAlgError:
+        positive = [InducedMetric(g, p).is_positive_definite() for p, g in zip(points, metrics)]
+    return True, {"seed": seed_used, "summary": {"n_positive_definite": int(np.sum(positive))},
                   "points": _records(points, metric=metrics, positive_definite=positive)}
 
 

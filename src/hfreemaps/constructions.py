@@ -310,11 +310,15 @@ def rp_bracket_many(spec: RPBracketSpec, f: Expr, g: Expr, points,
                     tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Bracket values at ``points (B, n)`` from one stack of gradient rows
     of the casimirs, ``f`` and ``g``; its casimir rows serve the
-    independence check.  A :class:`DomainError` in evaluating ``f`` or
-    ``g`` is therefore raised before :class:`DegenerateCasimirs`."""
+    independence check.  A :class:`DomainError` in evaluating them, or at
+    a non-finite casimir row, is therefore raised before
+    :class:`DegenerateCasimirs`, with no numpy warning."""
     pts = np.asarray(points, dtype=float)
-    rows = eval_jets_many(spec.casimirs + (as_expr(f), as_expr(g)), spec.chart, pts,
-                          order=1).gradient
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rows = eval_jets_many(spec.casimirs + (as_expr(f), as_expr(g)), spec.chart, pts,
+                              order=1).gradient
+    if not np.all(np.isfinite(rows[:, :-2])):
+        raise DomainError("non-finite casimir gradient values")
     if spec.casimirs:
         bad = _dependent(rows[:, :-2], tol)
         if bad.size:
@@ -366,8 +370,7 @@ def hamiltonian_field(spec: RPBracketSpec, h) -> VectorField:
             cof = _negate(cof)
         comps.append(cof)
     if spec.metric is not None:
-        G = [[spec.metric[i][j] for j in range(n)] for i in range(n)]
-        denom = Call("sqrt", _det_expr(G))
+        denom = Call("sqrt", _det_expr(spec.metric))
         comps = [c / denom for c in comps]
     if spec.orientation == -1:
         comps = [_negate(c) for c in comps]
@@ -388,14 +391,18 @@ class RpMap:
 def build_rp(spec: RPBracketSpec, h, f, curve: FreeCurve, check_points,
              tol: float = DEFAULT_RANK_TOL) -> RpMap:
     """Map ``(a(f), b(f))`` along ``xi_h``; requires ``{h, f} > 0`` at
-    every check point (:class:`NonTransversal` otherwise)."""
+    every check point (:class:`NonTransversal` otherwise), from finite
+    casimir, ``h`` and ``f`` gradients (:class:`DomainError` otherwise)."""
     h = parse(h) if isinstance(h, str) else as_expr(h)
     f = parse(f) if isinstance(f, str) else as_expr(f)
     pts = np.asarray(check_points, dtype=float)
     # one stack of gradient rows serves the independence check of the
     # casimirs and h (its first n - 1 rows; the casimirs alone are then
     # independent too, by interlacing of singular values) and {h, f}
-    rows = eval_jets_many(spec.casimirs + (h, f), spec.chart, pts, order=1).gradient
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rows = eval_jets_many(spec.casimirs + (h, f), spec.chart, pts, order=1).gradient
+    if not np.all(np.isfinite(rows)):
+        raise DomainError("non-finite gradient values of the casimirs, h or f")
     if _dependent(rows[:, :-1], tol).size:
         raise DegenerateCasimirs("h is not independent from the casimirs")
     brackets = _bracket(spec, rows, pts)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (Chart, Expr, coordinates, derivative, eval_jet2_many, eval_jets_many,
-                   fold_add, fold_mul, parse)
+from .expr import (Chart, Expr, Num, _is_zero, coordinates, derivative, eval_jet2_many,
+                   eval_jets_many, fold_add, fold_mul, parse)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ def lie(xi: VectorField, f: Expr, p) -> float:
 
 def lie_expr(xi: VectorField, f: Expr) -> Expr:
     """The directional derivative along ``xi`` as an expression tree."""
-    out: Expr = fold_mul(xi.components[0], derivative(f, xi.chart.coords[0]))
-    for name, comp in zip(xi.chart.coords[1:], xi.components[1:]):
-        out = fold_add(out, fold_mul(comp, derivative(f, name)))
+    out: Expr = Num(0.0)
+    for name, comp in zip(xi.chart.coords, xi.components):
+        if not _is_zero(comp):  # its term would fold to 0: build no derivative
+            out = fold_add(out, fold_mul(comp, derivative(f, name)))
     return out

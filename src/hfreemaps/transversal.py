@@ -7,14 +7,14 @@ positivity of the directional derivative, either by centered
 differences on the glued grid or by exact jets for closed-form
 candidates.
 
-One Dormand-Prince loop integrates independent groups of rows at once
-(:func:`_integrate_groups`); a single integration (:func:`_integrate`,
-:func:`flow`) is its one-group case, and :func:`build_tubes` makes the
-tubes of a glue in two such calls, one for the leaves and one for their
-saturations.  Tube location pairs each table cell with the window
-nodes in its bounding box, read off the node raster.  A tube carries its
-field and window, so :func:`tube_function` and :func:`glue` read them
-from their tubes, and both use the one :class:`BumpProfile`.
+One Dormand-Prince loop integrates independent groups of rows at once,
+dense output included (:func:`_integrate_groups`); a single integration
+(:func:`_integrate`, :func:`flow`) is its one-group case, and
+:func:`build_tubes` makes a glue's tubes in two such calls.  Tube location
+pairs each table cell with the window nodes in its bounding box, read off
+the node raster, and solves only the pairs that the cell's edges do not
+rule out.  A tube carries its field and window, so :func:`tube_function`
+and :func:`glue` read them from their tubes, with one :class:`BumpProfile`.
 """
 
 from __future__ import annotations
@@ -122,6 +122,7 @@ class _Group:
 # the dense output's fourth-order term.  Derivative i enters rows i to 7,
 # the last one rows 6 and 7 only, so no padding zero is ever added.
 _DP_SUMS = np.array([a + (0.0,) * (7 - len(a)) for a in _DP_A[1:]] + [_DP_B5, _DP_E, _DP_D])
+_QUARTER_TURN = np.array([-1.0, 1.0])  # times (v1, v0): the turned vector (-v1, v0)
 
 
 def _dp_stages(fun, y, k1, step, rows):
@@ -157,33 +158,37 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
     Every group keeps its own times, direction, step size, error norm
     (the mean over its own live rows), dense-output samples, ``stop``,
     freeze and errors, so it takes the steps it takes alone.  The stage
-    derivatives and stage sums run once per step over the rows of every
-    running group.  When they raise, every group tries its step alone:
-    the groups that raise shorten their step or end, and the others take
-    it again with the next step.  ``fun`` must give each row the bits it
-    gives that row alone.
+    derivatives, stage sums and dense output run once per step over the
+    rows of every running group, into one buffer of all samples.  When
+    the stages raise, every group tries its step alone: the groups that
+    raise shorten their step or end, and the others take it again with
+    the next step.  ``fun`` must give each row the bits it gives alone.
     """
     if not groups:
         return []
     y0s = [np.atleast_2d(np.array(g.y0, dtype=float)) for g in groups]
     sizes = np.array([len(y) for y in y0s], dtype=np.intp)
     reach = [np.abs(np.asarray(g.times, dtype=float)) for g in groups]
-    out = [np.empty((len(r),) + y.shape) for r, y in zip(reach, y0s)]
+    times, t_first = np.concatenate(reach), np.cumsum([0] + [len(r) for r in reach[:-1]])
+    # the spare last element takes the writes past a group's new samples
+    span = [r.size * y.size for r, y in zip(reach, y0s)]
+    buf, b_first = np.empty(sum(span) + 1), np.cumsum([0] + span[:-1])
+    out = [buf[a:a + n].reshape((len(r),) + y.shape)
+           for a, n, r, y in zip(b_first.tolist(), span, reach, y0s)]
     last = np.array([float(g.times[-1]) if len(g.times) else 0.0 for g in groups])
+    # per running group: direction, time to reach and to go, step, samples written
     direction = np.where(last > 0, 1.0, -1.0)
-    remaining = np.abs(last)
-    h = np.minimum(remaining, 0.1)
-    done = np.zeros(len(groups), dtype=np.intp)  # samples written
-    start = np.zeros(len(groups))                # time reached, in absolute value
+    total = remaining = np.abs(last)
+    h, done = np.minimum(remaining, 0.1), np.zeros(len(groups), dtype=np.intp)
     results: list = [None] * len(groups)         # None while the group runs
 
-    def finish(g, y_g):
-        samples = out[g]
-        samples[done[g]:] = y_g  # the last sample, and those after every row froze
-        stop = groups[g].stop
+    def finish(i, y_i):
+        samples = out[act[i]]
+        samples[done[i]:] = y_i  # the last sample, and those after every row froze
+        stop = groups[act[i]].stop
         if stop is not None:
             samples = samples[:np.argmax(np.append(stop(samples), True))]
-        results[g] = samples[:, 0] if np.ndim(groups[g].y0) == 1 else samples
+        results[act[i]] = samples[:, 0] if np.ndim(groups[act[i]].y0) == 1 else samples
 
     def attempt(call, seg):
         """``call(rows)``, a list of arrays, over the rows of all running
@@ -200,6 +205,9 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
             except HfreeError as exc:
                 failed[i] = exc
         return (None if failed else [np.concatenate(p) for p in zip(*parts)]), failed
+
+    def spread(per_group):  # over every element of the group's rows, as full
+        return np.repeat(per_group, width, axis=-1)  # arrays: broadcasting is far slower
 
     # the running groups and the state of their rows, in group order
     act = np.arange(len(groups))
@@ -219,32 +227,34 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
                 act, y, live, rows = act[keep], y[take], live[take], rows[take]
                 k1 = None if k1 is None else k1[take]
                 lo, hi = lo[take], hi[take]
+                direction, total, remaining, h, done = (
+                    a[keep] for a in (direction, total, remaining, h, done))
             if not len(act):
                 break
-            seg = np.append(0, sizes[act].cumsum())
+            seg, width = np.append(0, sizes[act].cumsum()), sizes[act] * y.shape[1]
             if k1 is None:  # the first stage derivative of the first step
                 values, failed = attempt(lambda t: [fun(y[t], rows[t])], seg)
                 for i, exc in failed.items():
                     results[act[i]] = exc
                 if values is not None:
                     k1 = values[0]
-                    for i, g in enumerate(act.tolist()):
-                        if not (remaining[g] > 0.0 and np.any(live[seg[i]:seg[i + 1]])):
-                            finish(g, y[seg[i]:seg[i + 1]])
+                    for i in range(len(act)):
+                        if not (remaining[i] > 0.0 and np.any(live[seg[i]:seg[i + 1]])):
+                            finish(i, y[seg[i]:seg[i + 1]])
                 continue
             # a step that would leave less than the smallest allowed one takes it all
-            h[act] = np.where(h[act] > remaining[act] - 1e-13, remaining[act], h[act])
-            if np.any(h[act] < 1e-13):
-                for g in act[h[act] < 1e-13].tolist():
+            h = np.where(h > remaining - 1e-13, remaining, h)
+            if np.any(h < 1e-13):
+                for g in act[h < 1e-13].tolist():
                     results[g] = BlowUp("step size underflow (trajectory is not integrable here)")
                 continue
-            step = np.repeat(direction[act] * h[act], sizes[act])[:, None]
+            step = spread(direction * h).reshape(y.shape)
             values, failed = attempt(
                 lambda t: _dp_stages(fun, y[t], k1[t], step[t], rows[t]), seg)
             for i, exc in failed.items():
                 # a long step can reach past the field's domain: retry it shorter
-                if isinstance(exc, DomainError) and not h[act[i]] * 0.2 < 1e-13:
-                    h[act[i]] *= 0.2
+                if isinstance(exc, DomainError) and not h[i] * 0.2 < 1e-13:
+                    h[i] *= 0.2
                 else:
                     results[act[i]] = exc
             if values is None:
@@ -252,61 +262,57 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
             y5, k7, err_sum, fourth_sum = values
             err = step * err_sum
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            if live.all():
-                ratios, cut = (err / scale) ** 2, seg
-            else:
-                ratios = (err[live] / scale[live]) ** 2
-                cut = np.append(0, np.cumsum(live))[seg]
-            err_norm = np.sqrt([np.mean(ratios[a:b]) for a, b in zip(cut[:-1], cut[1:])])
+            ratios, cut, everywhere = (err / scale) ** 2, seg, live.all()
+            if not everywhere:
+                ratios, cut = ratios[live], np.append(0, np.cumsum(live))[seg]
+                live_full = np.repeat(live, y.shape[1]).reshape(y.shape)
+            # np.mean's own sum and division, over each group's slice
+            err_norm = np.sqrt([np.add.reduce(ratios[a:b], None) / ratios[a:b].size
+                                for a, b in zip(cut[:-1].tolist(), cut[1:].tolist())])
             accepted = np.isfinite(err_norm) & (err_norm <= 1.0)
             factor = [0.2 if not math.isfinite(e) else 5.0 if e == 0.0 else 0.9 * e ** -0.2
                       for e in err_norm.tolist()]
-            h_step = h[act]
-            h[act] *= np.minimum(5.0, np.maximum(0.2, factor))
+            h_step, h = h, h * np.minimum(5.0, np.maximum(0.2, factor))
             if not accepted.any():
                 continue
 
-            acc = act[accepted]
-            remaining[acc] -= h_step[accepted]
-            reached = np.abs(last) - remaining
+            start = total - remaining  # the time reached before the step
+            remaining = np.where(accepted, remaining - h_step, remaining)
+            upto = done.copy()
+            upto[accepted] = [reach[g].searchsorted(t) for g, t in
+                              zip(act[accepted].tolist(), (total - remaining)[accepted].tolist())]
             rise = y5 - y
-            slope = step * k1 - rise
-            bend = rise - step * k7 - slope
-            fourth = step * fourth_sum
-            everywhere = live.all()
-            held = y5 if everywhere else np.where(live[:, None], y5, y)
-            # the dense output of each accepted step; new[g] holds its samples
-            new = {}
-            for i, g in zip(np.flatnonzero(accepted).tolist(), acc.tolist()):
-                upto = int(np.searchsorted(reach[g], reached[g]))
-                rows_g = slice(seg[i], seg[i + 1])
-                s = ((reach[g][done[g]:upto] - start[g]) / h_step[i])[:, None, None]
-                dense = y[rows_g] + s * (rise[rows_g] + (1 - s) * (
-                    slope[rows_g] + s * (bend[rows_g] + (1 - s) * fourth[rows_g])))
-                new[g] = out[g][done[g]:upto]
-                new[g][...] = dense if everywhere else np.where(live[rows_g, None], dense,
-                                                                y[rows_g])
-                done[g], start[g] = upto, reached[g]
+            if np.any(upto > done):
+                # every group's k-th new sample, or a write to the spare element
+                k = np.arange(np.max(upto - done))[:, None]
+                s = (times[np.minimum(t_first[act] + done + k, len(times) - 1)] - start) / h_step
+                s, rest = (spread(a).reshape((len(k),) + y.shape) for a in (s, 1 - s))
+                slope = step * k1 - rise
+                bend = rise - step * k7 - slope
+                dense = y + s * (rise + rest * (slope + s * (bend + rest * (step * fourth_sum))))
+                at = spread(b_first[act] + (done + k) * width - seg[:-1] * y.shape[1])
+                buf[np.where(spread(k < upto - done), at + np.arange(y.size), -1)] = (
+                    dense if everywhere else np.where(live_full, dense, y)).reshape(len(k), -1)
+            stopped = np.array([u > d and groups[g].stop is not None and np.any(groups[g].stop(
+                out[g][d:u])) for g, d, u in zip(act.tolist(), done.tolist(), upto.tolist())])
+            done = upto
 
+            held = y5 if everywhere else np.where(live_full, y5, y)
             if accepted.all():
                 y, k1 = held, k7
             else:
-                moved = np.repeat(accepted, sizes[act])[:, None]
+                moved = spread(accepted).reshape(y.shape)
                 y, k1 = np.where(moved, held, y), np.where(moved, k7, k1)
             diverged = live & ~_across(np.logical_and, np.isfinite(held))
             inside = _across(np.logical_and, (held >= lo) & (held <= hi))
             live = live & (inside | ~np.repeat(accepted, sizes[act]))
-            flags = np.add.reduceat(np.column_stack([diverged, live]), seg[:-1],
-                                    axis=0)[accepted].tolist()
-            for i, g, (diverged, any_live) in zip(
-                    np.flatnonzero(accepted).tolist(), acc.tolist(), flags):
-                stop = groups[g].stop
-                if stop is not None and np.any(stop(new[g])):
-                    finish(g, y[seg[i]:seg[i + 1]])
-                elif diverged:
-                    results[g] = BlowUp("trajectory diverged to a non-finite state")
-                elif not (remaining[g] > 0.0 and any_live):
-                    finish(g, y[seg[i]:seg[i + 1]])
+            diverged, any_live = (np.logical_or.reduceat(a, seg[:-1]) for a in (diverged, live))
+            for i in np.flatnonzero(accepted & (stopped | diverged | ~any_live
+                                                | ~(remaining > 0.0))).tolist():
+                if diverged[i] and not stopped[i]:
+                    results[act[i]] = BlowUp("trajectory diverged to a non-finite state")
+                else:
+                    finish(i, y[seg[i]:seg[i + 1]])
     return results
 
 
@@ -332,10 +338,7 @@ def _integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
 
 
 def _field_fun(xi: VectorField):
-    def fun(y: np.ndarray) -> np.ndarray:
-        return xi.values(y) if y.ndim == 2 else xi.values(y[None, :])[0]
-
-    return fun
+    return lambda y: xi.values(y) if y.ndim == 2 else xi.values(y[None, :])[0]
 
 
 def _unit_orthogonal(v: np.ndarray, floor) -> np.ndarray:
@@ -343,9 +346,8 @@ def _unit_orthogonal(v: np.ndarray, floor) -> np.ndarray:
     their norm is at most ``floor``, so that a step meeting such a point is
     rejected and a trajectory that runs into one ends in a step size
     underflow."""
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    rotated = np.stack([-v[..., 1], v[..., 0]], axis=-1)
-    return rotated / np.where(norm > floor, norm, np.nan)
+    norm = np.sqrt(np.add.reduce(v * v, -1, keepdims=True))  # as np.linalg.norm sums
+    return v[..., ::-1] * _QUARTER_TURN / np.where(norm > floor, norm, np.nan)
 
 
 def flow(xi: VectorField, p, t: float, *, rtol: float = 1e-10,
@@ -515,14 +517,13 @@ def build_tubes(xi: VectorField, seeds, window: Window, *, t_span: float = 3.0,
         [_Group(transversal, times[part], freeze_box=(lo, hi))
          for transversal in transversals
          for part in (slice(zero - 1, None, -1), slice(zero + 1, None))], rtol, atol)
-    tubes = []
-    for seed, transversal, before, after in zip(seeds, transversals, halves[0::2],
-                                                halves[1::2]):
-        for half in (before, after):
-            if isinstance(half, Exception):
-                raise half
-        states = np.concatenate([before[::-1], transversal[None], after]).swapaxes(0, 1)
-        tubes.append(Tube(xi, seed, window, transversal, times, states, pad))
+    for half in halves:
+        if isinstance(half, Exception):
+            raise half
+    tubes = [Tube(xi, seed, window, transversal, times,
+                  np.concatenate([before[::-1], transversal[None], after]).swapaxes(0, 1), pad)
+             for seed, transversal, before, after in zip(seeds, transversals, halves[0::2],
+                                                         halves[1::2])]
     if failure is not None:
         raise failure
     return tubes
@@ -541,6 +542,10 @@ def build_tube(xi: VectorField, seed, window: Window, *, t_span: float = 3.0,
     return build_tubes(xi, [seed], window, t_span=t_span, max_samples=max_samples)[0]
 
 
+def _cross(a, b):
+    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+
 def _invert_bilinear(nodes: np.ndarray, p00, p10, p01, p11):
     """Solve ``q = bilinear(u, v)`` on one quad per node; returns
     ``(u, v, ok)`` with ``ok`` flagging solutions inside the unit square."""
@@ -549,14 +554,10 @@ def _invert_bilinear(nodes: np.ndarray, p00, p10, p01, p11):
     B = p10 - p00
     C = p01 - p00
     D = p00 - p10 - p01 + p11
-
-    def cross(a, b):
-        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-
     # cross u(B + vD) = -(A + vC) with (B + vD) to eliminate u
-    a2 = cross(C, D)
-    a1 = cross(A, D) + cross(C, B)
-    a0 = cross(A, B)
+    a2 = _cross(C, D)
+    a1 = _cross(A, D) + _cross(C, B)
+    a0 = _cross(A, B)
 
     u = np.full(len(nodes), np.nan)
     v = np.full(len(nodes), np.nan)
@@ -594,6 +595,29 @@ def _invert_bilinear(nodes: np.ndarray, p00, p10, p01, p11):
     return u, v, ok
 
 
+def _outside_cells(qx, qy, cell, p00, p10, p01, p11, margin=1e-6) -> np.ndarray:
+    """Whether each node ``(qx, qy)`` lies outside its cell ``p00[cell]``, ...
+    by more than ``margin`` times the longest edge (plus 1e-13), by the edges'
+    sides relative to ``p00``: :func:`_invert_bilinear` accepts none there (its
+    ``eps`` and residual bound reach 1.03e-7).  Never for a cell whose corners
+    do not all turn one way beyond rounding, or whose edges are under 1e-125."""
+    corners = (p00, p10, p11, p01)  # in order around the cell
+    edges = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        turns = [_cross(e, f) for e, f in zip(edges[-1:] + edges[:-1], edges)]
+        side = np.sign(turns[0])
+        sq = np.maximum.reduce([_across(np.add, e * e) for e in edges])  # longest edge, squared
+        convex = np.logical_and.reduce([side * t > 1e-9 * sq for t in turns] + [sq > 1e-250])
+        # NaN for an untested cell: no node is outside it
+        slack = np.where(convex, (margin * np.sqrt(sq) + 1e-13) * np.sqrt(sq), np.nan)
+        dx, dy = qx - p00[cell, 0], qy - p00[cell, 1]
+        outside = np.zeros(len(cell), dtype=bool)
+        for a, (ex, ey) in zip(corners, (side * e.T for e in edges)):
+            offset = ey * (a[:, 0] - p00[:, 0]) - ex * (a[:, 1] - p00[:, 1]) + slack
+            outside |= ex[cell] * dy - ey[cell] * dx + offset[cell] < 0.0
+    return outside
+
+
 def _locate_times(tube: Tube, window: Window) -> np.ndarray:
     """Flow-time coordinate of every window node, in ``window.nodes()``
     order, that lies in the tabulated tube; NaN for nodes in no cell.
@@ -601,23 +625,18 @@ def _locate_times(tube: Tube, window: Window) -> np.ndarray:
     The tube chart can fold over the window (the orthogonal leaf may run
     almost parallel to distant flow lines), so a node can have several
     preimages.  Each kept cell is paired with every node in its bounding
-    box: ``searchsorted`` on the node coordinates gives the box's
-    rectangle of node indices, and one ragged pass enumerates the pairs,
-    cell by cell.  The preimage with the smallest ``|t|`` wins; of equal
-    ``|t|``, the one in the lowest cell index.
+    box (a rectangle of node indices, by ``searchsorted``); one ragged
+    pass enumerates the pairs, cell by cell, and only the pairs that
+    :func:`_outside_cells` keeps are solved.  The preimage with the
+    smallest ``|t|`` wins; of equal ``|t|``, the one in the lowest cell.
     """
     S, T = tube.states.shape[:2]
-    p00 = tube.states[:-1, :-1].reshape(-1, 2)
-    p10 = tube.states[1:, :-1].reshape(-1, 2)
-    p01 = tube.states[:-1, 1:].reshape(-1, 2)
-    p11 = tube.states[1:, 1:].reshape(-1, 2)
-    t_lo = np.broadcast_to(tube.times[:-1], (S - 1, T - 1)).reshape(-1)
-    t_dt = np.broadcast_to(np.diff(tube.times), (S - 1, T - 1)).reshape(-1)
+    p00, p10, p01, p11 = (tube.states[i:S - 1 + i, j:T - 1 + j].reshape(-1, 2)
+                          for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
 
     lo = np.minimum(np.minimum(p00, p10), np.minimum(p01, p11))
     hi = np.maximum(np.maximum(p00, p10), np.maximum(p01, p11))
-    wlo = np.array([window.x0, window.y0])
-    whi = np.array([window.x1, window.y1])
+    wlo, whi = window.padded_box(0.0)
     diag = float(np.linalg.norm(whi - wlo))
     edge = np.maximum.reduce([np.sqrt(_across(np.add, d * d))
                               for d in (p10 - p00, p01 - p00, p11 - p10, p11 - p01)])
@@ -635,19 +654,21 @@ def _locate_times(tube: Tube, window: Window) -> np.ndarray:
     nx = np.searchsorted(xs, hi[cells, 0], side="right") - ix
     ny = np.searchsorted(ys, hi[cells, 1], side="right") - iy
     counts = nx * ny
-    cand = np.repeat(cells, counts)
-    if cand.size == 0:
+    pos = np.repeat(np.arange(len(cells)), counts)
+    if pos.size == 0:
         return best_t
-    local = np.arange(cand.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    local = np.arange(pos.size) - np.repeat(np.cumsum(counts) - counts, counts)
     width = np.repeat(nx, counts)
     col = np.repeat(ix, counts) + local % width
     line = np.repeat(iy, counts) + local // width
-    node = line * window.nx + col
-
-    _, v, ok = _invert_bilinear(np.column_stack([xs[col], ys[line]]),
+    qx, qy = xs[col], ys[line]
+    # only the pairs that the solve might accept go through it
+    near = np.flatnonzero(~_outside_cells(qx, qy, pos, *(p[cells] for p in (p00, p10, p01, p11))))
+    node, cand = (line * window.nx + col)[near], cells[pos[near]]
+    _, v, ok = _invert_bilinear(np.column_stack([qx[near], qy[near]]),
                                 *(np.take(p, cand, axis=0) for p in (p00, p10, p01, p11)))
     node, cand, v = node[ok], cand[ok], v[ok]
-    t_val = t_lo[cand] + v * t_dt[cand]
+    t_val = tube.times[cand % (T - 1)] + v * np.diff(tube.times)[cand % (T - 1)]
     # stable, so that the pairs of a node keep their cell order on ties
     order = np.lexsort((np.abs(t_val), node))
     node_sorted = node[order]
@@ -728,8 +749,7 @@ def _centered_lie_grid(xi: VectorField, values: np.ndarray, window: Window) -> n
     NaN on the boundary ring."""
     xs, ys = window.xs(), window.ys()
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    fx = np.full_like(values, np.nan)
-    fy = np.full_like(values, np.nan)
+    fx, fy = np.full((2,) + values.shape, np.nan)
     fx[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * hx)
     fy[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * hy)
     comp = xi.values(window.nodes())
@@ -763,10 +783,8 @@ def glue(tubes: list[Tube], weights) -> GlueResult:
     xi, window = tubes[0].xi, tubes[0].window
     fields = [tube_function(tube) for tube in tubes]
 
-    covered = np.zeros((window.ny, window.nx), dtype=bool)
-    for tv in fields:
-        with np.errstate(invalid="ignore"):
-            covered |= np.abs(tv.times) < 1.0
+    with np.errstate(invalid="ignore"):
+        covered = np.logical_or.reduce([np.abs(tv.times) < 1.0 for tv in fields])
     # positivity is asserted on interior nodes, so coverage is demanded there
     if not np.all(covered[1:-1, 1:-1]):
         xs, ys = window.xs(), window.ys()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,28 @@ class TestRPBracket:
         spec = RPBracketSpec(space, (parse("x*0+1"),))
         with pytest.raises(DegenerateCasimirs):
             rp_bracket(spec, "y", "z", (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("casimir, p", [("sqrt(x)", (0.0, 0.5, 0.5)),
+                                            ("log(x) - log(x)", (1e-320, 0.5, 0.5))])
+    def test_non_finite_casimir_gradient_is_a_domain_error(self, space, casimir, p):
+        # an infinite slope or an inf - inf gradient: a domain error, not a
+        # dependence verdict on NaN rows, and numpy warns of neither
+        spec = RPBracketSpec(space, (parse(casimir),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                rp_bracket(spec, "y", "z", p)
+            with pytest.raises(DomainError):
+                build_rp(spec, "y", "z", FreeCurve.exp(), [p])
+
+    def test_non_finite_f_gradient_gives_a_non_finite_bracket(self, space):
+        # only the rows of the independence check must be finite here; a
+        # cli report writes the bracket as null
+        spec = RPBracketSpec(space, (parse("x"),))
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(rp_bracket(spec, "exp(800*y)", "z", (0.0, 1.0, 0.5)))
+        with pytest.raises(DomainError):
+            build_rp(spec, "exp(800*y)", "z", FreeCurve.exp(), [(0.0, 1.0, 0.5)])
 
     def test_one_evaluation_per_bracket(self, space, monkeypatch):
         # the casimir rows of the one gradient stack serve the independence

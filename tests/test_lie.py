@@ -1,13 +1,18 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hfreemaps.expr import eval_value, parse
+from hfreemaps.expr import Chart, Num, derivative, eval_value, fold_add, fold_mul, parse
 from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import MapSpec, freedom_matrix, pair_order, parse_map
 from hfreemaps.lie import VectorField, lie, lie_expr, parse_field
 from hfreemaps.transversal import Window, verify_transversal
 
 from oracles import anticommutator, lie2
+from test_expr import _exprs
 
 
 @pytest.fixture
@@ -154,6 +159,35 @@ def test_lie_expr_matches_pointwise(stripe, rng):
     for p in rng.uniform(-2, 2, size=(30, 2)):
         assert np.isclose(eval_value(sym, xi.chart, p), lie(xi, f, p),
                           rtol=1e-13, atol=1e-13)
+
+
+def _lie_expr_with_every_derivative(xi, f):
+    """``lie_expr`` as it was written before it skipped zero components."""
+    out = fold_mul(xi.components[0], derivative(f, xi.chart.coords[0]))
+    for name, comp in zip(xi.chart.coords[1:], xi.components[1:]):
+        out = fold_add(out, fold_mul(comp, derivative(f, name)))
+    return out
+
+
+_COMPONENTS = st.one_of(st.sampled_from([Num(0.0), Num(-0.0)]), _exprs())
+
+
+@given(components=st.lists(_COMPONENTS, min_size=2, max_size=2), f=_exprs(partial=True))
+@settings(max_examples=200, deadline=None)
+def test_lie_expr_skips_only_zero_components(components, f):
+    xi = VectorField(Chart(("x", "y")), tuple(components))
+    built = []
+
+    def counted(e, name):
+        built.append(name)
+        return derivative(e, name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("hfreemaps.lie"), "derivative", counted)
+        got = lie_expr(xi, f)
+    assert got == _lie_expr_with_every_derivative(xi, f)
+    assert built == [name for name, comp in zip(xi.chart.coords, components)
+                     if not (isinstance(comp, Num) and comp.value == 0.0)]
 
 
 def test_lie2_matches_symbolic_composition(stripe, commuting, rng):

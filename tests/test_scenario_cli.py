@@ -10,6 +10,7 @@ import pytest
 import hfreemaps
 from hfreemaps.cli import main, run
 from hfreemaps.errors import ScenarioError
+from hfreemaps.hfree import induced_metric
 from hfreemaps.scenario import TASK_KEYS, parse_scenario
 
 CONTACT = """
@@ -881,6 +882,41 @@ kind = induced-metric
         assert [r["positive_definite"] for r in report["points"]] == [False, True]
         assert report["summary"]["n_positive_definite"] == 1
         assert report["summary"]["n_points"] == 2
+
+    def test_mixed_metrics_take_each_verdict_alone(self, tmp_path):
+        # a non-finite metric, a singular one and two positive definite
+        # ones: one stacked factorization raises, so each is factored alone
+        text = """
+[chart]
+coords = x, y
+
+[distribution]
+field = 1, 0
+
+[map]
+component = x^2
+component = x^3*exp(800*x)
+
+[points]
+point = 1, 0
+point = 0, 0
+point = 0.1, 0
+point = -0.5, 0
+
+[task]
+kind = induced-metric
+"""
+        path = write(tmp_path, "im.ini", text)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run(path, out) == 2  # the infinite metric is written as null
+            sc = parse_scenario(text, path)
+            alone = [induced_metric(sc.distribution(), sc.map_spec(), p).is_positive_definite()
+                     for p in sc.points(None)[0]]
+        report = _strict((out / "report.json").read_text())
+        assert alone == [False, False, True, True]
+        assert [r["positive_definite"] for r in report["points"]] == alone
+        assert report["summary"]["n_positive_definite"] == 2
 
 
 TASK_TEXTS = {

@@ -14,8 +14,10 @@ from hfreemaps.transversal import (
     _Group,
     _integrate,
     _integrate_groups,
+    _invert_bilinear,
     _locate_times,
     _nearest,
+    _outside_cells,
     _pchip_coefficients,
     _unit_orthogonal,
     build_tube,
@@ -760,3 +762,99 @@ def test_node_raster_location_equals_the_bin_raster_on_glue_tubes(stripe):
             assert np.mean(~np.isnan(got)) > 0.5
             assert got.tobytes() == bin_raster_locate_times(tube, window.nodes(),
                                                             window).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the cell pre-test against the bilinear solve
+
+
+def _filtered_location(nodes, p00, p10, p01, p11, margin=1e-6):
+    """``(u, v, ok)`` of every pair, solving only the pairs that the
+    pre-test keeps; NaN and False for the others."""
+    n = len(nodes)
+    kept = np.flatnonzero(~_outside_cells(nodes[:, 0], nodes[:, 1], np.arange(n),
+                                           p00, p10, p01, p11, margin))
+    got = [np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=bool)]
+    for full, part in zip(got, _invert_bilinear(nodes[kept], p00[kept], p10[kept],
+                                                p01[kept], p11[kept])):
+        full[kept] = part
+    return got
+
+
+def _assert_pretest_keeps_the_solve(nodes, p00, p10, p01, p11, margin=1e-6):
+    want = _invert_bilinear(nodes, p00, p10, p01, p11)
+    for got, expected in zip(_filtered_location(nodes, p00, p10, p01, p11, margin), want):
+        assert got.tobytes() == expected.tobytes()
+
+
+_UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # p00, p10, p01, p11
+# (u, v) on the corners and edges, just inside them and up to 1e-9 outside
+_NEAR_EDGE = [0.0, 1.0, 0.5, 0.3, 1e-12, 1e-10, 1.0 - 1e-10, -1e-12, -1e-10, -5e-10, -1e-9,
+              1.0 + 1e-10, 1.0 + 5e-10, 1.0 + 1e-9]
+
+
+@st.composite
+def _cells_with_nodes(draw):
+    """One cell, convex, folded, degenerate or nearly degenerate, at some
+    scale and place, and nodes at bilinear images of ``(u, v)`` near its
+    edges and corners, repeated per node as the pairs of a location."""
+    kind = draw(st.sampled_from(["convex", "folded", "degenerate", "thin"]))
+    jitter = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8)))
+    corners = _UNIT + jitter.reshape(4, 2)
+    if kind == "folded":      # p10 and p11 swapped: the edges cross
+        corners = corners[[0, 3, 2, 1]]
+    elif kind == "degenerate":
+        corners = draw(st.sampled_from([
+            corners[[0, 1, 0, 1]],                                  # two corners twice
+            np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),  # collinear
+            corners[[0, 1, 2, 1]]]))                                # p11 on p10
+    elif kind == "thin":      # nearly collinear: one side 1e-12 to 1e-6 of the other
+        corners = corners * [1.0, draw(st.sampled_from([1e-12, 1e-9, 1e-6]))]
+    angle = draw(st.floats(0.0, 2 * np.pi))
+    turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    scale = draw(st.sampled_from([1e-3, 0.05, 1.0, 40.0]))
+    origin = np.array(draw(st.tuples(st.floats(-3, 3), st.floats(-3, 3))))
+    p00, p10, p01, p11 = origin + scale * corners @ turn.T
+    uv = np.array(draw(st.lists(st.tuples(st.sampled_from(_NEAR_EDGE) | st.floats(-0.2, 1.2),
+                                          st.sampled_from(_NEAR_EDGE) | st.floats(-0.2, 1.2)),
+                                min_size=1, max_size=40)))
+    u, v = uv[:, :1], uv[:, 1:]
+    nodes = p00 + u * (p10 - p00) + v * (p01 - p00) + (u * v) * (p00 - p10 - p01 + p11)
+    return (nodes,) + tuple(np.broadcast_to(p, nodes.shape).copy() for p in (p00, p10, p01, p11))
+
+
+@given(pairs=_cells_with_nodes())
+@settings(max_examples=400, deadline=None)
+def test_cell_pretest_drops_no_pair_that_the_solve_accepts(pairs):
+    _assert_pretest_keeps_the_solve(*pairs)
+
+
+def test_cell_pretest_keeps_the_solve_on_the_demo_glue(stripe, monkeypatch):
+    from hfreemaps import transversal
+    calls, pretest = [], transversal._outside_cells
+
+    def spy(qx, qy, cell, *corners):
+        calls.append((np.column_stack([qx, qy]),) + tuple(p[cell] for p in corners))
+        return pretest(qx, qy, cell, *corners)
+
+    monkeypatch.setattr(transversal, "_outside_cells", spy)
+    window = Window(-1, 1, -1, 1, 101, 101)
+    for tube in build_tubes(stripe[0].frame[0], [(0, -0.9), (0, 0), (0, 0.9)], window):
+        _locate_times(tube, window)
+    assert len(calls) == 3
+    for pairs in calls:
+        _assert_pretest_keeps_the_solve(*pairs)
+        # most pairs of these sheared cells are dropped before the solve
+        dropped = pretest(pairs[0][:, 0], pairs[0][:, 1], np.arange(len(pairs[0])), *pairs[1:])
+        assert dropped.mean() > 0.5
+
+
+def test_cell_pretest_needs_its_margin():
+    # a node 1e-10 outside an edge of the unit cell: the solve accepts it
+    # within its eps, and a pre-test without the margin would drop it
+    p00, p10, p01, p11 = (np.array([p]) for p in _UNIT)
+    nodes = np.array([[0.5, -1e-10]])
+    assert _invert_bilinear(nodes, p00, p10, p01, p11)[2].all()
+    _assert_pretest_keeps_the_solve(nodes, p00, p10, p01, p11)
+    with pytest.raises(AssertionError):
+        _assert_pretest_keeps_the_solve(nodes, p00, p10, p01, p11, margin=0.0)

@@ -33,8 +33,8 @@ from .constructions import (
 from .errors import HfreeError, ScenarioError
 from .genericity import genericity_trial, write_trials_csv
 from .geometry import DEFAULT_RANK_TOL, Distribution
-from .hfree import (InducedMetric, _retained, freedom_matrix_many, induced_metric_many,
-                    infinitesimal_invert, required_rank)
+from .hfree import (_retained, freedom_matrix_many, induced_metric_many, infinitesimal_invert,
+                    positive_definite_many, required_rank)
 from .contours import render_levels
 from .scenario import Scenario, load_scenario
 from .transversal import (
@@ -147,11 +147,7 @@ def _run_induced_metric(sc: Scenario, outdir, seed, tol):
     dist, F = sc.distribution(), sc.map_spec()
     points, seed_used = sc.points(seed)
     metrics = induced_metric_many(dist, F, points)
-    positive = np.all(np.isfinite(metrics), axis=(1, 2))
-    try:  # one factorization of the finite metrics; numpy raises if any one fails
-        np.linalg.cholesky(metrics[positive])
-    except np.linalg.LinAlgError:
-        positive = [InducedMetric(g, p).is_positive_definite() for p, g in zip(points, metrics)]
+    positive = positive_definite_many(metrics)
     return True, {"seed": seed_used, "summary": {"n_positive_definite": int(np.sum(positive))},
                   "points": _records(points, metric=metrics, positive_definite=positive)}
 

@@ -370,7 +370,8 @@ def hamiltonian_field(spec: RPBracketSpec, h) -> VectorField:
             cof = _negate(cof)
         comps.append(cof)
     if spec.metric is not None:
-        denom = Call("sqrt", _det_expr(spec.metric))
+        G = [[spec.metric[i][j] for j in range(n)] for i in range(n)]
+        denom = Call("sqrt", _det_expr(G))
         comps = [c / denom for c in comps]
     if spec.orientation == -1:
         comps = [_negate(c) for c in comps]

@@ -51,6 +51,7 @@ __all__ = [
     "is_h_immersion_at",
     "induced_metric",
     "induced_metric_many",
+    "positive_definite_many",
     "infinitesimal_invert",
     "wintergarten_rank",
 ]
@@ -121,13 +122,23 @@ class InducedMetric:
     point: np.ndarray
 
     def is_positive_definite(self) -> bool:
-        if not np.all(np.isfinite(self.matrix)):
-            return False
-        try:
-            np.linalg.cholesky(self.matrix)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        return bool(positive_definite_many(self.matrix[None])[0])
+
+
+def positive_definite_many(metrics: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack ``(B, k, k)`` is finite and has a
+    Cholesky factor: one call over the finite matrices, and one per matrix
+    only when that call raises (numpy raises for the whole stack)."""
+    positive = np.all(np.isfinite(metrics), axis=(-2, -1))
+    try:
+        np.linalg.cholesky(metrics[positive])
+    except np.linalg.LinAlgError:
+        for i in np.flatnonzero(positive).tolist():
+            try:
+                np.linalg.cholesky(metrics[i])
+            except np.linalg.LinAlgError:
+                positive[i] = False
+    return positive
 
 
 # ---------------------------------------------------------------------------

@@ -338,7 +338,10 @@ def _integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
 
 
 def _field_fun(xi: VectorField):
-    return lambda y: xi.values(y) if y.ndim == 2 else xi.values(y[None, :])[0]
+    def fun(y: np.ndarray) -> np.ndarray:
+        return xi.values(y) if y.ndim == 2 else xi.values(y[None, :])[0]
+
+    return fun
 
 
 def _unit_orthogonal(v: np.ndarray, floor) -> np.ndarray:
@@ -517,13 +520,14 @@ def build_tubes(xi: VectorField, seeds, window: Window, *, t_span: float = 3.0,
         [_Group(transversal, times[part], freeze_box=(lo, hi))
          for transversal in transversals
          for part in (slice(zero - 1, None, -1), slice(zero + 1, None))], rtol, atol)
-    for half in halves:
-        if isinstance(half, Exception):
-            raise half
-    tubes = [Tube(xi, seed, window, transversal, times,
-                  np.concatenate([before[::-1], transversal[None], after]).swapaxes(0, 1), pad)
-             for seed, transversal, before, after in zip(seeds, transversals, halves[0::2],
-                                                         halves[1::2])]
+    tubes = []
+    for seed, transversal, before, after in zip(seeds, transversals, halves[0::2],
+                                                halves[1::2]):
+        for half in (before, after):
+            if isinstance(half, Exception):
+                raise half
+        states = np.concatenate([before[::-1], transversal[None], after]).swapaxes(0, 1)
+        tubes.append(Tube(xi, seed, window, transversal, times, states, pad))
     if failure is not None:
         raise failure
     return tubes
@@ -595,11 +599,16 @@ def _invert_bilinear(nodes: np.ndarray, p00, p10, p01, p11):
     return u, v, ok
 
 
-def _outside_cells(qx, qy, cell, p00, p10, p01, p11, margin=1e-6) -> np.ndarray:
+# how far outside a cell, in its longest edge, a node may lie and still
+# be solved: beyond what :func:`_invert_bilinear` accepts (its ``eps`` and
+# residual bound reach 1.03e-7), so the pre-test drops no accepted pair
+_PRETEST_MARGIN = 1e-6
+
+
+def _outside_cells(qx, qy, cell, p00, p10, p01, p11) -> np.ndarray:
     """Whether each node ``(qx, qy)`` lies outside its cell ``p00[cell]``, ...
-    by more than ``margin`` times the longest edge (plus 1e-13), by the edges'
-    sides relative to ``p00``: :func:`_invert_bilinear` accepts none there (its
-    ``eps`` and residual bound reach 1.03e-7).  Never for a cell whose corners
+    by more than ``_PRETEST_MARGIN`` times the longest edge (plus 1e-13), by
+    the edges' sides relative to ``p00``.  Never for a cell whose corners
     do not all turn one way beyond rounding, or whose edges are under 1e-125."""
     corners = (p00, p10, p11, p01)  # in order around the cell
     edges = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
@@ -609,7 +618,7 @@ def _outside_cells(qx, qy, cell, p00, p10, p01, p11, margin=1e-6) -> np.ndarray:
         sq = np.maximum.reduce([_across(np.add, e * e) for e in edges])  # longest edge, squared
         convex = np.logical_and.reduce([side * t > 1e-9 * sq for t in turns] + [sq > 1e-250])
         # NaN for an untested cell: no node is outside it
-        slack = np.where(convex, (margin * np.sqrt(sq) + 1e-13) * np.sqrt(sq), np.nan)
+        slack = np.where(convex, (_PRETEST_MARGIN * np.sqrt(sq) + 1e-13) * np.sqrt(sq), np.nan)
         dx, dy = qx - p00[cell, 0], qy - p00[cell, 1]
         outside = np.zeros(len(cell), dtype=bool)
         for a, (ex, ey) in zip(corners, (side * e.T for e in edges)):
@@ -749,7 +758,8 @@ def _centered_lie_grid(xi: VectorField, values: np.ndarray, window: Window) -> n
     NaN on the boundary ring."""
     xs, ys = window.xs(), window.ys()
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    fx, fy = np.full((2,) + values.shape, np.nan)
+    fx = np.full_like(values, np.nan)
+    fy = np.full_like(values, np.nan)
     fx[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * hx)
     fy[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * hy)
     comp = xi.values(window.nodes())
@@ -783,8 +793,10 @@ def glue(tubes: list[Tube], weights) -> GlueResult:
     xi, window = tubes[0].xi, tubes[0].window
     fields = [tube_function(tube) for tube in tubes]
 
-    with np.errstate(invalid="ignore"):
-        covered = np.logical_or.reduce([np.abs(tv.times) < 1.0 for tv in fields])
+    covered = np.zeros((window.ny, window.nx), dtype=bool)
+    for tv in fields:
+        with np.errstate(invalid="ignore"):
+            covered |= np.abs(tv.times) < 1.0
     # positivity is asserted on interior nodes, so coverage is demanded there
     if not np.all(covered[1:-1, 1:-1]):
         xs, ys = window.xs(), window.ys()

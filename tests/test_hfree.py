@@ -15,6 +15,7 @@ from hfreemaps.hfree import (
     is_hfree_at,
     pair_order,
     parse_map,
+    positive_definite_many,
     wintergarten_rank,
 )
 from hfreemaps.lie import lie_expr, parse_field
@@ -164,6 +165,19 @@ class TestInducedMetric:
         assert not np.all(np.isfinite(g.matrix))
         assert not g.is_positive_definite()
         assert induced_metric(dist, F, (0.0, 0.0)).is_positive_definite()
+
+    def test_stacked_verdicts_equal_each_matrix_alone(self):
+        # positive definite, semidefinite, indefinite, non-finite, zero, badly scaled
+        stack = np.array([[[2.0, 1.0], [1.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]],
+                          [[1.0, 2.0], [2.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+                          [[np.nan, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]],
+                          [[1e-300, 0.0], [0.0, 1e300]]])
+        for metrics in (stack, stack[[0, 6]], stack[[3, 4]], stack[:0]):
+            got = positive_definite_many(metrics)
+            assert got.dtype == bool and got.shape == (len(metrics),)
+            alone = [bool(np.all(np.isfinite(g))) and _has_cholesky(g) for g in metrics]
+            assert got.tolist() == alone
+        assert positive_definite_many(stack).tolist() == [True] + [False] * 5 + [True]
 
     def test_symmetry_exact(self, contact, rng):
         dist, F = contact
@@ -380,3 +394,11 @@ def test_trivialization_invariance_sample(contact, rng):
     for p in pts:
         assert (freedom_matrix(changed, F, p).certified_rank
                 == freedom_matrix(dist, F, p).certified_rank)
+
+
+def _has_cholesky(g):
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True

@@ -768,12 +768,12 @@ def test_node_raster_location_equals_the_bin_raster_on_glue_tubes(stripe):
 # the cell pre-test against the bilinear solve
 
 
-def _filtered_location(nodes, p00, p10, p01, p11, margin=1e-6):
+def _filtered_location(nodes, p00, p10, p01, p11):
     """``(u, v, ok)`` of every pair, solving only the pairs that the
     pre-test keeps; NaN and False for the others."""
     n = len(nodes)
     kept = np.flatnonzero(~_outside_cells(nodes[:, 0], nodes[:, 1], np.arange(n),
-                                           p00, p10, p01, p11, margin))
+                                           p00, p10, p01, p11))
     got = [np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=bool)]
     for full, part in zip(got, _invert_bilinear(nodes[kept], p00[kept], p10[kept],
                                                 p01[kept], p11[kept])):
@@ -781,9 +781,9 @@ def _filtered_location(nodes, p00, p10, p01, p11, margin=1e-6):
     return got
 
 
-def _assert_pretest_keeps_the_solve(nodes, p00, p10, p01, p11, margin=1e-6):
+def _assert_pretest_keeps_the_solve(nodes, p00, p10, p01, p11):
     want = _invert_bilinear(nodes, p00, p10, p01, p11)
-    for got, expected in zip(_filtered_location(nodes, p00, p10, p01, p11, margin), want):
+    for got, expected in zip(_filtered_location(nodes, p00, p10, p01, p11), want):
         assert got.tobytes() == expected.tobytes()
 
 
@@ -849,12 +849,14 @@ def test_cell_pretest_keeps_the_solve_on_the_demo_glue(stripe, monkeypatch):
         assert dropped.mean() > 0.5
 
 
-def test_cell_pretest_needs_its_margin():
+def test_cell_pretest_needs_its_margin(monkeypatch):
+    from hfreemaps import transversal
     # a node 1e-10 outside an edge of the unit cell: the solve accepts it
     # within its eps, and a pre-test without the margin would drop it
     p00, p10, p01, p11 = (np.array([p]) for p in _UNIT)
     nodes = np.array([[0.5, -1e-10]])
     assert _invert_bilinear(nodes, p00, p10, p01, p11)[2].all()
     _assert_pretest_keeps_the_solve(nodes, p00, p10, p01, p11)
+    monkeypatch.setattr(transversal, "_PRETEST_MARGIN", 0.0)
     with pytest.raises(AssertionError):
-        _assert_pretest_keeps_the_solve(nodes, p00, p10, p01, p11, margin=0.0)
+        _assert_pretest_keeps_the_solve(nodes, p00, p10, p01, p11)

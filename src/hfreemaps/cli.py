@@ -5,7 +5,8 @@ report, plus CSV grids and SVG drawings where the task produces them)
 into an output directory.  Exit codes: 0 when every check passed, 2
 when a check failed (the report lists the failing points), 1 on input
 errors.  Artifacts are deterministic: no timestamps, stable float
-formatting, files written atomically.
+formatting, files written atomically.  ``report.json`` is removed at the
+start of every run, so a run that exits 1 leaves none behind.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .constructions import (
 from .errors import HfreeError, ScenarioError
 from .genericity import genericity_trial, write_trials_csv
 from .geometry import DEFAULT_RANK_TOL, Distribution
-from .hfree import (_retained, freedom_matrix_many, induced_metric_many, infinitesimal_invert,
-                    positive_definite_many, required_rank)
+from .hfree import (freedom_certificates, induced_metric_many, infinitesimal_invert,
+                    positive_definite_many)
 from .contours import render_levels
 from .scenario import Scenario, load_scenario
 from .transversal import (
@@ -114,33 +115,27 @@ def _records(points, **columns) -> _Table:
     return _Table({"point": points, **columns})
 
 
-def _rank_columns(dist, F, points, tol):
-    """The freedom matrices, their singular values and the rank columns:
-    certified rank, smallest retained singular value, threshold and verdict."""
-    matrices, svals, thresholds, ranks = freedom_matrix_many(dist, F, points, tol)
-    return matrices, svals, {"certified_rank": ranks,
-                             "smallest_retained_sv": _retained(svals, ranks),
-                             "threshold": thresholds,
-                             "hfree": ranks == required_rank(dist.k)}
+def _certified(seed_used, points, certificate, passed, columns: dict, summary: dict,
+               **extra) -> tuple[bool, dict]:
+    """Report of a rank-checking task: per point, the certificate columns of
+    :func:`freedom_certificates` and ``columns``; a point fails where
+    ``passed`` is false."""
+    failures = int(np.count_nonzero(~passed))
+    summary = {**summary, "n_failures": failures,
+               "n_uncertain": int(np.count_nonzero(certificate["uncertain"]))}
+    return failures == 0, {"seed": seed_used, "summary": summary, **extra,
+                           "points": _records(points, **certificate, **columns)}
 
 
 def _run_check_hfree(sc: Scenario, outdir: str, seed, tol) -> tuple[bool, dict]:
     dist, F = sc.distribution(), sc.map_spec()
-    need = required_rank(dist.k)
-    if F.q < need:
-        sc.fail(f"map has q={F.q} < {need} components")
     points, seed_used = sc.points(seed)
-    matrices, svals, columns = _rank_columns(dist, F, points, tol)
-    critical = svals[:, need - 1] if svals.shape[1] >= need else np.zeros(len(points))
-    thr = columns["threshold"]
-    columns["uncertain"] = (0.1 * thr < critical) & (critical < 10.0 * thr)
-    summary = {"n_failures": int(np.count_nonzero(~columns["hfree"])),
-               "n_uncertain": int(np.count_nonzero(columns["uncertain"]))}
+    matrices, certificate = freedom_certificates(dist, F, points, tol)
+    columns, summary = {}, {}
     if matrices.shape[1] == matrices.shape[2]:
         columns["det"] = np.linalg.det(matrices)
         summary["min_abs_det"] = float(np.min(np.abs(columns["det"])))
-    return summary["n_failures"] == 0, {"seed": seed_used, "summary": summary,
-                                        "points": _records(points, **columns)}
+    return _certified(seed_used, points, certificate, certificate["hfree"], columns, summary)
 
 
 def _run_induced_metric(sc: Scenario, outdir, seed, tol):
@@ -168,15 +163,10 @@ def _run_invert(sc: Scenario, outdir, seed, tol):
 
 def _verified(check, seed_used, **extra) -> tuple[bool, dict]:
     """Report of a determinant-identity check, one record per point."""
-    failures = int(np.count_nonzero(~check.passed))
-    records = _records(check.points, det=check.determinants, predicted=check.predicted,
-                       identity=check.identity, certified=check.certified,
-                       certified_rank=check.ranks,
-                       smallest_retained_sv=check.smallest_retained,
-                       threshold=check.thresholds)
-    return failures == 0, {"seed": seed_used, "points": records, **extra,
-                           "summary": {"n_failures": failures,
-                                       "max_mismatch": check.max_mismatch}}
+    return _certified(seed_used, check.points, check.certificate, check.passed,
+                      {"det": check.determinants, "predicted": check.predicted,
+                       "identity": check.identity, "certified": check.certified},
+                      {"max_mismatch": check.max_mismatch}, **extra)
 
 
 def _run_construct_1d(sc: Scenario, outdir, seed, tol):
@@ -234,12 +224,10 @@ def _run_construct_rp(sc: Scenario, outdir, seed, tol):
     points, seed_used = sc.points(seed)
     built = build_rp(spec, h, f, curve, points, tol)
     dist = Distribution(spec.chart, (built.field,))
-    _, _, columns = _rank_columns(dist, built.map_spec, points, tol)
-    failures = int(np.count_nonzero(~columns["hfree"]))
-    return failures == 0, {"seed": seed_used, "points": _records(points, **columns),
-                           "map": [str(c) for c in built.map_spec.components],
-                           "hamiltonian_field": [str(c) for c in built.field.components],
-                           "summary": {"n_failures": failures}}
+    _, certificate = freedom_certificates(dist, built.map_spec, points, tol)
+    return _certified(seed_used, points, certificate, certificate["hfree"], {}, {},
+                      map=[str(c) for c in built.map_spec.components],
+                      hamiltonian_field=[str(c) for c in built.field.components])
 
 
 def _run_rp_bracket(sc: Scenario, outdir, seed, tol):
@@ -352,6 +340,14 @@ def run(scenario_path, output_dir, *, seed: int | None = None,
     """Execute a scenario; returns the process exit code.  ``tol``, when
     given, must be a positive finite number.  ``threads`` is accepted and
     ignored: every task runs in one thread."""
+    # a run that exits 1 must not leave an earlier run's report behind
+    try:
+        os.remove(os.path.join(output_dir, "report.json"))
+    except (FileNotFoundError, NotADirectoryError):
+        pass
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     if tol is not None and not 0.0 < tol < float("inf"):
         print(f"error: the rank tolerance must be a positive finite number, got {tol!r}",
               file=sys.stderr)

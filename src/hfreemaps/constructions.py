@@ -43,7 +43,7 @@ from .expr import (
     substitute,
 )
 from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_jets, unsized_ranks
-from .hfree import MapSpec, _retained, freedom_matrix_many, required_rank
+from .hfree import MapSpec, freedom_certificates
 from .lie import VectorField, lie_rows
 
 CURVE_VAR = "t"
@@ -106,11 +106,11 @@ class PointwiseCheck:
     """Per-point determinant identity check plus the rank certificate.
 
     ``identity`` records agreement of the assembled determinant with the
-    prediction; ``certified`` records full rank; a point passes only
-    when both hold (an identically zero determinant matches the
-    prediction of a degenerate input but certifies nothing).  The rank
-    evidence (certified ranks, smallest retained singular values and
-    thresholds) is kept for reporting.
+    prediction; ``certified`` records full rank and a determinant above
+    the identity tolerance; a point passes only when both hold (an
+    identically zero determinant matches the prediction of a degenerate
+    input but certifies nothing).  ``certificate`` holds the columns of
+    :func:`~hfreemaps.hfree.freedom_certificates`, kept for reporting.
     """
 
     points: np.ndarray
@@ -119,9 +119,7 @@ class PointwiseCheck:
     identity: np.ndarray
     certified: np.ndarray
     tolerance: float
-    ranks: np.ndarray
-    smallest_retained: np.ndarray
-    thresholds: np.ndarray
+    certificate: dict
 
     @property
     def passed(self) -> np.ndarray:
@@ -215,16 +213,14 @@ def _verify_product(d: Distribution, built: CisMap, points, tol: float,
     predicted = np.full(len(pts), cis_determinant_constant(n))
     for i, curve in enumerate(built.curves):  # each curve at its own points f^i
         predicted *= g[:, i] ** (n + 2) * curve_freeness_many(curve, fjet.value[:, i])
-    matrices, svals, thresholds, ranks = freedom_matrix_many(d, built.map_spec, pts, rank_tol)
+    matrices, certificate = freedom_certificates(d, built.map_spec, pts, rank_tol)
     dets = np.linalg.det(matrices)
     identity = np.abs(dets - predicted) <= tol * np.maximum(1.0, np.abs(dets))
     # a determinant within the identity tolerance of zero certifies
     # nothing: with degenerate inputs the assembled entries are pure
     # rounding noise and their relative-threshold rank is meaningless
-    certified = ((ranks == required_rank(d.k))
-                 & (np.abs(dets) > tol * np.maximum(1.0, np.abs(dets))))
-    return PointwiseCheck(pts, dets, predicted, identity, certified, tol,
-                          ranks, _retained(svals, ranks), thresholds)
+    certified = certificate["hfree"] & (np.abs(dets) > tol * np.maximum(1.0, np.abs(dets)))
+    return PointwiseCheck(pts, dets, predicted, identity, certified, tol, certificate)
 
 
 def verify_1d(d: Distribution, built: CisMap, points,
@@ -420,5 +416,4 @@ def verify_rp(spec: RPBracketSpec, built: RpMap, points,
     """Full-rank certification of the built map along ``span{xi_h}`` at
     each point; returns the boolean mask."""
     dist = Distribution(spec.chart, (built.field,))
-    _, _, _, ranks = freedom_matrix_many(dist, built.map_spec, points, tol)
-    return ranks == required_rank(1)
+    return freedom_certificates(dist, built.map_spec, points, tol)[1]["hfree"]

@@ -47,6 +47,7 @@ __all__ = [
     "pair_order",
     "freedom_matrix",
     "freedom_matrix_many",
+    "freedom_certificates",
     "is_hfree_at",
     "is_h_immersion_at",
     "induced_metric",
@@ -166,14 +167,6 @@ def _certify_ranks(matrices: np.ndarray, tol: float):
     return (svals, *certified_ranks(svals, matrices.shape, tol))
 
 
-def _retained(svals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Smallest retained singular value of each matrix, 0 at rank 0."""
-    out = np.zeros(len(ranks))
-    positive = ranks > 0
-    out[positive] = svals[positive, ranks[positive] - 1]
-    return out
-
-
 def _check_frame(d: Distribution, XV: np.ndarray, tol: float):
     bad = np.nonzero(unsized_ranks(XV, tol) < d.k)[0]
     if bad.size:
@@ -188,7 +181,8 @@ def _lie_rows(d: Distribution, F: MapSpec, points: np.ndarray, tol: float):
     of the map and frame jets."""
     if F.chart != d.chart:
         raise ValueError("map and distribution must share one chart")
-    Fjet = eval_jets_many(F.components, F.chart, points)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        Fjet = eval_jets_many(F.components, F.chart, points)
     return _jet_rows(d, points, Fjet.gradient, Fjet.hessian, tol)
 
 
@@ -253,6 +247,24 @@ def _required_targets(d: Distribution, F: MapSpec) -> int:
     return need
 
 
+def freedom_certificates(d: Distribution, F: MapSpec, points,
+                         tol: float = DEFAULT_RANK_TOL):
+    """The freedom matrices at ``points (B, m)`` and their certificate as
+    report columns: the certified rank, the smallest retained singular
+    value (0 at rank 0), the threshold, the verdict ``hfree`` (full rank)
+    and ``uncertain``, where the singular value that decides the verdict
+    lies strictly within a factor 10 of the threshold."""
+    need = _required_targets(d, F)
+    matrices, svals, thresholds, ranks = freedom_matrix_many(d, F, points, tol)
+    retained = np.zeros(len(ranks))
+    positive = ranks > 0
+    retained[positive] = svals[positive, ranks[positive] - 1]
+    critical = svals[:, need - 1]
+    return matrices, {"certified_rank": ranks, "smallest_retained_sv": retained,
+                      "threshold": thresholds, "hfree": ranks == need,
+                      "uncertain": (0.1 * thresholds < critical) & (critical < 10.0 * thresholds)}
+
+
 def is_hfree_at(d: Distribution, F: MapSpec, p,
                 tol: float = DEFAULT_RANK_TOL) -> HFreeCertificate:
     """Full-rank certificate, with the assembled matrix as evidence."""
@@ -265,7 +277,8 @@ def is_h_immersion_at(d: Distribution, F: MapSpec, p,
                       tol: float = DEFAULT_RANK_TOL) -> bool:
     """True when the first-order block ``(L_a F^i)`` has rank ``k``."""
     pts = np.asarray(p, dtype=float)[None, :]
-    Fgrads = eval_jets_many(F.components, F.chart, pts, order=1).gradient
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        Fgrads = eval_jets_many(F.components, F.chart, pts, order=1).gradient
     XV = _frame_jets(d, pts).value
     _check_frame(d, XV, tol)
     block = lie_rows(XV, Fgrads)
@@ -276,7 +289,8 @@ def is_h_immersion_at(d: Distribution, F: MapSpec, p,
 def induced_metric_many(d: Distribution, F: MapSpec, points) -> np.ndarray:
     """Gram matrices ``g_ab = sum_i L_a F^i L_b F^i`` at ``points (B, m)``
     as ``(B, k, k)``."""
-    Fgrads = eval_jets_many(F.components, F.chart, points, order=1).gradient
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        Fgrads = eval_jets_many(F.components, F.chart, points, order=1).gradient
     block = lie_rows(_frame_jets(d, points).value, Fgrads)
     g = block @ np.swapaxes(block, -1, -2)
     # mirror the upper triangle so symmetry is exact

@@ -566,7 +566,7 @@ def _invert_bilinear(nodes: np.ndarray, p00, p10, p01, p11):
     u = np.full(len(nodes), np.nan)
     v = np.full(len(nodes), np.nan)
     quad = np.abs(a2) > 1e-14 * np.maximum(1.0, np.abs(a1))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         disc = a1 * a1 - 4.0 * a2 * a0
         ok_disc = disc >= 0.0
         sq = np.sqrt(np.where(ok_disc, disc, 0.0))
@@ -583,7 +583,7 @@ def _invert_bilinear(nodes: np.ndarray, p00, p10, p01, p11):
         denom_x = B[:, 0] + root * D[:, 0]
         denom_y = B[:, 1] + root * D[:, 1]
         use_x = np.abs(denom_x) >= np.abs(denom_y)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             ux = -(A[:, 0] + root * C[:, 0]) / denom_x
             uy = -(A[:, 1] + root * C[:, 1]) / denom_y
             uu = np.where(use_x, ux, uy)

@@ -135,9 +135,11 @@ class TestCompose1d:
         one = verify_1d(dist, compose_1d(f, curve, dist.chart), pts, tol=1e-9)
         cis = verify_cis(dist, build_cis([f], [curve], dist.chart), pts, tol=1e-9)
         assert len(pts) > 100
-        for name in ("points", "determinants", "predicted", "identity", "certified",
-                     "ranks", "smallest_retained", "thresholds"):
+        for name in ("points", "determinants", "predicted", "identity", "certified"):
             assert np.array_equal(getattr(one, name), getattr(cis, name)), name
+        assert one.certificate.keys() == cis.certificate.keys()
+        for name, column in one.certificate.items():
+            assert np.array_equal(column, cis.certificate[name]), name
         assert one.tolerance == cis.tolerance
 
 

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from hfreemaps.errors import DegenerateFrame, NotHFree, NotImmersion, TooFewTargets
+from hfreemaps.errors import DegenerateFrame, DomainError, NotHFree, NotImmersion, TooFewTargets
 from hfreemaps.expr import Num, eval_value, parse
 from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import (
@@ -115,6 +117,29 @@ class TestCertificates:
         for p in rng.uniform(-2, 2, size=(20, 3)):
             assert is_hfree_at(dist, F, p).free
             assert is_h_immersion_at(dist, F, p)
+
+
+    @pytest.mark.parametrize("call, outcome", [
+        (lambda d, F, p: freedom_matrix_many(d, F, p[None]), DomainError),
+        (is_hfree_at, DomainError),
+        (wintergarten_rank, DomainError),
+        (is_h_immersion_at, np.linalg.LinAlgError),
+        (lambda d, F, p: induced_metric_many(d, F, p[None]), None),
+    ], ids=["freedom_matrix_many", "is_hfree_at", "wintergarten_rank", "is_h_immersion_at",
+            "induced_metric_many"])
+    def test_non_finite_map_jets_give_no_numpy_warning(self, plane, call, outcome):
+        # the gradient of sqrt(x) is infinite at x = 0, and its chain rule
+        # meets 0 * inf; the assembly raises its own DomainError for that
+        dist = Distribution(plane, (parse_field(plane, "1", "0"),))
+        F = parse_map(plane, "sqrt(x)", "y")
+        p = np.array([0.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if outcome is None:
+                assert np.isnan(call(dist, F, p)).all()
+            else:
+                with pytest.raises(outcome):
+                    call(dist, F, p)
 
 
 class TestInducedMetric:

@@ -283,6 +283,25 @@ curve = exp
         for key in ("certified_rank", "smallest_retained_sv", "threshold"):
             assert key in point
 
+    def test_construct_certified_is_hfree_and_the_det_floor(self, tmp_path):
+        # the scale repro: with f = 0.001*x + 0.001*y most points keep a rank
+        # certified with a margin while |det| falls below the floor
+        demo = os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios",
+                            "construct_1d.ini")
+        with open(demo, encoding="utf-8") as handle:
+            text = handle.read()
+        assert "f = y*exp(x)" in text
+        path = write(tmp_path, "scale.ini", text.replace("f = y*exp(x)", "f = 0.001*x + 0.001*y"))
+        out = tmp_path / "out"
+        assert main([path, "--out", str(out)]) == 2
+        records = json.loads((out / "report.json").read_text())["points"]
+        tol = 1e-9  # the identity tolerance of construct-1d at the default rank tolerance
+        for rec in records:
+            floor = abs(rec["det"]) > tol * max(1.0, abs(rec["det"]))
+            assert rec["certified"] == (rec["hfree"] and floor), rec["point"]
+        assert any(r["hfree"] and r["identity"] and not r["certified"] for r in records)
+        assert not all(r["hfree"] for r in records)
+
     def test_construct_cis(self, tmp_path):
         text = """
 [chart]
@@ -359,49 +378,50 @@ g = z
         assert report["summary"]["n_failures"] == 0
         assert report["hamiltonian_field"] == ["0", "0", "1"]
 
-    def test_construct_rp_records_match_pointwise_certificates(self, tmp_path):
-        from hfreemaps.constructions import FreeCurve, RPBracketSpec, build_rp
-        from hfreemaps.expr import Chart, parse
+    @pytest.mark.parametrize("kind", ["check-hfree", "construct-1d", "construct-cis",
+                                      "construct-rp"])
+    def test_rank_records_match_pointwise_certificates(self, tmp_path, kind):
+        from hfreemaps.constructions import (FreeCurve, RPBracketSpec, build_cis, build_rp,
+                                             compose_1d)
+        from hfreemaps.expr import parse
         from hfreemaps.geometry import Distribution
         from hfreemaps.hfree import is_hfree_at
+        from hfreemaps.scenario import load_scenario
 
-        text = """
-[chart]
-coords = x, y, z
-
-[points]
-count = 200
-box = -2:2, -2:2, -2:2
-seed = 1
-
-[task]
-kind = construct-rp
-casimir = x
-h = y
-f = z + 0.3*x*y
-curve = exp
-"""
-        # a coarse tolerance, so that some points fail
-        tol = 0.1
-        path = write(tmp_path, "rpc.ini", text)
+        # a coarse tolerance, so that some points fail and some are uncertain
+        tol = 0.02
+        path = write(tmp_path, "rank.ini", RANK_TEXTS[kind])
         out = tmp_path / "out"
-        assert run(path, out, tol=tol) == 2
-        records = json.loads((out / "report.json").read_text())["points"]
+        code = run(path, out, tol=tol)
+        report = json.loads((out / "report.json").read_text())
+        records = report["points"]
         points = np.array([r["point"] for r in records])
-        space = Chart(("x", "y", "z"))
-        built = build_rp(RPBracketSpec(space, (parse("x"),)), "y", "z + 0.3*x*y",
-                         FreeCurve.exp(), points, tol)
-        dist = Distribution(space, (built.field,))
+        sc = load_scenario(path)
+        if kind == "check-hfree":
+            dist, F = sc.distribution(), sc.map_spec()
+        elif kind == "construct-1d":
+            dist = sc.distribution()
+            F = compose_1d(parse("y*exp(x)"), FreeCurve.exp(), sc.chart).map_spec
+        elif kind == "construct-cis":
+            dist = sc.distribution()
+            F = build_cis(["w1", "w2"], [FreeCurve.exp()] * 2, sc.chart).map_spec
+        else:
+            built = build_rp(RPBracketSpec(sc.chart, (parse("x"),)), "y", "z + 0.3*x*y",
+                             FreeCurve.exp(), points, tol)
+            dist, F = Distribution(sc.chart, (built.field,)), built.map_spec
         for rec, p in zip(records, points):
-            cert = is_hfree_at(dist, built.map_spec, p, tol)
+            cert = is_hfree_at(dist, F, p, tol)
             M = cert.matrix
-            rank = M.certified_rank
+            rank, thr = M.certified_rank, M.threshold
+            critical = M.singular_values[len(M.entries) - 1]
             assert rec["hfree"] is cert.free
             assert rec["certified_rank"] == rank
-            assert rec["threshold"] == M.threshold
-            retained = M.singular_values[rank - 1] if rank else 0.0
-            assert rec["smallest_retained_sv"] == retained
+            assert rec["threshold"] == thr
+            assert rec["smallest_retained_sv"] == (M.singular_values[rank - 1] if rank else 0.0)
+            assert rec["uncertain"] is bool(0.1 * thr < critical < 10.0 * thr)
         assert 0 < sum(r["hfree"] for r in records) < len(records)
+        assert report["summary"]["n_uncertain"] == sum(r["uncertain"] for r in records) > 0
+        assert code == (2 if report["summary"]["n_failures"] else 0)
 
     def test_transversal_verify(self, tmp_path):
         text = """
@@ -762,6 +782,21 @@ kind = check-hfree
         if where == "report is a directory":
             assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
+    def test_a_run_that_exits_1_leaves_no_earlier_report(self, tmp_path, capsys):
+        # the second scenario's map is not defined at its point
+        demo = os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios",
+                            "contact_check.ini")
+        out = tmp_path / "out"
+        assert main([demo, "--out", str(out)]) == 0
+        assert (out / "report.json").exists()
+        points = "count = 50\nbox = -2:2, -2:2, -2:2\nseed = 7"
+        assert points in CONTACT
+        text = CONTACT.replace("component = z", "component = log(z)").replace(
+            points, "point = 0.1, 0.2, -0.5")
+        assert main([write(tmp_path, "bad.ini", text), "--out", str(out)]) == 1
+        assert "DomainError" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 def _strict(text):
     def refuse(name):
@@ -917,6 +952,64 @@ kind = induced-metric
         assert alone == [False, False, True, True]
         assert [r["positive_definite"] for r in report["points"]] == alone
         assert report["summary"]["n_positive_definite"] == 2
+
+
+RANK_TEXTS = {
+    "check-hfree": CONTACT,
+    "construct-1d": """
+[chart]
+coords = x, y
+
+[distribution]
+field = 2*y, 1-y^2
+
+[points]
+count = 200
+box = -2:2, -2:2
+seed = 3
+
+[task]
+kind = construct-1d
+f = y*exp(x)
+curve = exp
+""",
+    "construct-cis": """
+[chart]
+coords = a1, a2, w1, w2
+
+[distribution]
+field = 0, 0, 1, 0
+field = 0, 0, 0, 1
+
+[points]
+count = 30
+box = -2:2, -2:2, -2:2, -2:2
+seed = 9
+
+[task]
+kind = construct-cis
+f = w1
+f = w2
+curve = exp
+curve = exp
+""",
+    "construct-rp": """
+[chart]
+coords = x, y, z
+
+[points]
+count = 200
+box = -2:2, -2:2, -2:2
+seed = 1
+
+[task]
+kind = construct-rp
+casimir = x
+h = y
+f = z + 0.3*x*y
+curve = exp
+""",
+}
 
 
 TASK_TEXTS = {

@@ -170,6 +170,8 @@ class Scenario:
                 lo, hi = float(pieces[0]), float(pieces[1])
             except ValueError:
                 self.fail(f"invalid box bound in {part.strip()!r}", line)
+            if not np.isfinite([lo, hi]).all():
+                self.fail(f"box bounds must be finite, got {part.strip()!r}", line)
             if not lo < hi:
                 self.fail(f"empty box range {part.strip()!r}", line)
             ranges.append((lo, hi))

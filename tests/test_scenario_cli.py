@@ -711,6 +711,7 @@ class TestInputErrors:
         ("count = -1", "expected an integer of at least 0"),
         ("seed = twelve", "expected an integer"),
         ("box = 2:-2", "empty box range"),
+        ("box = -1:1e999", "box bounds must be finite"),
         ("point = 0, a", "expected comma-separated numbers"),
     ])
     @pytest.mark.parametrize("kind", list(TASK_KEYS))

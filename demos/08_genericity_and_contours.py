@@ -45,7 +45,7 @@ window = Window(-2, 2, -2, 2, 101, 101)
 for name, text in (("levels_f.svg", "y*exp(x)"),
                    ("levels_g.svg", "(y^2-1)*exp(x)")):
     render = render_levels(parse(text), plane, window, n_levels=15)
-    with open(name, "w", newline="") as handle:
+    with open(name, "w", encoding="utf-8", newline="") as handle:
         handle.write(render.svg(window))
     n_lines = sum(len(v) for v in render.polylines.values())
     print(f"{name}: {len(render.levels)} levels, {n_lines} polylines")

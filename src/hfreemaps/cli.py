@@ -54,6 +54,7 @@ _LEAF = re.compile(f"({_STRING})|null")
 _NONFINITE = re.compile(f"({_STRING})|NaN|-?Infinity")
 _TEXT = {"b": {False: "false", True: "true"}.__getitem__,
          "i": int.__repr__, "u": int.__repr__, "f": float.__repr__}
+_RECORDS_PER_BLOCK = 1024  # records encoded per piece of report.json
 
 
 class _Table:
@@ -66,47 +67,54 @@ class _Table:
     def __len__(self) -> int:
         return len(self.columns["point"])
 
-    def encode(self) -> tuple[str, bool]:
-        """The records as ``json.dumps(report, indent=2, sort_keys=True)``
-        writes them under a top-level key, with non-finite numbers as
-        ``null``, and whether there was none."""
+    def encode(self):
+        """Yield the records as ``json.dumps(report, indent=2, sort_keys=True)``
+        writes them under a top-level key, non-finite numbers as ``null``, in
+        pieces of ``_RECORDS_PER_BLOCK``; return whether there was none."""
         n = len(self)
-        if n == 0:
-            return "[]", True
         skeleton = {name: np.full(column.shape[1:], None, dtype=object).tolist()
                     for name, column in self.columns.items()}
         template = _LEAF.sub(lambda m: m[1].replace("%", "%%") if m[1] else "%s",
                              json.dumps(skeleton, indent=2, sort_keys=True))
         template = "    " + template.replace("\n", "\n    ")
-        leaves, finite = [], True
-        for column in self.columns.values():
-            flat = column.reshape(n, -1)
-            texts = list(map(_TEXT[column.dtype.kind], flat.ravel().tolist()))
-            if column.dtype.kind == "f":
-                for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-                    texts[i] = "null"
-                    finite = False
-            leaves += (texts[j::flat.shape[1]] for j in range(flat.shape[1]))
-        return "[\n" + ",\n".join(map(template.__mod__, zip(*leaves))) + "\n  ]", finite
+        finite = True
+        for start in range(0, n, _RECORDS_PER_BLOCK):
+            leaves = []
+            for column in self.columns.values():
+                block = column.reshape(n, -1)[start:start + _RECORDS_PER_BLOCK]
+                texts = list(map(_TEXT[column.dtype.kind], block.ravel().tolist()))
+                if column.dtype.kind == "f":
+                    for i in np.flatnonzero(~np.isfinite(block)).tolist():
+                        texts[i] = "null"
+                        finite = False
+                leaves += (texts[j::block.shape[1]] for j in range(block.shape[1]))
+            yield ("[\n" if start == 0 else ",\n") + ",\n".join(
+                map(template.__mod__, zip(*leaves)))
+        yield "\n  ]" if n else "[]"
+        return finite
 
 
 def _write_report(outdir: str, report: dict) -> bool:
     """Write ``report.json``: the text of ``json.dumps(report, indent=2,
     sort_keys=True)`` and a newline, with every non-finite number written
     as ``null``; the table under ``points`` is encoded on its own and
-    spliced in.  Returns False when there was any non-finite number."""
+    streamed in.  Returns False when there was any non-finite number."""
     table = report.get("points")
     dumped = json.dumps(report if table is None else {**report, "points": None},
                         indent=2, sort_keys=True)
     text = _NONFINITE.sub(lambda m: m[1] or "null", dumped)
     finite = text == dumped  # only a bare NaN or Infinity changes the text
-    if table is not None:
-        rows, rows_finite = table.encode()
+
+    def pieces():
+        nonlocal finite
         # no string holds a raw newline, so only a top-level key follows
         # a newline, two spaces and a quote
-        text = text.replace('\n  "points": null', '\n  "points": ' + rows, 1)
-        finite = finite and rows_finite
-    write_text(os.path.join(outdir, "report.json"), text + "\n")
+        head, tail = text.split('\n  "points": null', 1)
+        yield head + '\n  "points": '
+        finite = (yield from table.encode()) and finite
+        yield tail + "\n"
+    write_text(os.path.join(outdir, "report.json"),
+               (text + "\n",) if table is None else pieces())
     return finite
 
 
@@ -313,7 +321,7 @@ def _run_render_levels(sc: Scenario, outdir, seed, tol):
         render = render_levels(sc.expr(e.value, e.line), sc.chart, sc.window, n_levels)
         name = e.value if e.value in sc.names else f"expr{i}"
         filename = f"levels_{name}.svg"
-        write_text(os.path.join(outdir, filename), render.svg(sc.window))
+        write_text(os.path.join(outdir, filename), (render.svg(sc.window),))
         files.append(filename)
         warnings.extend(render.warnings)
         skipped += len(render.skipped_cells)

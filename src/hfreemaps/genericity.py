@@ -212,4 +212,4 @@ def write_trials_csv(path, results: list[GenericityResult]) -> None:
     for r in results:
         lines.append(f"{r.q},{r.degree},{r.n_pairs},{r.successes},{r.marginals},"
                      f"{r.fraction!r},{r.ci_low!r},{r.ci_high!r},{r.seed}")
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, ("\n".join(lines) + "\n",))

@@ -167,7 +167,12 @@ def _certify_ranks(matrices: np.ndarray, tol: float):
     return (svals, *certified_ranks(svals, matrices.shape, tol))
 
 
-def _check_frame(d: Distribution, XV: np.ndarray, tol: float):
+def _check_frame(d: Distribution, XV: np.ndarray, tol: float, *jets):
+    """Raise :class:`DomainError` where the frame values ``XV`` or the
+    ``jets`` are not finite, and :class:`DegenerateFrame` where the frame
+    drops rank."""
+    if not all(np.isfinite(jet).all() for jet in (XV, *jets)):
+        raise DomainError("non-finite jet values while assembling rows")
     bad = np.nonzero(unsized_ranks(XV, tol) < d.k)[0]
     if bad.size:
         raise DegenerateFrame(
@@ -194,10 +199,7 @@ def _jet_rows(d: Distribution, points: np.ndarray, Fgrads: np.ndarray,
     :class:`DegenerateFrame` where the frame drops rank."""
     frame = _frame_jets(d, points, order=1)
     XV, XG = frame.value, frame.gradient
-    if not (np.all(np.isfinite(XV)) and np.all(np.isfinite(Fgrads))
-            and np.all(np.isfinite(Fhesses)) and np.all(np.isfinite(XG))):
-        raise DomainError("non-finite jet values while assembling rows")
-    _check_frame(d, XV, tol)
+    _check_frame(d, XV, tol, Fgrads, Fhesses, XG)
     return XV, lie_rows(XV, Fgrads), _lie2_tensor(XV, XG, Fgrads, Fhesses)
 
 
@@ -280,7 +282,7 @@ def is_h_immersion_at(d: Distribution, F: MapSpec, p,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         Fgrads = eval_jets_many(F.components, F.chart, pts, order=1).gradient
     XV = _frame_jets(d, pts).value
-    _check_frame(d, XV, tol)
+    _check_frame(d, XV, tol, Fgrads)
     block = lie_rows(XV, Fgrads)
     _, _, ranks = _certify_ranks(block, tol)
     return int(ranks[0]) == d.k
@@ -288,7 +290,8 @@ def is_h_immersion_at(d: Distribution, F: MapSpec, p,
 
 def induced_metric_many(d: Distribution, F: MapSpec, points) -> np.ndarray:
     """Gram matrices ``g_ab = sum_i L_a F^i L_b F^i`` at ``points (B, m)``
-    as ``(B, k, k)``."""
+    as ``(B, k, k)``.  Non-finite map jets give a non-finite metric, not an
+    error, and the cli records such a point as not positive definite."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         Fgrads = eval_jets_many(F.components, F.chart, points, order=1).gradient
     block = lie_rows(_frame_jets(d, points).value, Fgrads)

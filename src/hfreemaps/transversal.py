@@ -855,8 +855,10 @@ def write_grid_csv(path, window: Window, values: np.ndarray,
     xs = [repr(x) for x in window.xs().tolist()]
     f_rows = np.asarray(values, dtype=float).reshape(shape)
     lie_rows = np.asarray(lie_values, dtype=float).reshape(shape)
-    lines = ["x,y,f,lie_f"]
-    for y, f_row, lie_row in zip(map(repr, window.ys().tolist()), f_rows, lie_rows):
-        lines.extend(f"{x},{y},{f!r},{lie!r}"
-                     for x, f, lie in zip(xs, f_row.tolist(), lie_row.tolist()))
-    write_text(path, "\n".join(lines) + "\n")
+
+    def pieces():
+        yield "x,y,f,lie_f\n"
+        for y, f_row, lie_row in zip(map(repr, window.ys().tolist()), f_rows, lie_rows):
+            yield "".join([f"{x},{y},{f!r},{lie!r}\n"
+                          for x, f, lie in zip(xs, f_row.tolist(), lie_row.tolist())])
+    write_text(path, pieces())

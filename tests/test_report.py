@@ -8,13 +8,14 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfreemaps.cli import _records, _write_report, run
+from hfreemaps.cli import _RECORDS_PER_BLOCK, _records, _write_report, run
 
 SCENARIOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos",
                                           "scenarios", "*.ini")))
@@ -104,6 +105,44 @@ def test_table_encoder_writes_the_dump_of_the_dict_form(parts):
         with open(os.path.join(tmp, "report.json"), encoding="utf-8") as handle:
             text = handle.read()
     assert (text, finite) == _oracle(points, columns, rest)
+
+
+def _check_hfree_table(n, rng):
+    """The columns of a check-hfree report on ``n`` points in 3-D."""
+    points = rng.uniform(-2.0, 2.0, size=(n, 3))
+    columns = {"certified_rank": rng.integers(0, 6, size=n),
+               "smallest_retained_sv": rng.random(n), "threshold": rng.random(n) * 1e-12,
+               "hfree": rng.random(n) < 0.5, "uncertain": rng.random(n) < 0.1,
+               "det": rng.normal(size=n)}
+    return points, columns
+
+
+def test_records_split_across_blocks_are_the_dump_of_the_dict_form(tmp_path):
+    # the one NaN sits in the last block, which holds a single record
+    n = 2 * _RECORDS_PER_BLOCK + 1
+    points, columns = _check_hfree_table(n, np.random.default_rng(4))
+    columns["det"][-1] = math.nan
+    rest = {"task": "check-hfree", "summary": {"n_points": n}}
+    finite = _write_report(tmp_path, {**rest, "points": _records(points, **columns)})
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert (text, finite) == _oracle(points, columns, rest)
+    assert finite is False
+
+
+def test_report_memory_does_not_grow_with_the_point_count(tmp_path):
+    n = 10_000
+    points, columns = _check_hfree_table(n, np.random.default_rng(5))
+    report = {"task": "check-hfree", "summary": {"n_points": n},
+              "points": _records(points, **columns)}
+    tracemalloc.start()
+    try:
+        _write_report(tmp_path, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text alone is about 2.7 MB
+    assert (tmp_path / "report.json").stat().st_size > 2_000_000
+    assert peak < 3_000_000
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=os.path.basename)

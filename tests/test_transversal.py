@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -457,6 +459,22 @@ def test_grid_csv_matches_per_node_formatting(tmp_path, window):
     path = tmp_path / "grid.csv"
     write_grid_csv(path, window, values, lie_values)
     assert path.read_bytes() == _reference_grid_csv(window, values, lie_values).encode()
+
+
+def test_grid_csv_memory_does_not_grow_with_the_grid(tmp_path):
+    window = Window(-1, 1, -1, 1, 301, 301)
+    rng = np.random.default_rng(301)
+    values, lie_values = rng.normal(size=(2, 301, 301))
+    path = tmp_path / "grid.csv"
+    tracemalloc.start()
+    try:
+        write_grid_csv(path, window, values, lie_values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text alone is about 6.8 MB
+    assert path.stat().st_size > 6_000_000
+    assert peak < 1_000_000
 
 
 def test_grid_csv_write_is_atomic(tmp_path, monkeypatch):

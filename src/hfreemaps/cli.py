@@ -5,8 +5,9 @@ report, plus CSV grids and SVG drawings where the task produces them)
 into an output directory.  Exit codes: 0 when every check passed, 2
 when a check failed (the report lists the failing points), 1 on input
 errors.  Artifacts are deterministic: no timestamps, stable float
-formatting, files written atomically.  ``report.json`` is removed at the
-start of every run, so a run that exits 1 leaves none behind.
+formatting, files written atomically.  ``run`` alone writes into the
+output directory: it removes every artifact name there, runs the task,
+then writes the artifacts the task returns, so a failed task writes none.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ _NONFINITE = re.compile(f"({_STRING})|NaN|-?Infinity")
 _TEXT = {"b": {False: "false", True: "true"}.__getitem__,
          "i": int.__repr__, "u": int.__repr__, "f": float.__repr__}
 _RECORDS_PER_BLOCK = 1024  # records encoded per piece of report.json
+_ARTIFACT = re.compile(r"report\.json|grid\.csv|genericity\.csv|levels_.*\.svg")
 
 
 class _Table:
@@ -124,7 +126,7 @@ def _records(points, **columns) -> _Table:
 
 
 def _certified(seed_used, points, certificate, passed, columns: dict, summary: dict,
-               **extra) -> tuple[bool, dict]:
+               **extra) -> tuple[bool, dict, dict]:
     """Report of a rank-checking task: per point, the certificate columns of
     :func:`freedom_certificates` and ``columns``; a point fails where
     ``passed`` is false."""
@@ -132,10 +134,10 @@ def _certified(seed_used, points, certificate, passed, columns: dict, summary: d
     summary = {**summary, "n_failures": failures,
                "n_uncertain": int(np.count_nonzero(certificate["uncertain"]))}
     return failures == 0, {"seed": seed_used, "summary": summary, **extra,
-                           "points": _records(points, **certificate, **columns)}
+                           "points": _records(points, **certificate, **columns)}, {}
 
 
-def _run_check_hfree(sc: Scenario, outdir: str, seed, tol) -> tuple[bool, dict]:
+def _run_check_hfree(sc: Scenario, seed, tol) -> tuple[bool, dict, dict]:
     dist, F = sc.distribution(), sc.map_spec()
     points, seed_used = sc.points(seed)
     matrices, certificate = freedom_certificates(dist, F, points, tol)
@@ -146,16 +148,16 @@ def _run_check_hfree(sc: Scenario, outdir: str, seed, tol) -> tuple[bool, dict]:
     return _certified(seed_used, points, certificate, certificate["hfree"], columns, summary)
 
 
-def _run_induced_metric(sc: Scenario, outdir, seed, tol):
+def _run_induced_metric(sc: Scenario, seed, tol):
     dist, F = sc.distribution(), sc.map_spec()
     points, seed_used = sc.points(seed)
     metrics = induced_metric_many(dist, F, points)
     positive = positive_definite_many(metrics)
     return True, {"seed": seed_used, "summary": {"n_positive_definite": int(np.sum(positive))},
-                  "points": _records(points, metric=metrics, positive_definite=positive)}
+                  "points": _records(points, metric=metrics, positive_definite=positive)}, {}
 
 
-def _run_invert(sc: Scenario, outdir, seed, tol):
+def _run_invert(sc: Scenario, seed, tol):
     dist, F = sc.distribution(), sc.map_spec()
     p = sc.param("point", sc.numbers, required=True, count=sc.chart.dim)
     psi = sc.param("psi", sc.exprs, each=True)
@@ -166,10 +168,10 @@ def _run_invert(sc: Scenario, outdir, seed, tol):
         sc.fail(f"invert task needs {dist.k} 'dg = ...' row lines", sc.task_line)
     df = infinitesimal_invert(dist, F, p, [e.value for e in dg], psi[0].value, tol)
     return True, {"point": p, "df": df.tolist(),
-                  "summary": {"norm_df": float(np.linalg.norm(df))}}
+                  "summary": {"norm_df": float(np.linalg.norm(df))}}, {}
 
 
-def _verified(check, seed_used, **extra) -> tuple[bool, dict]:
+def _verified(check, seed_used, **extra) -> tuple[bool, dict, dict]:
     """Report of a determinant-identity check, one record per point."""
     return _certified(seed_used, check.points, check.certificate, check.passed,
                       {"det": check.determinants, "predicted": check.predicted,
@@ -177,10 +179,8 @@ def _verified(check, seed_used, **extra) -> tuple[bool, dict]:
                       {"max_mismatch": check.max_mismatch}, **extra)
 
 
-def _run_construct_1d(sc: Scenario, outdir, seed, tol):
-    dist = sc.distribution()
-    if dist.k != 1:
-        sc.fail("construct-1d needs a one-field distribution")
+def _run_construct_1d(sc: Scenario, seed, tol):
+    dist = sc.one_field()
     f = sc.param("f", sc.expr, required=True)
     built = compose_1d(f, sc.param("curve", sc.curve, FreeCurve.exp()), sc.chart)
     points, seed_used = sc.points(seed)
@@ -189,7 +189,7 @@ def _run_construct_1d(sc: Scenario, outdir, seed, tol):
     return _verified(check, seed_used, map=[str(c) for c in built.map_spec.components])
 
 
-def _run_construct_cis(sc: Scenario, outdir, seed, tol):
+def _run_construct_cis(sc: Scenario, seed, tol):
     dist = sc.distribution()
     fs = sc.param("f", sc.expr, each=True)
     curves = sc.param("curve", sc.curve, each=True)
@@ -224,7 +224,7 @@ def _rp_spec(sc: Scenario) -> RPBracketSpec:
                          orientation=sc.param("orientation", sc.integer, 1, among=(1, -1)))
 
 
-def _run_construct_rp(sc: Scenario, outdir, seed, tol):
+def _run_construct_rp(sc: Scenario, seed, tol):
     spec = _rp_spec(sc)
     h = sc.param("h", sc.expr, required=True)
     f = sc.param("f", sc.expr, required=True)
@@ -238,25 +238,18 @@ def _run_construct_rp(sc: Scenario, outdir, seed, tol):
                       hamiltonian_field=[str(c) for c in built.field.components])
 
 
-def _run_rp_bracket(sc: Scenario, outdir, seed, tol):
+def _run_rp_bracket(sc: Scenario, seed, tol):
     spec = _rp_spec(sc)
     f = sc.param("f", sc.expr, required=True)
     g = sc.param("g", sc.expr, required=True)
     points, seed_used = sc.points(seed)
     values = rp_bracket_many(spec, f, g, points, tol)
     return True, {"seed": seed_used, "points": _records(points, bracket=values),
-                  "summary": {"min": float(values.min()), "max": float(values.max())}}
+                  "summary": {"min": float(values.min()), "max": float(values.max())}}, {}
 
 
-def _run_transversal(sc: Scenario, outdir, seed, tol):
-    dist = sc.distribution()
-    if sc.chart.dim != 2:
-        sc.fail("transversal task needs a two-dimensional chart", sc.task_line)
-    if dist.k != 1:
-        sc.fail("transversal task needs a one-field distribution")
-    if sc.window is None:
-        sc.fail("transversal task needs a [window] section")
-    xi, window = dist.frame[0], sc.window
+def _run_transversal(sc: Scenario, seed, tol):
+    xi, window = sc.one_field().frame[0], sc.planar_window()
     seeds = sc.param("seed", sc.numbers, each=True, count=2)
     # tube seeds select the glue mode, which reads no 'f'
     mode, unread = ("glue", ("f",)) if seeds else ("verify", ("weights", "t_span"))
@@ -266,26 +259,21 @@ def _run_transversal(sc: Scenario, outdir, seed, tol):
     if not seeds:
         f = sc.param("f", sc.expr)
         if f is None:
-            sc.fail("transversal task needs 'f = ...' or tube 'seed = x, y' lines",
-                    sc.task_line)
-        rep = verify_transversal(xi, f, window)
-        write_grid_csv(os.path.join(outdir, "grid.csv"), window,
-                       rep.values, rep.lie_values)
-        summary = {"min_lie": rep.min_value, "argmin": rep.argmin.tolist(),
-                   "n_nonfinite": rep.n_nonfinite}
-        return rep.n_nonfinite == 0 and rep.min_value > 0.0, {"mode": mode, "summary": summary}
-    weights = sc.param("weights", sc.numbers, [1.0] * len(seeds), count=len(seeds))
-    t_span = sc.param("t_span", sc.numbers, [3.0], count=1)[0]
-    tubes = build_tubes(xi, [e.value for e in seeds], window, t_span=t_span)
-    result = glue(tubes, weights)
-    write_grid_csv(os.path.join(outdir, "grid.csv"), window,
-                   result.values, result.lie_values)
-    summary = {"min_lie_interior": result.min_interior, "argmin": result.argmin.tolist(),
-               "n_tubes": len(tubes)}
-    return result.ok, {"mode": mode, "summary": summary}
+            sc.fail(f"{sc.task} needs 'f = ...' or tube 'seed = x, y' lines", sc.task_line)
+        result = verify_transversal(xi, f, window)
+        ok = result.n_nonfinite == 0 and result.min_value > 0.0
+        summary = {"min_lie": result.min_value, "n_nonfinite": result.n_nonfinite}
+    else:
+        weights = sc.param("weights", sc.numbers, [1.0] * len(seeds), count=len(seeds))
+        t_span = sc.param("t_span", sc.numbers, [3.0], count=1)[0]
+        tubes = build_tubes(xi, [e.value for e in seeds], window, t_span=t_span)
+        result = glue(tubes, weights)
+        ok, summary = result.ok, {"min_lie_interior": result.min_interior, "n_tubes": len(tubes)}
+    return ok, {"mode": mode, "summary": {**summary, "argmin": result.argmin.tolist()}}, {
+        "grid.csv": (write_grid_csv, window, result.values, result.lie_values)}
 
 
-def _run_genericity(sc: Scenario, outdir, seed, tol):
+def _run_genericity(sc: Scenario, seed, tol):
     dist = sc.distribution()
     q = sc.param("q", sc.integer, required=True, low=1)
     degree = sc.param("degree", sc.integer, 3, low=2)
@@ -295,7 +283,6 @@ def _run_genericity(sc: Scenario, outdir, seed, tol):
     task_seed = sc.param("seed", sc.integer, 0)  # read even when --seed overrides it
     seed_used = task_seed if seed is None else seed
     result = genericity_trial(dist, q, degree, n_maps, n_points, seed_used, box, tol=tol)
-    write_trials_csv(os.path.join(outdir, "genericity.csv"), [result])
     return True, {"seed": seed_used,
                   "summary": {"q": q, "degree": degree, "n_pairs": result.n_pairs,
                               "successes": result.successes,
@@ -304,31 +291,30 @@ def _run_genericity(sc: Scenario, outdir, seed, tol):
                               "ci": [result.ci_low, result.ci_high],
                               "too_few_targets": result.too_few_targets},
                   "failing_pairs": [{"map_index": i, "point": p.tolist()}
-                                    for i, p in result.failures[:100]]}
+                                    for i, p in result.failures[:100]]}, {
+        "genericity.csv": (write_trials_csv, [result])}
 
 
-def _run_render_levels(sc: Scenario, outdir, seed, tol):
-    if sc.chart.dim != 2:
-        sc.fail("render-levels needs a two-dimensional chart", sc.task_line)
-    if sc.window is None:
-        sc.fail("render-levels needs a [window] section")
+def _run_render_levels(sc: Scenario, seed, tol):
+    window = sc.planar_window()
     exprs = sc.param("expr", each=True)
     if not exprs:
         sc.fail("render-levels needs 'expr = ...' lines", sc.task_line)
     n_levels = sc.param("levels", sc.integer, 15, low=1)
-    files, warnings, skipped = [], [], 0
+    # a repeated expression lists its file again: the names are a list, not the keys
+    names, files, warnings, skipped = [], {}, [], 0
     for i, e in enumerate(exprs):
-        render = render_levels(sc.expr(e.value, e.line), sc.chart, sc.window, n_levels)
+        render = render_levels(sc.expr(e.value, e.line), sc.chart, window, n_levels)
         name = e.value if e.value in sc.names else f"expr{i}"
-        filename = f"levels_{name}.svg"
-        write_text(os.path.join(outdir, filename), (render.svg(sc.window),))
-        files.append(filename)
+        names.append(f"levels_{name}.svg")
+        files[names[-1]] = (write_text, (render.svg(window),))
         warnings.extend(render.warnings)
         skipped += len(render.skipped_cells)
-    return True, {"summary": {"files": files, "n_levels": n_levels,
-                              "skipped_cells": skipped, "warnings": warnings}}
+    return True, {"summary": {"files": names, "n_levels": n_levels,
+                              "skipped_cells": skipped, "warnings": warnings}}, files
 
 
+# kind -> runner(sc, seed, tol) -> (ok, report body, {artifact name: (writer, *args)})
 _RUNNERS = {
     "check-hfree": _run_check_hfree,
     "induced-metric": _run_induced_metric,
@@ -348,9 +334,11 @@ def run(scenario_path, output_dir, *, seed: int | None = None,
     """Execute a scenario; returns the process exit code.  ``tol``, when
     given, must be a positive finite number.  ``threads`` is accepted and
     ignored: every task runs in one thread."""
-    # a run that exits 1 must not leave an earlier run's report behind
+    # no artifact of an earlier run may survive this one, whatever its exit
     try:
-        os.remove(os.path.join(output_dir, "report.json"))
+        for name in os.listdir(output_dir):
+            if _ARTIFACT.fullmatch(name):
+                os.remove(os.path.join(output_dir, name))
     except (FileNotFoundError, NotADirectoryError):
         pass
     except OSError as err:
@@ -371,12 +359,14 @@ def run(scenario_path, output_dir, *, seed: int | None = None,
     effective_tol = tol if tol is not None else DEFAULT_RANK_TOL
     try:
         os.makedirs(output_dir, exist_ok=True)
-        ok, body = _RUNNERS[sc.task](sc, output_dir, seed, effective_tol)
+        ok, body, files = _RUNNERS[sc.task](sc, seed, effective_tol)
         # the skeleton of every report; a runner's body sets the seed it used
         report = {"task": sc.task, "tolerance": effective_tol, "seed": 0, **body,
                   "versions": {"hfreemaps": __version__}}
         if "points" in report:
             report["summary"]["n_points"] = len(report["points"])
+        for name, (writer, *args) in files.items():
+            writer(os.path.join(output_dir, name), *args)
         finite = _write_report(output_dir, report)
     except (OSError, ScenarioError) as err:  # OSError: an output that cannot be written
         print(f"error: {err}", file=sys.stderr)

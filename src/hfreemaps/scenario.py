@@ -196,14 +196,28 @@ class Scenario:
                 self.fail(str(err), line)
         self.fail(f"unknown curve {text!r} (expected exp, circle or custom: a, b)", line)
 
-    def distribution(self, line: int | None = None) -> Distribution:
+    def distribution(self) -> Distribution:
         if not self.frame:
-            self.fail("task needs a [distribution] section", line)
+            self.fail("task needs a [distribution] section")
         return Distribution(self.chart, tuple(self.frame))
 
-    def map_spec(self, line: int | None = None) -> MapSpec:
+    def one_field(self) -> Distribution:
+        dist = self.distribution()
+        if dist.k != 1:
+            self.fail(f"{self.task} needs a one-field distribution")
+        return dist
+
+    def planar_window(self) -> Window:
+        """The ``[window]`` of a task that runs on a two-dimensional chart."""
+        if self.chart.dim != 2:
+            self.fail(f"{self.task} needs a two-dimensional chart", self.task_line)
+        if self.window is None:
+            self.fail(f"{self.task} needs a [window] section")
+        return self.window
+
+    def map_spec(self) -> MapSpec:
         if not self.map_components:
-            self.fail("task needs a [map] section", line)
+            self.fail("task needs a [map] section")
         return MapSpec(self.chart, tuple(self.map_components))
 
     def points(self, seed_override: int | None = None) -> tuple[np.ndarray, int]:
@@ -250,7 +264,7 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     for e in chart_entries:
         if e.key == "coords":
             coords = tuple(n.strip() for n in e.value.split(","))
-        elif e.key != "dim":  # dim is implied by coords
+        else:
             raise ScenarioError(f"unknown key {e.key!r} in [chart]", path, e.line)
     if coords is None:
         raise ScenarioError("scenario needs a [chart] section with coords", path)
@@ -308,11 +322,9 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
             if e.key == "box":
                 box = sc.box(e.value, e.line, dim=2)
             elif e.key == "grid":
-                vals = [sc.integer(v, e.line) for v in e.value.split(",")]
+                vals = [sc.integer(v, e.line, low=2) for v in e.value.split(",")]
                 if len(vals) != 2:
                     sc.fail("grid needs two resolutions", e.line)
-                if min(vals) < 2:
-                    sc.fail(f"grid resolutions must be at least 2, got {e.value!r}", e.line)
                 grid = (vals[0], vals[1])
             else:
                 sc.fail(f"unknown key {e.key!r} in [window]", e.line)

@@ -116,6 +116,8 @@ def test_cli_contract_on_generated_scenarios(case):
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert err.getvalue().startswith("error: ")
+            # a run that exits 1 writes no file
+            assert not os.path.exists(out) or os.listdir(out) == []
         if unread_line is not None:
             # a key the kind does not read fails at its line, unless the
             # file without it already fails to parse

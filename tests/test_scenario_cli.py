@@ -798,6 +798,73 @@ kind = check-hfree
         assert "DomainError" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_chart_dim_is_an_unknown_key(self, tmp_path, capsys):
+        # the dimension is the number of coords; a 'dim' line is not read
+        text = CONTACT.replace("coords = x, y, z\n", "coords = x, y, z\ndim = 5\n")
+        path = write(tmp_path, "dim.ini", text)
+        assert run(path, tmp_path / "out") == 1
+        line = text.splitlines().index("dim = 5") + 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:{line}: unknown key 'dim' in [chart]")
+
+
+def _names(out):
+    return sorted(p.name for p in out.iterdir())
+
+
+class TestOutputDirectory:
+    """``run`` alone writes into ``--out``: after a run every artifact there
+    comes from it, and a run that exits 1 writes no file."""
+
+    def test_an_input_error_after_a_rendered_expression_writes_no_file(self, tmp_path, capsys):
+        # the first expression renders before the second fails at its line
+        text = RENDER.format(levels=3).replace("expr = x*y", "expr = x + y\nexpr = x + q")
+        path = write(tmp_path, "lv.ini", text)
+        out = tmp_path / "out"
+        assert main([path, "--out", str(out)]) == 1
+        line = text.splitlines().index("expr = x + q") + 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: unknown name 'q'")
+        assert _names(out) == []
+
+    def test_an_exit_0_run_leaves_no_earlier_artifact(self, tmp_path):
+        demos = os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios")
+        out = tmp_path / "out"
+        assert main([os.path.join(demos, "transversal_glue.ini"), "--out", str(out)]) == 0
+        assert _names(out) == ["grid.csv", "report.json"]
+        assert main([os.path.join(demos, "contact_check.ini"), "--out", str(out)]) == 0
+        assert _names(out) == ["report.json"]
+
+    def test_an_exit_2_run_leaves_no_earlier_artifact(self, tmp_path):
+        out = tmp_path / "out"
+        assert main([write(tmp_path, "lv.ini", TASK_TEXTS["render-levels"]),
+                     "--out", str(out)]) == 0
+        assert _names(out) == ["levels_expr0.svg", "report.json"]
+        # (x, x) is H-free nowhere for H spanned by d/dx
+        text = ("[chart]\ncoords = x, y\n[distribution]\nfield = 1, 0\n[map]\n"
+                "component = x\ncomponent = x\n[points]\npoint = 0.5, 0.5\n"
+                "[task]\nkind = check-hfree\n")
+        assert main([write(tmp_path, "affine.ini", text), "--out", str(out)]) == 2
+        assert _names(out) == ["report.json"]
+        assert json.loads((out / "report.json").read_text())["task"] == "check-hfree"
+
+    def test_every_artifact_name_is_cleared(self, tmp_path, capsys):
+        # every kind writes into one directory; a run that cannot even read
+        # its scenario then leaves the directory empty, so that no artifact
+        # name escapes the clean-up
+        texts = {**TASK_TEXTS,  # two of them are only the base of input-error cases
+                 "induced-metric": TASK_TEXTS["induced-metric"] + "[map]\ncomponent = x\n"
+                                                                 "component = y\n",
+                 "invert": TASK_TEXTS["invert"] + "point = 0.1, 0.2, -0.5\n"}
+        out = tmp_path / "out"
+        written = set()
+        for kind, text in texts.items():
+            assert main([write(tmp_path, f"{kind}.ini", text), "--out", str(out)]) == 0, kind
+            written.update(_names(out))
+        assert written == {"report.json", "grid.csv", "genericity.csv", "levels_expr0.svg"}
+        assert main([str(tmp_path / "missing.ini"), "--out", str(out)]) == 1
+        assert "missing.ini" in capsys.readouterr().err
+        assert _names(out) == []
+
 
 def _strict(text):
     def refuse(name):

@@ -7,7 +7,9 @@ when a check failed (the report lists the failing points), 1 on input
 errors.  Artifacts are deterministic: no timestamps, stable float
 formatting, files written atomically.  ``run`` alone writes into the
 output directory: it removes every artifact name there, runs the task,
-then writes the artifacts the task returns, so a failed task writes none.
+then writes the artifacts the task returns, so a failed task writes none;
+when a write fails, it removes them all again.  No numpy warning escapes
+a run: non-finite numbers show in the report and the exit code.
 """
 
 from __future__ import annotations
@@ -329,50 +331,50 @@ _RUNNERS = {
 }
 
 
+def _clear(output_dir) -> None:
+    """Remove every artifact name from ``output_dir``, when it is a directory."""
+    if os.path.isdir(output_dir):
+        for name in os.listdir(output_dir):
+            if _ARTIFACT.fullmatch(name):
+                os.remove(os.path.join(output_dir, name))
+
+
 def run(scenario_path, output_dir, *, seed: int | None = None,
         tol: float | None = None, threads: int | None = None) -> int:
     """Execute a scenario; returns the process exit code.  ``tol``, when
     given, must be a positive finite number.  ``threads`` is accepted and
     ignored: every task runs in one thread."""
-    # no artifact of an earlier run may survive this one, whatever its exit
-    try:
-        for name in os.listdir(output_dir):
-            if _ARTIFACT.fullmatch(name):
-                os.remove(os.path.join(output_dir, name))
-    except (FileNotFoundError, NotADirectoryError):
-        pass
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    if tol is not None and not 0.0 < tol < float("inf"):
-        print(f"error: the rank tolerance must be a positive finite number, got {tol!r}",
-              file=sys.stderr)
-        return 1
-    try:
-        sc = load_scenario(scenario_path)
-    except (OSError, ScenarioError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:  # a file that is not UTF-8 text
-        print(f"error: {scenario_path}: {type(err).__name__}: {err}", file=sys.stderr)
-        return 1
     effective_tol = tol if tol is not None else DEFAULT_RANK_TOL
     try:
+        # no artifact of an earlier run may survive this one, whatever its exit
+        _clear(output_dir)
+        if not 0.0 < effective_tol < float("inf"):
+            print(f"error: the rank tolerance must be a positive finite number, got {tol!r}",
+                  file=sys.stderr)
+            return 1
+        sc = load_scenario(scenario_path)
         os.makedirs(output_dir, exist_ok=True)
-        ok, body, files = _RUNNERS[sc.task](sc, seed, effective_tol)
-        # the skeleton of every report; a runner's body sets the seed it used
-        report = {"task": sc.task, "tolerance": effective_tol, "seed": 0, **body,
-                  "versions": {"hfreemaps": __version__}}
-        if "points" in report:
-            report["summary"]["n_points"] = len(report["points"])
-        for name, (writer, *args) in files.items():
-            writer(os.path.join(output_dir, name), *args)
-        finite = _write_report(output_dir, report)
-    except (OSError, ScenarioError) as err:  # OSError: an output that cannot be written
+        # non-finite values show as null with exit 2, or as a DomainError
+        with np.errstate(all="ignore"):
+            ok, body, files = _RUNNERS[sc.task](sc, seed, effective_tol)
+            # the skeleton of every report; a runner's body sets the seed it used
+            report = {"task": sc.task, "tolerance": effective_tol, "seed": 0, **body,
+                      "versions": {"hfreemaps": __version__}}
+            if "points" in report:
+                report["summary"]["n_points"] = len(report["points"])
+            try:
+                for name, (writer, *args) in files.items():
+                    writer(os.path.join(output_dir, name), *args)
+                finite = _write_report(output_dir, report)
+            except BaseException:  # a run that fails writes no file
+                _clear(output_dir)
+                raise
+    except (OSError, ScenarioError) as err:  # OSError: a file that cannot be read or written
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (HfreeError, ValueError) as err:  # ValueError: a library check on the input
-        print(f"error: {sc.path}: {type(err).__name__}: {err}", file=sys.stderr)
+    # ValueError: a library check on the input, or a scenario that is not UTF-8 text
+    except (HfreeError, ValueError) as err:
+        print(f"error: {scenario_path}: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     if not finite:
         print(f"error: {sc.path}: non-finite numbers, written as null in "

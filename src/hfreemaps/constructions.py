@@ -42,7 +42,7 @@ from .expr import (
     parse,
     substitute,
 )
-from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_jets, unsized_ranks
+from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_jets, full_rank
 from .hfree import MapSpec, freedom_certificates
 from .lie import VectorField, lie_rows
 
@@ -284,12 +284,6 @@ class RPBracketSpec:
         return self.chart.dim
 
 
-def _dependent(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the points where the gradient rows ``(B, r, n)`` are
-    dependent, by :func:`~hfreemaps.geometry.unsized_ranks`."""
-    return np.nonzero(unsized_ranks(rows, tol) < rows.shape[1])[0]
-
-
 def _bracket(spec: RPBracketSpec, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """``orientation * det(rows) / sqrt(det metric)`` for the gradient
     rows ``(B, n, n)`` of the casimirs and both arguments."""
@@ -316,7 +310,7 @@ def rp_bracket_many(spec: RPBracketSpec, f: Expr, g: Expr, points,
     if not np.all(np.isfinite(rows[:, :-2])):
         raise DomainError("non-finite casimir gradient values")
     if spec.casimirs:
-        bad = _dependent(rows[:, :-2], tol)
+        bad = np.flatnonzero(~full_rank(rows[:, :-2], tol))
         if bad.size:
             raise DegenerateCasimirs(
                 f"casimir differentials dependent at {pts[int(bad[0])]}")
@@ -400,7 +394,7 @@ def build_rp(spec: RPBracketSpec, h, f, curve: FreeCurve, check_points,
         rows = eval_jets_many(spec.casimirs + (h, f), spec.chart, pts, order=1).gradient
     if not np.all(np.isfinite(rows)):
         raise DomainError("non-finite gradient values of the casimirs, h or f")
-    if _dependent(rows[:, :-1], tol).size:
+    if not full_rank(rows[:, :-1], tol).all():
         raise DegenerateCasimirs("h is not independent from the casimirs")
     brackets = _bracket(spec, rows, pts)
     if np.any(brackets <= 0.0):

@@ -17,8 +17,8 @@ from itertools import product
 import numpy as np
 
 from .artifacts import write_text
-from .geometry import DEFAULT_RANK_TOL, Distribution, _proven
-from .hfree import _certify_ranks, _jet_rows, _stack_rows, required_rank
+from .geometry import DEFAULT_RANK_TOL, Distribution, full_rank, svd_ranks
+from .hfree import _jet_rows, _stack_rows, required_rank
 
 _Z95 = 1.959963984540054
 
@@ -137,10 +137,10 @@ def _sweep(d: Distribution, q: int, degree: int, n_maps: int, n_points: int,
            seed: int, box: np.ndarray, tol: float):
     """Certify the sweep's maps in blocks of whole maps, at most
     ``_BLOCK_PAIRS`` pairs each (one map when it alone has more points).
-    Yields ``(first map index, points (K, P, m), proven (K*P,), singular
+    Yields ``(first map index, points (K, P, m), success (K*P,), singular
     values (U, R), thresholds (U,))`` per block, pairs in map-major order:
-    ``proven`` marks the pairs that the Gram bound proves clear successes,
-    and the singular values and thresholds are those of the ``U`` others."""
+    ``success`` marks the clear successes, and the singular values and
+    thresholds are those of the ``U`` others."""
     m = d.chart.dim
     if n_maps > 0:
         RandomMapSpec(m, q, degree, seed)  # validates the degree
@@ -155,11 +155,10 @@ def _sweep(d: Distribution, q: int, degree: int, n_maps: int, n_points: int,
         _, first, L2 = _jet_rows(d, pts.reshape(-1, m), Fgrads, Fhesses, tol)
         matrices = _stack_rows(first, L2, False)
         # a clear success keeps sigma_need above 10 times the sized threshold
-        proven = _proven(matrices, 10.0 * tol * max(matrices.shape[-2:]))
-        if proven is None:
-            proven = np.zeros(len(matrices), dtype=bool)
-        svals, thresholds, _ = _certify_ranks(matrices[~proven], tol)
-        yield start, pts, proven, svals, thresholds
+        size = max(matrices.shape[-2:])
+        success = full_rank(matrices, tol, size, margin=10.0)
+        svals, thresholds, _ = svd_ranks(matrices[~success], tol, size)
+        yield start, pts, success, svals, thresholds
 
 
 def genericity_trial(d: Distribution, q: int, degree: int, n_maps: int,
@@ -185,14 +184,12 @@ def genericity_trial(d: Distribution, q: int, degree: int, n_maps: int,
 
     successes = marginals = 0
     failures, marginal_pairs = [], []
-    for start, pts, proven, svals, thresholds in _sweep(d, q, degree, n_maps, n_points,
-                                                        seed, box, tol):
-        rest = np.flatnonzero(~proven)
-        smallest = svals[:, need - 1]
-        clear_success = smallest > 10.0 * thresholds
-        clear_failure = smallest < 0.1 * thresholds
-        marginal = ~clear_success & ~clear_failure
-        successes += int(np.count_nonzero(proven)) + int(np.count_nonzero(clear_success))
+    for start, pts, success, svals, thresholds in _sweep(d, q, degree, n_maps, n_points,
+                                                         seed, box, tol):
+        rest = np.flatnonzero(~success)
+        clear_failure = svals[:, need - 1] < 0.1 * thresholds
+        marginal = ~clear_failure
+        successes += int(np.count_nonzero(success))
         marginals += int(np.count_nonzero(marginal))
         flat = pts.reshape(-1, m)
         failures += [(start + i // n_points, flat[i].copy())

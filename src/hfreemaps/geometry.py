@@ -23,16 +23,40 @@ _SVD_ERROR = 1000.0
 _PROOF_BATCH = 64
 
 
-def certified_ranks(svals: np.ndarray, shape, tol: float, sized: bool = True):
-    """Thresholds and ranks for singular values ``svals (..., r)`` of
-    matrices of ``shape (..., rows, cols)``: the rank counts the values
-    above ``tol * sigma_max``, times ``max(rows, cols)`` when ``sized``."""
-    if sized:
-        thresholds = tol * svals[..., 0] * max(shape[-2], shape[-1])
-        return thresholds, (svals > thresholds[..., None]).sum(axis=-1)
-    with np.errstate(invalid="ignore"):
-        thresholds = tol * svals[..., 0]
-        return thresholds, (svals > thresholds[..., None]).sum(axis=-1)
+def certified_ranks(svals: np.ndarray, tol: float, size):
+    """Thresholds and ranks for singular values ``svals (..., r)``: the rank
+    counts the values above ``tol * sigma_max * size``.  Certificates pass
+    ``size = max(rows, cols)``; the checks that rows are independent pass 1."""
+    thresholds = tol * svals[..., 0] * size
+    return thresholds, (svals > thresholds[..., None]).sum(axis=-1)
+
+
+def svd_ranks(matrices: np.ndarray, tol: float, size):
+    """Singular values, thresholds and ranks of a stack of matrices
+    ``(..., rows, cols)`` by the rule of :func:`certified_ranks`."""
+    svals = np.linalg.svd(matrices, compute_uv=False)
+    return (svals, *certified_ranks(svals, tol, size))
+
+
+def full_rank(matrices: np.ndarray, tol: float, size=1, margin: float = 1.0) -> np.ndarray:
+    """Whether each matrix of a stack ``(..., rows, cols)`` has full row
+    rank, its ``rows``-th singular value above ``margin`` times the
+    threshold of :func:`certified_ranks`; never with more rows than
+    columns.  On stacks of at least ``_PROOF_BATCH`` matrices, those that
+    :func:`full_rank_proven` proves need no SVD."""
+    rows, cols = matrices.shape[-2:]
+    if rows > cols:
+        return np.zeros(matrices.shape[:-2], dtype=bool)
+    stack = matrices.reshape(-1, rows, cols)
+    if len(stack) < _PROOF_BATCH:
+        svals, thresholds, _ = svd_ranks(matrices, tol, size)
+        return svals[..., rows - 1] > margin * thresholds
+    full = full_rank_proven(stack, margin * tol * size)
+    rest = ~full
+    if rest.any():
+        svals, thresholds, _ = svd_ranks(stack[rest], tol, size)
+        full[rest] = svals[:, rows - 1] > margin * thresholds
+    return full.reshape(matrices.shape[:-2])
 
 
 def full_rank_proven(matrices: np.ndarray, ratio: float) -> np.ndarray:
@@ -53,7 +77,9 @@ def full_rank_proven(matrices: np.ndarray, ratio: float) -> np.ndarray:
     ``2**-900`` cover underflow.  A matrix with a non-finite entry, or a
     largest entry outside [2**-500, 2**500], is never proven."""
     B, s, q = matrices.shape
-    x = np.ascontiguousarray(np.moveaxis(matrices, 0, -1))  # (s, q, B)
+    # a copy, since it is scaled in place: for B = 1 or 1 x 1 matrices the
+    # moved axes alone would be a view of the caller's array
+    x = np.moveaxis(matrices, 0, -1).copy()  # (s, q, B)
     flat = x.reshape(s * q, B)
     big = np.maximum(flat.max(axis=0), -flat.min(axis=0))  # nan when any entry is nan
     proven = (big >= 2.0 ** -500) & (big <= 2.0 ** 500)
@@ -87,39 +113,6 @@ def full_rank_proven(matrices: np.ndarray, ratio: float) -> np.ndarray:
                     entry = entry - factor[k][j] * factor[k][i]
                 factor[j][i] = entry / root
     return proven
-
-
-def _proven(stack: np.ndarray, ratio: float):
-    """:func:`full_rank_proven` on a stack ``(B, s, q)`` of at least
-    ``_PROOF_BATCH`` matrices with ``s <= q``; None on others, which are
-    not tried."""
-    B, s, q = stack.shape
-    if B < _PROOF_BATCH or s > q:
-        return None
-    return full_rank_proven(stack, ratio)
-
-
-def unsized_ranks(matrices: np.ndarray, tol: float) -> np.ndarray:
-    """Ranks of a stack of matrices ``(..., rows, cols)`` by the unsized
-    rule of :func:`certified_ranks`: the check that rows are independent.
-    One row's singular value is its 2-norm, which ``hypot`` keeps in range.
-    On large stacks, matrices that :func:`full_rank_proven` proves get
-    full rank without an SVD."""
-    rows, cols = matrices.shape[-2:]
-    if rows == 1:
-        svals = np.hypot.reduce(matrices, axis=-1)
-        return certified_ranks(svals, matrices.shape, tol, sized=False)[1]
-    stack = matrices.reshape(-1, rows, cols)
-    proven = _proven(stack, tol)
-    if proven is None:
-        svals = np.linalg.svd(matrices, compute_uv=False)
-        return certified_ranks(svals, matrices.shape, tol, sized=False)[1]
-    ranks = np.full(len(stack), rows)
-    rest = ~proven
-    if rest.any():
-        svals = np.linalg.svd(stack[rest], compute_uv=False)
-        ranks[rest] = certified_ranks(svals, stack.shape, tol, sized=False)[1]
-    return ranks.reshape(matrices.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -157,5 +150,5 @@ def _frame_jets(d: Distribution, points, order: int = 0) -> Jet2:
 
 def frame_rank(d: Distribution, p, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the ``k x m`` frame component matrix at ``p``."""
-    return int(unsized_ranks(_frame_jets(d, np.asarray(p, dtype=float)[None, :]).value,
-                             tol)[0])
+    return int(svd_ranks(_frame_jets(d, np.asarray(p, dtype=float)[None, :]).value,
+                         tol, 1)[2][0])

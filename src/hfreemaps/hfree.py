@@ -9,12 +9,14 @@ symmetrized ``L_a L_b F + L_b L_a F``.  The rows are the contractions of
 ``(k + k(k+1)/2) x q`` matrix has full row rank; the rank is certified
 through singular values with a relative threshold.
 
-Both threshold rules live in :func:`~hfreemaps.geometry.certified_ranks`.
-Certificates (the freedom matrix, the H-immersion test, both ranks of
-:func:`wintergarten_rank`) use ``tol * sigma_max * max(rows, cols)``;
+The threshold rule, ``tol * sigma_max * size``, lives in
+:func:`~hfreemaps.geometry.certified_ranks`, and every rank decision goes
+through it: :func:`~hfreemaps.geometry.svd_ranks` where the singular
+values are reported, :func:`~hfreemaps.geometry.full_rank` where only the
+verdict is.  Certificates (the freedom matrix, the H-immersion test, both
+ranks of :func:`wintergarten_rank`) pass ``size = max(rows, cols)``;
 checks that the inputs are independent (the frame check, ``frame_rank``,
-the casimir and Hamiltonian checks of Riemann-Poisson brackets) use
-``tol * sigma_max``, through :func:`~hfreemaps.geometry.unsized_ranks`.
+the casimir and Hamiltonian checks of Riemann-Poisson brackets) pass 1.
 
 All assemblies are batched over point sets; single-point entry points
 wrap the batch of size one.
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .expr import Chart, Expr, as_expr, coordinates, eval_jets_many, parse
 from .geometry import (DEFAULT_RANK_TOL, Distribution, _frame_jets, certified_ranks,
-                       unsized_ranks)
+                       full_rank, svd_ranks)
 from .lie import _lie2_tensor, lie_rows
 
 __all__ = [
@@ -160,20 +162,13 @@ def _stack_rows(first, L2, doubled_diagonal: bool):
     return np.concatenate(rows, axis=1)
 
 
-def _certify_ranks(matrices: np.ndarray, tol: float):
-    """Singular values, thresholds and certified ranks for a stack of
-    matrices, by the sized rule of :func:`certified_ranks`."""
-    svals = np.linalg.svd(matrices, compute_uv=False)
-    return (svals, *certified_ranks(svals, matrices.shape, tol))
-
-
 def _check_frame(d: Distribution, XV: np.ndarray, tol: float, *jets):
     """Raise :class:`DomainError` where the frame values ``XV`` or the
     ``jets`` are not finite, and :class:`DegenerateFrame` where the frame
     drops rank."""
     if not all(np.isfinite(jet).all() for jet in (XV, *jets)):
         raise DomainError("non-finite jet values while assembling rows")
-    bad = np.nonzero(unsized_ranks(XV, tol) < d.k)[0]
+    bad = np.nonzero(~full_rank(XV, tol))[0]
     if bad.size:
         raise DegenerateFrame(
             f"frame rank < {d.k} at {bad.size} of {XV.shape[0]} points "
@@ -215,7 +210,7 @@ def freedom_matrix_many(d: Distribution, F: MapSpec, points,
     thresholds, certified ranks)``."""
     pts = np.asarray(points, dtype=float)
     matrices = _assemble_many(d, F, pts, tol)
-    svals, thresholds, ranks = _certify_ranks(matrices, tol)
+    svals, thresholds, ranks = svd_ranks(matrices, tol, max(matrices.shape[-2:]))
     return matrices, svals, thresholds, ranks
 
 
@@ -284,7 +279,7 @@ def is_h_immersion_at(d: Distribution, F: MapSpec, p,
     XV = _frame_jets(d, pts).value
     _check_frame(d, XV, tol, Fgrads)
     block = lie_rows(XV, Fgrads)
-    _, _, ranks = _certify_ranks(block, tol)
+    _, _, ranks = svd_ranks(block, tol, max(block.shape[-2:]))
     return int(ranks[0]) == d.k
 
 
@@ -337,7 +332,8 @@ def infinitesimal_invert(d: Distribution, F: MapSpec, p, dg, psi,
     # freedom matrix and the system with doubled diagonal rows
     pts = np.asarray(p, dtype=float)[None, :]
     XV, first, L2 = _lie_rows(d, F, pts, tol)
-    _, _, ranks = _certify_ranks(_stack_rows(first, L2, False), tol)
+    matrices = _stack_rows(first, L2, False)
+    _, _, ranks = svd_ranks(matrices, tol, max(matrices.shape[-2:]))
     if int(ranks[0]) != need:
         raise NotHFree(f"certified rank {int(ranks[0])} < {need} at {p}")
     system = _stack_rows(first, L2, True)[0]
@@ -374,11 +370,10 @@ def wintergarten_rank(d: Distribution, F: MapSpec, p,
     # test (the rule of is_h_immersion_at) and an orthonormal basis of the
     # normal space, so the two cannot disagree on the rank
     _, svals, vh = np.linalg.svd(first, full_matrices=True)
-    if int(certified_ranks(svals, first.shape, tol)[1]) != k:
+    if int(certified_ranks(svals, tol, max(first.shape))[1]) != k:
         raise NotImmersion(f"first-order rows are rank deficient at {p}")
     normal_basis = vh[k:]
     if normal_basis.shape[0] == 0:
         return 0
     image = second @ normal_basis.T  # (s_k, q - k)
-    svals = np.linalg.svd(image, compute_uv=False)
-    return int(certified_ranks(svals, image.shape, tol)[1])
+    return int(svd_ranks(image, tol, max(image.shape))[2])

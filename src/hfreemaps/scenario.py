@@ -33,9 +33,10 @@ comma-separated lists are unambiguous)::
     kind = check-hfree
 
 Exactly one ``[task]`` section is required; every other section is
-optional.  The keys and values of every section but ``[task]`` are
-checked when the file is parsed; the ``[task]`` values, and whether the
-task finds the sections it needs, when the task runs.  ``TASK_KEYS``
+optional.  An ``[exprs]`` name is an identifier, and neither a coordinate
+nor a function name.  The keys and values of every section but ``[task]``
+are checked when the file is parsed; the ``[task]`` values, and whether
+the task finds the sections it needs, when the task runs.  ``TASK_KEYS``
 lists the ``[task]`` keys of each kind, and any other key fails at its
 line, as an unknown key does in every other section.
 """
@@ -48,7 +49,7 @@ import numpy as np
 
 from .constructions import FreeCurve
 from .errors import ExprSyntaxError, ScenarioError
-from .expr import Chart, Expr, coordinates, parse
+from .expr import _IDENT_RE, FUNCTIONS, Chart, Expr, coordinates, parse
 from .geometry import Distribution
 from .hfree import MapSpec
 from .lie import VectorField
@@ -264,6 +265,7 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     for e in chart_entries:
         if e.key == "coords":
             coords = tuple(n.strip() for n in e.value.split(","))
+            coords_line = e.line
         else:
             raise ScenarioError(f"unknown key {e.key!r} in [chart]", path, e.line)
     if coords is None:
@@ -271,12 +273,15 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     try:
         chart = Chart(coords)
     except ValueError as err:
-        raise ScenarioError(str(err), path) from None
+        raise ScenarioError(str(err), path, coords_line) from None
 
     sc = Scenario(path=path, chart=chart, names={}, frame=[], map_components=[],
                   task="", task_entries=[])
 
     for e in sections.get("exprs", []):
+        if not _IDENT_RE.match(e.key) or e.key in FUNCTIONS or e.key in chart.coords:
+            sc.fail(f"invalid expression name {e.key!r}: a name is an identifier, and "
+                    f"neither a coordinate nor a function name", e.line)
         if e.key in sc.names:
             sc.fail(f"duplicate expression name {e.key!r}", e.line)
         sc.names[e.key] = sc.expr(e.value, e.line)
@@ -284,7 +289,7 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
     for e in sections.get("distribution", []):
         if e.key != "field":
             sc.fail(f"unknown key {e.key!r} in [distribution]", e.line)
-        comps = [sc.expr(part, e.line) for part in e.value.split(",")]
+        comps = sc.exprs(e.value, e.line)
         if len(comps) != chart.dim:
             sc.fail(f"field needs {chart.dim} components", e.line)
         if len(sc.frame) == chart.dim:
@@ -338,7 +343,8 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
         raise ScenarioError("scenario needs exactly one [task] section", path)
     kinds = [e for e in task_entries if e.key == "kind"]
     if len(kinds) != 1:
-        raise ScenarioError("[task] needs exactly one kind", path)
+        raise ScenarioError("[task] needs exactly one kind", path,
+                            kinds[1].line if kinds else None)
     if kinds[0].value not in TASK_KEYS:
         raise ScenarioError(
             f"unknown task kind {kinds[0].value!r} (expected one of "

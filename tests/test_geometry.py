@@ -13,10 +13,12 @@ from hfreemaps.geometry import (
     _frame_jets,
     certified_ranks,
     frame_rank,
+    full_rank,
     full_rank_proven,
-    unsized_ranks,
+    svd_ranks,
 )
-from hfreemaps.hfree import _check_frame, freedom_matrix, is_h_immersion_at, parse_map
+from hfreemaps.hfree import (_check_frame, freedom_matrix, freedom_matrix_many,
+                             is_h_immersion_at, parse_map)
 from hfreemaps.lie import parse_field
 
 from oracles import FrameChange, change_frame
@@ -51,8 +53,7 @@ def _near_frame():
 
 
 def _rank_two(matrix, sized):
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    return certified_ranks(svals, matrix.shape, DEFAULT_RANK_TOL, sized)[1] == 2
+    return svd_ranks(matrix, DEFAULT_RANK_TOL, max(matrix.shape) if sized else 1)[2] == 2
 
 
 def _frame_check_passes():
@@ -106,15 +107,15 @@ def test_rank_rule_of_each_check(check, counts_small):
 @pytest.mark.parametrize("tol", [1e-9, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("m", [1, 3])
 def test_one_field_rank_agrees_with_the_svd(rng, scale, tol, m):
-    # one row takes its norm in place of an SVD; random, zero, subnormal
-    # and huge fields get the ranks the SVD gives them
+    # one row on a large stack goes through the Gram bound first; random,
+    # zero, subnormal and huge fields get the verdicts the SVD gives them
     fields = rng.normal(size=(200, 1, m)) * scale
     fields[:5] = 0.0
     fields[5:10, 0, 1:] = 0.0  # one non-zero entry
     svals = np.linalg.svd(fields, compute_uv=False)
-    want = certified_ranks(svals, fields.shape, tol, sized=False)[1]
-    assert np.array_equal(unsized_ranks(fields, tol), want)
-    assert np.array_equal(unsized_ranks(fields[0], tol), want[0])
+    want = certified_ranks(svals, tol, 1)[1] == 1
+    assert np.array_equal(full_rank(fields, tol), want)
+    assert np.array_equal(full_rank(fields[0], tol), want[0])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,8 @@ def _svd_full_rank(stack, tol, rule):
             svals = np.linalg.svd(matrix, compute_uv=False)
         except np.linalg.LinAlgError:
             continue
-        thresholds, ranks = certified_ranks(svals, matrix.shape, tol, rule != "unsized")
+        thresholds, ranks = certified_ranks(svals, tol,
+                                            1 if rule == "unsized" else max(matrix.shape))
         out[b] = (svals[s - 1] > 10.0 * thresholds if rule == "clear success"
                   else ranks == s)
     return out
@@ -201,8 +203,8 @@ def test_gram_bound_proves_well_conditioned_stacks(shape, seed, log_ratio, scale
     assert np.all(full_rank_proven(stack, _rule_ratio(DEFAULT_RANK_TOL, rule, s, q)))
 
 
-def test_unsized_ranks_on_large_mixed_stacks(rng):
-    # above the proof batch, proven matrices skip the SVD; the ranks stay
+def test_full_rank_on_large_mixed_stacks(rng):
+    # above the proof batch, proven matrices skip the SVD; the verdicts stay
     # those of the SVD rule, also for batch shapes of more than one axis
     stack = np.concatenate([_stack(seed, 2, 3, log_ratio, 0, defect)
                             for seed, log_ratio, defect in
@@ -210,11 +212,39 @@ def test_unsized_ranks_on_large_mixed_stacks(rng):
                              (4, -3.0, "subnormal"), (5, -8.5, "none")]])
     assert len(stack) >= _PROOF_BATCH
     svals = np.linalg.svd(stack, compute_uv=False)
-    want = certified_ranks(svals, stack.shape, DEFAULT_RANK_TOL, sized=False)[1]
-    assert 0 < np.count_nonzero(want == 2) < len(stack)
-    assert np.array_equal(unsized_ranks(stack, DEFAULT_RANK_TOL), want)
-    assert np.array_equal(unsized_ranks(stack.reshape(4, 30, 2, 3), DEFAULT_RANK_TOL),
+    want = certified_ranks(svals, DEFAULT_RANK_TOL, 1)[1] == 2
+    assert 0 < np.count_nonzero(want) < len(stack)
+    assert np.array_equal(full_rank(stack, DEFAULT_RANK_TOL), want)
+    assert np.array_equal(full_rank(stack.reshape(4, 30, 2, 3), DEFAULT_RANK_TOL),
                           want.reshape(4, 30))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3), (1, 1, 4), (100, 1, 1), (100, 1, 2),
+                                   (100, 2, 2)])
+def test_gram_bound_leaves_its_input_unchanged(rng, shape):
+    # the bound scales its matrices in place: for B = 1 or 1 x 1 matrices
+    # the moved axes are a view of the input, which must not be touched
+    stack = rng.normal(size=shape) * 1e3
+    stack[3::7] = 0.0
+    stack[5::7] = np.inf
+    before = stack.copy()
+    full_rank_proven(stack, DEFAULT_RANK_TOL)
+    assert np.array_equal(stack, before)
+
+
+def test_one_dimensional_chart_batch_equals_each_point():
+    # 100 one-field frames on a 1-D chart reach the Gram bound as 1 x 1
+    # matrices; the freedom matrices assembled after it are those of each point
+    line = Chart(("t",))
+    dist = Distribution(line, (parse_field(line, "3"),))
+    F = parse_map(line, "t", "t^2")
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(100, 1))
+    matrices, svals, thresholds, ranks = freedom_matrix_many(dist, F, pts)
+    for b, p in enumerate(pts):
+        one = freedom_matrix(dist, F, p)
+        assert np.array_equal(matrices[b], one.entries)
+        assert np.array_equal(svals[b], one.singular_values)
+        assert thresholds[b] == one.threshold and ranks[b] == one.certified_rank
 
 
 def test_frame_batch_with_degenerate_frames_raises_the_svd_message(contact, rng):
@@ -225,7 +255,7 @@ def test_frame_batch_with_degenerate_frames_raises_the_svd_message(contact, rng)
     bad = [17, 4000, 4001, 7777, 9999]
     XV[bad, 1] = 3.0 * XV[bad, 0]
     svals = np.linalg.svd(XV, compute_uv=False)
-    ranks = certified_ranks(svals, XV.shape, DEFAULT_RANK_TOL, sized=False)[1]
+    ranks = certified_ranks(svals, DEFAULT_RANK_TOL, 1)[1]
     assert np.flatnonzero(ranks < 2).tolist() == bad
     with pytest.raises(DegenerateFrame) as err:
         _check_frame(dist, XV, DEFAULT_RANK_TOL)

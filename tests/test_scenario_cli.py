@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -808,6 +809,117 @@ kind = check-hfree
             f"error: {path}:{line}: unknown key 'dim' in [chart]")
 
 
+EXPRS = "[exprs]\nf = x\n{name} = y + 1\n\n[window]"
+CURVE = "f = y*exp(x)\ncurve = {curve}"
+POINT = "kind = invert\npoint = 0.1, 0.2, -0.5"
+
+
+# (base kind in TASK_TEXTS, text replaced, its replacement, the line the error
+# names or None, message); each case breaks one thing in a base that runs
+@pytest.mark.parametrize("kind, old, new, at, message", [
+    pytest.param("check-hfree", "[points]", "[pointz]", "[pointz]",
+                 "unknown section [pointz]", id="unknown section"),
+    pytest.param("check-hfree", "coords = x, y, z", "coords x, y, z", "coords x, y, z",
+                 "expected 'key = value'", id="no equals sign"),
+    pytest.param("check-hfree", "[chart]\ncoords = x, y, z", "", None,
+                 "scenario needs a [chart] section with coords", id="no chart"),
+    pytest.param("check-hfree", "coords = x, y, z", "coords = x, y, y", "coords = x, y, y",
+                 "chart coordinate names must be distinct", id="repeated coordinate"),
+    pytest.param("check-hfree", "coords = x, y, z", "coords = x, y, 2z", "coords = x, y, 2z",
+                 "invalid coordinate name '2z'", id="coordinate not an identifier"),
+    pytest.param("check-hfree", "coords = x, y, z", "coords = x, y, exp",
+                 "coords = x, y, exp", "'exp' is a reserved function name",
+                 id="coordinate a function name"),
+    pytest.param("render-levels", "[window]", EXPRS.format(name="f"), "f = y + 1",
+                 "duplicate expression name 'f'", id="duplicate name"),
+    pytest.param("render-levels", "[window]", EXPRS.format(name="a/b"), "a/b = y + 1",
+                 "invalid expression name 'a/b': a name is an identifier, and neither "
+                 "a coordinate nor a function name", id="name not an identifier"),
+    pytest.param("render-levels", "[window]", EXPRS.format(name="sin"), "sin = y + 1",
+                 "invalid expression name 'sin'", id="name a function name"),
+    pytest.param("render-levels", "[window]", EXPRS.format(name="x"), "x = y + 1",
+                 "invalid expression name 'x'", id="name a coordinate"),
+    pytest.param("check-hfree", "field = 0, 1, 0", "vector = 0, 1, 0", "vector = 0, 1, 0",
+                 "unknown key 'vector' in [distribution]", id="distribution key"),
+    pytest.param("check-hfree", "component = z", "comp = z", "comp = z",
+                 "unknown key 'comp' in [map]", id="map key"),
+    pytest.param("render-levels", "grid = 11, 11", "size = 11", "size = 11",
+                 "unknown key 'size' in [window]", id="window key"),
+    pytest.param("check-hfree", "field = 0, 1, 0", "field = 0, 1", "field = 0, 1",
+                 "field needs 3 components", id="field components"),
+    pytest.param("check-hfree", "box = -2:2, -2:2, -2:2\n", "", "count = 50",
+                 "[points] with count needs a box", id="count without box"),
+    pytest.param("check-hfree", "box = -2:2, -2:2, -2:2", "box = -2:2, -2:2",
+                 "box = -2:2, -2:2", "box needs 3 ranges, got 2", id="box ranges"),
+    pytest.param("check-hfree", "box = -2:2, -2:2, -2:2", "box = -2:2, -2, -2:2",
+                 "box = -2:2, -2, -2:2", "box ranges look like lo:hi, got '-2'",
+                 id="box range shape"),
+    pytest.param("check-hfree", "box = -2:2, -2:2, -2:2", "box = -2:2, a:2, -2:2",
+                 "box = -2:2, a:2, -2:2", "invalid box bound in 'a:2'", id="box bound"),
+    pytest.param("check-hfree", "box = -2:2, -2:2, -2:2", "box = -2:2, 2:2, -2:2",
+                 "box = -2:2, 2:2, -2:2", "empty box range '2:2'", id="empty box range"),
+    pytest.param("render-levels", "box = -1:1, -1:1", "box = -1:nan, -1:1",
+                 "box = -1:nan, -1:1", "box bounds must be finite, got '-1:nan'",
+                 id="window box bound"),
+    pytest.param("render-levels", "grid = 11, 11", "grid = 11", "grid = 11",
+                 "grid needs two resolutions", id="one grid value"),
+    pytest.param("render-levels", "box = -1:1, -1:1\n", "", None,
+                 "[window] needs a box", id="window without box"),
+    pytest.param("check-hfree", "kind = check-hfree", "kind = check-hfree\nkind = invert",
+                 "kind = invert", "[task] needs exactly one kind", id="two kinds"),
+    pytest.param("check-hfree", "component = z", "component = z +", "component = z +",
+                 "unknown name or invalid expression 'z +'", id="invalid expression"),
+    pytest.param("check-hfree", "[distribution]\nfield = 0, 1, 0\nfield = 1, 0, -y\n", "",
+                 None, "task needs a [distribution] section", id="no distribution"),
+    pytest.param("check-hfree", "[map]\ncomponent = y\ncomponent = x\ncomponent = exp(y)\n"
+                 "component = exp(x)\ncomponent = z\n", "", None,
+                 "task needs a [map] section", id="no map"),
+    pytest.param("render-levels", "[window]\nbox = -1:1, -1:1\ngrid = 11, 11\n", "", None,
+                 "render-levels needs a [window] section", id="no window"),
+    pytest.param("construct-1d", "field = 2*y, 1-y^2", "field = 2*y, 1-y^2\nfield = 1, 0",
+                 None, "construct-1d needs a one-field distribution", id="two fields"),
+    pytest.param("construct-1d", "f = y*exp(x)\n", "", "kind = construct-1d",
+                 "construct-1d needs 'f = ...'", id="required key"),
+    pytest.param("construct-1d", "f = y*exp(x)", CURVE.format(curve="spiral"),
+                 "curve = spiral",
+                 "unknown curve 'spiral' (expected exp, circle or custom: a, b)",
+                 id="unknown curve"),
+    pytest.param("construct-1d", "f = y*exp(x)", CURVE.format(curve="custom: t"),
+                 "curve = custom: t", "custom curve looks like 'custom: a(t), b(t)'",
+                 id="custom curve shape"),
+    pytest.param("construct-1d", "f = y*exp(x)", CURVE.format(curve="custom: t, (t"),
+                 "curve = custom: t, (t", "unexpected end of input at offset 2",
+                 id="custom curve syntax"),
+    pytest.param("construct-1d", "f = y*exp(x)", CURVE.format(curve="custom: t, 2*t"),
+                 "curve = custom: t, 2*t", "curve is not free on (-4.0, 4.0)",
+                 id="custom curve not free"),
+    pytest.param("invert", "kind = invert\npsi = 0, 0", POINT, "kind = invert",
+                 "invert task needs one 'psi = expr, ...' line", id="invert psi"),
+    pytest.param("invert", "kind = invert\npsi = 0, 0\ndg = 1, 0", POINT + "\npsi = 0, 0",
+                 "kind = invert", "invert task needs 2 'dg = ...' row lines", id="invert dg"),
+    pytest.param("construct-cis", "f = x\ncurve = exp\n", "", "kind = construct-cis",
+                 "construct-cis needs 'f = ...' lines, one per frame field",
+                 id="construct-cis f"),
+    pytest.param("transversal", "seed = 0, -0.9\nseed = 0, 0\nseed = 0, 0.9\n", "",
+                 "kind = transversal",
+                 "transversal needs 'f = ...' or tube 'seed = x, y' lines",
+                 id="transversal f or seeds"),
+    pytest.param("render-levels", "expr = x*y\n", "", "kind = render-levels",
+                 "render-levels needs 'expr = ...' lines", id="render-levels expr"),
+])
+def test_input_error_fails_at_its_line(tmp_path, capsys, kind, old, new, at, message):
+    assert old in TASK_TEXTS[kind]
+    text = TASK_TEXTS[kind].replace(old, new)
+    path = write(tmp_path, "bad.ini", text)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([path, "--out", str(out)]) == 1
+    where = path if at is None else f"{path}:{text.splitlines().index(at) + 1}"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: {message}") and "Traceback" not in err
+    assert _names(out) == []
+
+
 def _names(out):
     return sorted(p.name for p in out.iterdir())
 
@@ -864,6 +976,39 @@ class TestOutputDirectory:
         assert main([str(tmp_path / "missing.ini"), "--out", str(out)]) == 1
         assert "missing.ini" in capsys.readouterr().err
         assert _names(out) == []
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, capsys):
+        # a valid name too long for a file name: levels_f.svg is written
+        # before levels_<name>.svg fails, and is removed again
+        name = "a" * 300
+        text = RENDER.format(levels=3).replace(
+            "[window]", f"[exprs]\nf = x\n{name} = y\n\n[window]").replace(
+            "expr = x*y", f"expr = f\nexpr = {name}")
+        out = tmp_path / "out"
+        assert main([write(tmp_path, "long.ini", text), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert _names(out) == []
+
+
+# values of exp(1000*x) overflow: each run reports them, in its exit code
+# and as null in report.json, or as a DomainError
+@pytest.mark.parametrize("kind, edits, code", [
+    ("construct-1d", [("f = y*exp(x)", "f = exp(1000*x)")], 1),
+    ("construct-cis", [("f = x", "f = exp(1000*x)")], 1),
+    ("render-levels", [("expr = x*y", "expr = exp(1000*x)")], 0),
+    ("rp-bracket", [("f = y", "f = exp(1000*y)"), ("point = 0, 0, 0", "point = 0, 1, 0")], 2),
+    ("transversal", [("seed = 0, -0.9\nseed = 0, 0\nseed = 0, 0.9", "f = exp(1000*x)")], 2),
+])
+def test_no_numpy_warning_escapes_a_run(tmp_path, kind, edits, code):
+    text = TASK_TEXTS[kind]
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = write(tmp_path, "overflow.ini", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([path, "--out", str(tmp_path / "out")]) == code
 
 
 def _strict(text):

@@ -33,12 +33,13 @@ comma-separated lists are unambiguous)::
     kind = check-hfree
 
 Exactly one ``[task]`` section is required; every other section is
-optional.  An ``[exprs]`` name is an identifier, and neither a coordinate
-nor a function name.  The keys and values of every section but ``[task]``
-are checked when the file is parsed; the ``[task]`` values, and whether
-the task finds the sections it needs, when the task runs.  ``TASK_KEYS``
-lists the ``[task]`` keys of each kind, and any other key fails at its
-line, as an unknown key does in every other section.
+optional.  An ``[exprs]`` name is an identifier of at most 240
+characters, and neither a coordinate nor a function name.  The keys and
+values of every section but ``[task]`` are checked when the file is
+parsed; the ``[task]`` values, and whether the task finds the sections it
+needs, when the task runs.  ``TASK_KEYS`` lists the ``[task]`` keys of
+each kind, and any other key fails at its line, as an unknown key does in
+every other section.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ TASK_KEYS = {
     "genericity": ("q", "degree", "n_maps", "n_points", "seed", "box"),
     "render-levels": ("expr", "levels"),
 }
+
+# render-levels writes levels_<name>.svg through levels_<name>.svg.tmp, and
+# a file name holds at most 255 bytes
+_MAX_NAME = 255 - len("levels_") - len(".svg.tmp")
 
 KNOWN_SECTIONS = ("chart", "exprs", "distribution", "map", "points", "window", "task")
 
@@ -282,6 +287,9 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
         if not _IDENT_RE.match(e.key) or e.key in FUNCTIONS or e.key in chart.coords:
             sc.fail(f"invalid expression name {e.key!r}: a name is an identifier, and "
                     f"neither a coordinate nor a function name", e.line)
+        if len(e.key) > _MAX_NAME:
+            sc.fail(f"expression name of {len(e.key)} characters: at most {_MAX_NAME}, "
+                    f"so that its SVG file name fits", e.line)
         if e.key in sc.names:
             sc.fail(f"duplicate expression name {e.key!r}", e.line)
         sc.names[e.key] = sc.expr(e.value, e.line)

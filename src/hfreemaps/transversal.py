@@ -14,7 +14,8 @@ dense output included (:func:`_integrate_groups`); a single integration
 pairs each table cell with the window nodes in its bounding box, read off
 the node raster, and solves only the pairs that the cell's edges do not
 rule out.  A tube carries its field and window, so :func:`tube_function`
-and :func:`glue` read them from their tubes, with one :class:`BumpProfile`.
+and :func:`glue` read them from their tubes.  Every tube function steps
+through one closed form, :func:`step`, of the located flow time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .lie import VectorField, lie_rows
 
 __all__ = [
     "Window",
-    "BumpProfile",
     "Tube",
     "TubeValues",
     "GlueResult",
@@ -41,6 +41,7 @@ __all__ = [
     "flow",
     "build_tube",
     "build_tubes",
+    "step",
     "tube_function",
     "glue",
     "verify_transversal",
@@ -360,93 +361,21 @@ def flow(xi: VectorField, p, t: float, *, rtol: float = 1e-10,
 
 
 # ---------------------------------------------------------------------------
-# monotone step and bump profiles
+# the monotone step of every tube function
+
+# the step's slope at 0 is _STEP_RATE / 2; of the rates measured, 1 keeps
+# the glue's smallest Lie derivative largest over shifted seeds (README)
+_STEP_RATE = 1.0
 
 
-def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients ``(c0, c1, c2, c3)`` of the monotone cubic Hermite
-    interpolant of ``(x, y)`` on each interval, highest power first.
-
-    Interior slopes are the weighted harmonic mean of the neighbouring
-    secants, 0 where those change sign or vanish (Fritsch & Butland,
-    SIAM J. Sci. Stat. Comput. 5, 1984); end slopes use the one-sided
-    three-point rule (Moler, Numerical Computing with MATLAB, 2004).
-    Needs at least three points.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        d = np.zeros_like(y)
-        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-
-    def end_slope(h0, h1, m0, m1):
-        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(e) != np.sign(m0):
-            return 0.0
-        if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
-            return 3.0 * m0
-        return e
-
-    d[0] = end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
-
-
-class BumpProfile:
-    """The classical ``exp(-1/(1-t^2))`` bump and its normalized integral.
-
-    ``step`` rises from 0 to 1 across ``(-1, 1)``, equals 1/2 at 0
-    exactly, and has the closed-form derivative ``bump(t) / (2 c)``.
-    The integral is tabulated by the trapezoid rule on 4001 nodes and
-    interpolated by a monotone piecewise cubic.
-    """
-
-    def __init__(self):
-        u = np.linspace(0.0, 1.0, 4001)
-        values = self.bump(u)
-        cumulative = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(u))])
-        self._half_mass = float(cumulative[-1])
-        self._u = u
-        self._coeffs = _pchip_coefficients(u, cumulative)
-
-    @staticmethod
-    def bump(t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 1.0
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-        return out
-
-    def _cumulative(self, u: np.ndarray) -> np.ndarray:
-        """The interpolated integral at ``u`` in ``[0, 1]``; intervals
-        are half-open, the last one closed."""
-        i = np.clip(np.searchsorted(self._u, u, side="right") - 1, 0, len(self._u) - 2)
-        s = u - self._u[i]
-        c0, c1, c2, c3 = self._coeffs[:, i]
-        s2 = s * s
-        return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
-
-    def step(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        clipped = np.minimum(np.abs(t), 1.0)
-        half = self._cumulative(clipped) / self._half_mass
-        return 0.5 + 0.5 * np.sign(t) * half
-
-    def step_deriv(self, t) -> np.ndarray:
-        return 0.5 * self.bump(t) / self._half_mass
-
-
-@functools.cache
-def _profile() -> BumpProfile:
-    """The step profile of every tube function, tabulated on first use."""
-    return BumpProfile()
+def step(t) -> np.ndarray:
+    """``(1 + tanh(c t / (1 - t^2))) / 2`` with ``c = _STEP_RATE``: a C^inf
+    step from 0 to 1 across ``(-1, 1)``, exactly 1/2 at 0 and exactly 0 or
+    1 where ``|t| >= 1``; NaN stays NaN."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rise = np.tanh(_STEP_RATE * t / (1.0 - t * t))
+    return (1.0 + np.where(np.abs(t) < 1.0, rise, np.sign(t))) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +661,7 @@ def tube_function(tube: Tube) -> TubeValues:
 
     values = np.empty(len(nodes))
     located = ~np.isnan(t_of_node)
-    values[located] = _profile().step(t_of_node[located])
+    values[located] = step(t_of_node[located])
 
     if np.any(~located):
         # saturated side rule: compare against the flow direction at the

@@ -16,7 +16,8 @@ depend on the frame.  ``sequential_integrate`` is the Dormand-Prince
 loop of one batch with scalar step state, which the grouped integrator
 replaced, and ``bin_raster_locate_times`` the tube location that paired
 cells with nodes through a 64 x 64 raster of bins and a sort, which the
-node raster replaced.
+node raster replaced.  ``step_deriv`` is the closed-form derivative of
+the tube step, which the library never needs.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import MapSpec, freedom_matrix_many
 from hfreemaps.jet import Jet2, jpow
 from hfreemaps.lie import VectorField, lie_expr
-from hfreemaps.transversal import (_DP_A, _DP_B5, _DP_D, _DP_E, Tube, Window,
+from hfreemaps.transversal import (_DP_A, _DP_B5, _DP_D, _DP_E, _STEP_RATE, Tube, Window,
                                    _invert_bilinear)
 
 
@@ -480,3 +481,15 @@ def sequential_integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
     if stop is not None:
         out = out[:np.argmax(np.append(stop(out), True))]
     return out[:, 0] if np.ndim(y0) == 1 else out
+
+
+def step_deriv(t) -> np.ndarray:
+    """``d/dt`` of ``transversal.step``: ``c (1 + t^2) / (2 (1 - t^2)^2)``
+    times ``sech^2(c t / (1 - t^2))`` inside ``(-1, 1)``, 0 elsewhere.  It
+    underflows to 0 before ``|t|`` reaches 1 (at 0.999 for ``c = 1``)."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gap = 1.0 - t * t
+        out = (_STEP_RATE * (1.0 + t * t) / (2.0 * gap * gap)
+               / np.cosh(_STEP_RATE * t / gap) ** 2)
+    return np.where(np.abs(t) < 1.0, out, 0.0)

@@ -839,6 +839,13 @@ POINT = "kind = invert\npoint = 0.1, 0.2, -0.5"
                  "invalid expression name 'sin'", id="name a function name"),
     pytest.param("render-levels", "[window]", EXPRS.format(name="x"), "x = y + 1",
                  "invalid expression name 'x'", id="name a coordinate"),
+    # levels_<name>.svg.tmp must fit in a 255-byte file name
+    pytest.param("render-levels", "[window]", EXPRS.format(name="a" * 241),
+                 "a" * 241 + " = y + 1", "expression name of 241 characters: at most 240",
+                 id="name of 241 characters"),
+    pytest.param("render-levels", "[window]", EXPRS.format(name="a" * 300),
+                 "a" * 300 + " = y + 1", "expression name of 300 characters: at most 240",
+                 id="name of 300 characters"),
     pytest.param("check-hfree", "field = 0, 1, 0", "vector = 0, 1, 0", "vector = 0, 1, 0",
                  "unknown key 'vector' in [distribution]", id="distribution key"),
     pytest.param("check-hfree", "component = z", "comp = z", "comp = z",
@@ -978,17 +985,27 @@ class TestOutputDirectory:
         assert _names(out) == []
 
     def test_a_failed_write_leaves_no_file(self, tmp_path, capsys):
-        # a valid name too long for a file name: levels_f.svg is written
-        # before levels_<name>.svg fails, and is removed again
-        name = "a" * 300
+        # a directory in the place of levels_g.svg's temporary file:
+        # levels_f.svg is written before levels_g.svg fails, and is removed again
         text = RENDER.format(levels=3).replace(
-            "[window]", f"[exprs]\nf = x\n{name} = y\n\n[window]").replace(
-            "expr = x*y", f"expr = f\nexpr = {name}")
+            "[window]", "[exprs]\nf = x\ng = y\n\n[window]").replace(
+            "expr = x*y", "expr = f\nexpr = g")
         out = tmp_path / "out"
-        assert main([write(tmp_path, "long.ini", text), "--out", str(out)]) == 1
+        (out / "levels_g.svg.tmp").mkdir(parents=True)
+        assert main([write(tmp_path, "blocked.ini", text), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        assert _names(out) == []
+        assert _names(out) == ["levels_g.svg.tmp"]
+
+    def test_the_longest_name_renders(self, tmp_path):
+        # 240 characters: levels_<name>.svg.tmp takes all 255 bytes of a file name
+        name = "a" * 240
+        text = RENDER.format(levels=3).replace(
+            "[window]", f"[exprs]\n{name} = x\n\n[window]").replace(
+            "expr = x*y", f"expr = {name}")
+        out = tmp_path / "out"
+        assert main([write(tmp_path, "long.ini", text), "--out", str(out)]) == 0
+        assert _names(out) == [f"levels_{name}.svg", "report.json"]
 
 
 # values of exp(1000*x) overflow: each run reports them, in its exit code

@@ -27,12 +27,13 @@ from .artifacts import write_text
 from .constructions import (
     FreeCurve,
     RPBracketSpec,
-    _verify_product,
     build_cis,
     build_rp,
     cis_determinant_constant,
     compose_1d,
     rp_bracket_many,
+    verify_1d,
+    verify_cis,
 )
 from .errors import HfreeError, ScenarioError
 from .genericity import genericity_trial, write_trials_csv
@@ -186,8 +187,7 @@ def _run_construct_1d(sc: Scenario, seed, tol):
     f = sc.param("f", sc.expr, required=True)
     built = compose_1d(f, sc.param("curve", sc.curve, FreeCurve.exp()), sc.chart)
     points, seed_used = sc.points(seed)
-    check = _verify_product(dist, built, points, max(tol, 1e-9), commuting=False,
-                            rank_tol=tol)
+    check = verify_1d(dist, built, points, max(tol, 1e-9), rank_tol=tol)
     return _verified(check, seed_used, map=[str(c) for c in built.map_spec.components])
 
 
@@ -208,8 +208,7 @@ def _run_construct_cis(sc: Scenario, seed, tol):
     built = build_cis([e.value for e in fs],
                       [e.value for e in curves] or [FreeCurve.exp()] * len(fs), sc.chart)
     points, seed_used = sc.points(seed)
-    check = _verify_product(dist, built, points, max(tol, 1e-8), commuting=True,
-                            rank_tol=tol)
+    check = verify_cis(dist, built, points, max(tol, 1e-8), rank_tol=tol)
     return _verified(check, seed_used, map=[str(c) for c in built.map_spec.components],
                      determinant_constant=cis_determinant_constant(built.n))
 

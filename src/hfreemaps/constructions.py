@@ -34,6 +34,7 @@ from .expr import (
     Expr,
     Num,
     as_expr,
+    coordinates,
     derivative,
     eval_jets_many,
     fold_add,
@@ -75,13 +76,19 @@ class FreeCurve:
     @staticmethod
     def custom(a, b, domain: str = "line",
                interval: tuple[float, float] = (-4.0, 4.0)) -> "FreeCurve":
-        """Build a curve from two expressions in ``t`` after checking its
-        freeness on ``interval`` at 1000 points."""
+        """Build a curve from two expressions in ``t`` alone after checking
+        its freeness, and that it is defined, on ``interval`` at 1000 points."""
         a = parse(a) if isinstance(a, str) else as_expr(a)
         b = parse(b) if isinstance(b, str) else as_expr(b)
+        if other := coordinates(a, b) - {CURVE_VAR}:
+            raise ValueError(f"curve names coordinates other than {CURVE_VAR}: {sorted(other)}")
         curve = FreeCurve("custom", (a, b), domain=domain)
         ts = np.linspace(interval[0], interval[1], 1000)
-        vals = curve_freeness_many(curve, ts)
+        try:
+            vals = curve_freeness_many(curve, ts)
+        except DomainError as err:
+            raise ValueError(f"curve is not defined on {interval}: {err} "
+                             f"near t={ts[np.argmax(err.rows)]:.6g}") from None
         degenerate = (np.any(vals == 0.0) or not np.all(np.isfinite(vals))
                       or (vals.min() < 0.0 < vals.max()))  # sign change
         if degenerate:
@@ -223,18 +230,19 @@ def _verify_product(d: Distribution, built: CisMap, points, tol: float,
     return PointwiseCheck(pts, dets, predicted, identity, certified, tol, certificate)
 
 
-def verify_1d(d: Distribution, built: CisMap, points,
-              tol: float = 1e-9) -> PointwiseCheck:
+def verify_1d(d: Distribution, built: CisMap, points, tol: float = 1e-9,
+              rank_tol: float = DEFAULT_RANK_TOL) -> PointwiseCheck:
     """Check ``det = Dpsi(f) (L_xi f)^3`` at each point: the product
     identity with ``n = 1``, without the sign check of :func:`verify_cis`,
     so a first integral (``L_xi f = 0``) gives a check that certifies no
     point."""
     if d.k != 1:
         raise ValueError("one-dimensional verification needs k = 1")
-    return _verify_product(d, built, points, tol, commuting=False)
+    return _verify_product(d, built, points, tol, commuting=False, rank_tol=rank_tol)
 
 
-def verify_cis(d: Distribution, built: CisMap, points, tol: float = 1e-8) -> PointwiseCheck:
+def verify_cis(d: Distribution, built: CisMap, points, tol: float = 1e-8,
+               rank_tol: float = DEFAULT_RANK_TOL) -> PointwiseCheck:
     """Check the product-map determinant identity at each point.
 
     First enforces the bracket pattern ``L_i f^j = 0`` for ``i != j``
@@ -242,7 +250,7 @@ def verify_cis(d: Distribution, built: CisMap, points, tol: float = 1e-8) -> Poi
     then compares ``det`` with ``C * prod_i g_i^(n+2) Dpsi_i(f^i)``.  An
     ``L_i f^j`` counts as 0 within ``1e-9 * max(1, max_i |g_i|)``.
     """
-    return _verify_product(d, built, points, tol, commuting=True)
+    return _verify_product(d, built, points, tol, commuting=True, rank_tol=rank_tol)
 
 
 # ---------------------------------------------------------------------------

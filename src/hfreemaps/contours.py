@@ -1,9 +1,10 @@
 """Level-set extraction by marching squares, with SVG output.
 
 Contours are emitted as polylines (merged from per-cell segments) at
-equally spaced levels strictly between the grid minimum and maximum.
-The SVG output is deterministic for fixed inputs: no timestamps, fixed
-float formatting, and stable polyline ordering.
+equally spaced levels strictly between the grid minimum and maximum;
+nodes outside the function's domain are NaN, and the cells that touch
+them are skipped.  The SVG output is deterministic for fixed inputs: no
+timestamps, fixed float formatting, and stable polyline ordering.
 """
 
 from __future__ import annotations
@@ -154,23 +155,20 @@ class LevelRender:
 def render_levels(f: Expr, chart: Chart, window: Window,
                   n_levels: int = 15) -> LevelRender:
     """Contours of ``f`` at ``n_levels`` equally spaced values strictly
-    between the grid minimum and maximum."""
+    between the grid minimum and maximum.  The nodes a :class:`DomainError`
+    flags stay NaN, and the others are evaluated again as one batch."""
     if chart.dim != 2:
         raise ValueError("level rendering needs a two-dimensional chart")
     if n_levels < 1:
         raise ValueError(f"need at least one level, got {n_levels}")
     nodes = window.nodes()
-    try:
-        values = eval_value_many(f, chart, nodes).reshape(window.ny, window.nx)
-    except DomainError:
-        # per-node evaluation so only offending cells are skipped
-        values = np.full(len(nodes), np.nan)
-        for i, p in enumerate(nodes):
-            try:
-                values[i] = eval_value_many(f, chart, p[None, :])[0]
-            except DomainError:
-                pass
-        values = values.reshape(window.ny, window.nx)
+    values, todo = np.full((window.ny, window.nx), np.nan), np.arange(len(nodes))
+    while todo.size:
+        try:
+            values.flat[todo] = eval_value_many(f, chart, nodes[todo])
+            break
+        except DomainError as err:
+            todo = todo[~err.rows]
 
     finite = values[np.isfinite(values)]
     warnings = []

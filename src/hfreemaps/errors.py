@@ -36,7 +36,10 @@ class UnknownCoordinate(HfreeError, KeyError):
 
 
 class DomainError(HfreeError, ArithmeticError):
-    """Evaluation left the domain of a partial function (log, sqrt, /, ^)."""
+    """Evaluation left the domain of a partial function (log, sqrt, /, ^);
+    a jet rule sets ``rows``, the mask of the batch rows it rejected."""
+
+    rows = None
 
 
 class DegenerateFrame(HfreeError):

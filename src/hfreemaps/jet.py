@@ -10,7 +10,8 @@ order keeps the leading parts of the full jet bit for bit.  All rules
 are exact (no numerical differencing), and every rule assembles the
 Hessian from entrywise symmetric operations, so
 ``hessian[i, j] == hessian[j, i]`` holds bit-for-bit.  Domain checks
-read values only, so they fire at every order.
+read values only, so they fire at every order; a failing one raises
+``DomainError`` with the batch rows it rejected as its ``rows``.
 
 Arrays may carry a leading batch axis: ``value (B,)``,
 ``gradient (B, m)``, ``hessian (B, m, m)`` evaluate a whole point set in
@@ -33,6 +34,14 @@ def _sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a_i b_j + b_i a_j: entry (i, j) and (j, i) add the same two products,
     # so the result is exactly symmetric in floating point.
     return _outer(a, b) + _outer(b, a)
+
+
+def _reject(rows: np.ndarray, message: str) -> None:
+    """Raise ``DomainError(message)`` flagging ``rows`` if any is set."""
+    if np.any(rows):
+        err = DomainError(message)
+        err.rows = rows
+        raise err
 
 
 def _zero_parts(shape: tuple[int, ...], m: int, order: int):
@@ -106,8 +115,7 @@ class Jet2:
         return Jet2(value, grad, hess)
 
     def __truediv__(self, other: "Jet2") -> "Jet2":
-        if np.any(other.value == 0.0):
-            raise DomainError("division by zero")
+        _reject(other.value == 0.0, "division by zero")
         q = self.value / other.value
         if self.gradient is None:
             return Jet2(q)
@@ -126,16 +134,15 @@ class Jet2:
             return Jet2(np.ones_like(self.value), *zeros)
         if n == 1:
             return self
-        if n < 0 and np.any(self.value == 0.0):
-            raise DomainError("zero raised to a negative power")
+        if n < 0:
+            _reject(self.value == 0.0, "zero raised to a negative power")
         v = self.value
         return self._chain(v ** n, lambda: n * v ** (n - 1),
                            lambda: n * (n - 1) * v ** (n - 2))
 
     def powf(self, r: float) -> "Jet2":
         """Real power; requires a strictly positive base."""
-        if np.any(self.value <= 0.0):
-            raise DomainError("non-integer power of a non-positive base")
+        _reject(self.value <= 0.0, "non-integer power of a non-positive base")
         v = self.value
         return self._chain(v ** r, lambda: r * v ** (r - 1.0),
                            lambda: r * (r - 1.0) * v ** (r - 2.0))
@@ -175,15 +182,13 @@ def jexp(j: Jet2) -> Jet2:
 
 
 def jlog(j: Jet2) -> Jet2:
-    if np.any(j.value <= 0.0):
-        raise DomainError("log of a non-positive argument")
+    _reject(j.value <= 0.0, "log of a non-positive argument")
     v = j.value
     return j._chain(np.log(v), lambda: 1.0 / v, lambda: -1.0 / (v * v))
 
 
 def jsqrt(j: Jet2) -> Jet2:
-    if np.any(j.value < 0.0):
-        raise DomainError("sqrt of a negative argument")
+    _reject(j.value < 0.0, "sqrt of a negative argument")
     v = j.value
     s = np.sqrt(v)
     if j.order == 0:

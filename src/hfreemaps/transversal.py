@@ -161,9 +161,10 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
     freeze and errors, so it takes the steps it takes alone.  The stage
     derivatives, stage sums and dense output run once per step over the
     rows of every running group, into one buffer of all samples.  When
-    the stages raise, every group tries its step alone: the groups that
-    raise shorten their step or end, and the others take it again with
-    the next step.  ``fun`` must give each row the bits it gives alone.
+    the stages raise, the groups with a row that the error flags (all,
+    if it flags none) shorten their step or end, and the others take the
+    same step again in the next pass.  ``fun`` must give each row the
+    bits it gives alone, and flag rows as jets do.
     """
     if not groups:
         return []
@@ -192,20 +193,16 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
         results[act[i]] = samples[:, 0] if np.ndim(groups[act[i]].y0) == 1 else samples
 
     def attempt(call, seg):
-        """``call(rows)``, a list of arrays, over the rows of all running
-        groups, else group by group; returns the arrays (None when some
-        group raised) and each raising group's exception by position."""
+        """``call()``, a list of arrays over the rows of all running groups,
+        and no errors; else None, and the error by position of each group
+        with a row that the error flags (of every group if it flags none)."""
         try:
-            return call(slice(None)), {}
-        except HfreeError:
-            pass
-        parts, failed = [], {}
-        for i, (a, b) in enumerate(zip(seg[:-1], seg[1:])):
-            try:
-                parts.append(call(slice(a, b)))
-            except HfreeError as exc:
-                failed[i] = exc
-        return (None if failed else [np.concatenate(p) for p in zip(*parts)]), failed
+            return call(), {}
+        except HfreeError as exc:
+            group = np.repeat(np.arange(len(seg) - 1), np.diff(seg))
+            flagged = getattr(exc, "rows", None)
+            hit = group if flagged is None else group[flagged]
+            return None, dict.fromkeys(hit.tolist(), exc)
 
     def spread(per_group):  # over every element of the group's rows, as full
         return np.repeat(per_group, width, axis=-1)  # arrays: broadcasting is far slower
@@ -234,7 +231,7 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
                 break
             seg, width = np.append(0, sizes[act].cumsum()), sizes[act] * y.shape[1]
             if k1 is None:  # the first stage derivative of the first step
-                values, failed = attempt(lambda t: [fun(y[t], rows[t])], seg)
+                values, failed = attempt(lambda: [fun(y, rows)], seg)
                 for i, exc in failed.items():
                     results[act[i]] = exc
                 if values is not None:
@@ -250,8 +247,7 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
                     results[g] = BlowUp("step size underflow (trajectory is not integrable here)")
                 continue
             step = spread(direction * h).reshape(y.shape)
-            values, failed = attempt(
-                lambda t: _dp_stages(fun, y[t], k1[t], step[t], rows[t]), seg)
+            values, failed = attempt(lambda: _dp_stages(fun, y, k1, step, rows), seg)
             for i, exc in failed.items():
                 # a long step can reach past the field's domain: retry it shorter
                 if isinstance(exc, DomainError) and not h[i] * 0.2 < 1e-13:

@@ -16,20 +16,23 @@ depend on the frame.  ``sequential_integrate`` is the Dormand-Prince
 loop of one batch with scalar step state, which the grouped integrator
 replaced, and ``bin_raster_locate_times`` the tube location that paired
 cells with nodes through a 64 x 64 raster of bins and a sort, which the
-node raster replaced.  ``step_deriv`` is the closed-form derivative of
-the tube step, which the library never needs.
+node raster replaced.  ``per_node_render_levels`` is the level render
+that evaluated every node alone once the batch left the domain, which
+the retry without the flagged nodes replaced.  ``step_deriv`` is the
+closed-form derivative of the tube step, which the library never needs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from hfreemaps.contours import LevelRender, marching_squares
 from hfreemaps.constructions import (CURVE_VAR, FreeCurve, RPBracketSpec, _det_expr,
                                      _grad_exprs, _negate, build_cis)
 from hfreemaps.errors import BlowUp, DomainError
 from hfreemaps.expr import (_BINARY, _UNARY, Bin, Call, Chart, Coord, Expr, Neg, Num,
                             _constant_exponent, as_expr, derivative, eval_jet2,
-                            eval_jets_many, fold_mul, fold_sub, substitute)
+                            eval_jets_many, eval_value_many, fold_mul, fold_sub, substitute)
 from hfreemaps.genericity import RandomMapSpec, _coefficients, _monomials
 from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import MapSpec, freedom_matrix_many
@@ -401,6 +404,46 @@ def bin_raster_locate_times(tube: Tube, nodes: np.ndarray, window: Window) -> np
     first = np.unique(node_sorted, return_index=True)[1]
     best_t[node_sorted[first]] = t_val[order][first]
     return best_t
+
+
+def per_node_render_levels(f: Expr, chart: Chart, window: Window,
+                           n_levels: int = 15) -> LevelRender:
+    """``contours.render_levels`` as it was, with its per-node fallback:
+    when the batch raises :class:`DomainError`, each node is evaluated
+    alone, and the nodes that raise stay NaN."""
+    nodes = window.nodes()
+    try:
+        values = eval_value_many(f, chart, nodes).reshape(window.ny, window.nx)
+    except DomainError:
+        values = np.full(len(nodes), np.nan)
+        for i, p in enumerate(nodes):
+            try:
+                values[i] = eval_value_many(f, chart, p[None, :])[0]
+            except DomainError:
+                pass
+        values = values.reshape(window.ny, window.nx)
+
+    finite = values[np.isfinite(values)]
+    warnings = []
+    if finite.size == 0:
+        warnings.append("function has no finite values on the window")
+        return LevelRender(np.array([]), {}, [], warnings)
+    vmin, vmax = float(finite.min()), float(finite.max())
+    if vmin == vmax:
+        warnings.append("function is constant on the window; no contours")
+        return LevelRender(np.array([]), {}, [], warnings)
+    step = (vmax - vmin) / (n_levels + 1)
+    levels = vmin + step * np.arange(1, n_levels + 1)
+
+    xs, ys = window.xs(), window.ys()
+    polylines = {}
+    skipped_all = []
+    for i, level in enumerate(levels):
+        lines, skipped = marching_squares(xs, ys, values, float(level))
+        polylines[i] = lines
+        if i == 0:
+            skipped_all = skipped
+    return LevelRender(levels, polylines, skipped_all, warnings)
 
 
 def sequential_integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,

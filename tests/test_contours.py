@@ -7,6 +7,8 @@ from hfreemaps.expr import parse
 from hfreemaps.contours import _endpoint_keys, _merge_segments, marching_squares, render_levels
 from hfreemaps.transversal import Window
 
+from oracles import per_node_render_levels
+
 
 # -- reference implementation: one cell at a time ----------------------------
 
@@ -203,6 +205,26 @@ def test_domain_error_cells_skipped(plane):
     assert len(render.skipped_cells) > 0
     # contours still come out on the valid half
     assert any(len(v) for v in render.polylines.values())
+
+
+# each leaves its domain inside the windows below: log(0)+x at every node,
+# and the last two at two different steps
+@pytest.mark.parametrize("text", [
+    "log(x)+y", "exp(-1/x^2)+y", "x^y", "sqrt(1-x^2-y^2)", "1/(x*y)", "log(0)+x",
+    "x^0.5*log(y+0.5)", "log(x)+sqrt(y)"])
+@pytest.mark.parametrize("window", [Window(-1, 1, -1, 1, 41, 41),
+                                    Window(-1.3, 0.7, -0.9, 1.1, 30, 23)])
+def test_domain_crossing_render_equals_the_per_node_one(plane, text, window):
+    got = render_levels(parse(text), plane, window, n_levels=7)
+    want = per_node_render_levels(parse(text), plane, window, n_levels=7)
+    assert got.levels.tobytes() == want.levels.tobytes()
+    assert got.polylines.keys() == want.polylines.keys()
+    for level, lines in got.polylines.items():
+        assert [line.tobytes() for line in lines] == [
+            line.tobytes() for line in want.polylines[level]]
+    assert got.skipped_cells == want.skipped_cells
+    assert got.warnings == want.warnings
+    assert got.svg(window) == want.svg(window)
 
 
 def test_svg_deterministic(plane):

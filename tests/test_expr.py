@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfreemaps import expr
@@ -152,6 +152,23 @@ class TestDomainErrors:
     def test_raises(self, plane, text, point):
         with pytest.raises(DomainError):
             eval_jet2(parse(text), plane, point)
+
+    @pytest.mark.parametrize("text,rows", [
+        ("log(x)", [False, True, True, False]),
+        ("sqrt(x)", [False, True, False, False]),
+        ("1/x", [False, False, True, False]),
+        ("x^-1", [False, False, True, False]),
+        ("x^0.5", [False, True, True, False]),
+        ("x^y", [False, True, True, False]),
+        ("y/(x - x) + log(x)", [True, True, True, False]),  # the first failing step
+    ])
+    def test_the_error_flags_the_rejected_rows(self, plane, text, rows):
+        # a NaN operand is rejected by no rule
+        pts = [[1.0, 2.0], [-1.0, 2.0], [0.0, 2.0], [np.nan, 2.0]]
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError) as info:
+            eval_jet2_many(parse(text), plane, pts)
+        assert info.value.rows.tolist() == rows
+        assert DomainError("raised elsewhere").rows is None
 
     def test_integer_power_of_negative_base(self, plane):
         assert eval_value(parse("x^3"), plane, (-2.0, 0.0)) == -8.0
@@ -442,6 +459,46 @@ def test_plan_equals_the_interpreter_bit_for_bit(roots, pts):
                         assert (part is None) == (ref_part is None)
                         if part is not None:
                             assert _bits(part) == _bits(ref_part)
+
+
+_mixed_points = st.lists(
+    st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                          st.floats(min_value=-3, max_value=3, allow_nan=False))] * 2),
+    min_size=1, max_size=8).map(lambda rows: np.array(rows, dtype=float))
+
+
+@given(roots=_cloned_root_tuples(), pts=_mixed_points)
+@example(roots=(parse("log(x) + sqrt(y)"), parse("1/x")),  # flagged at two steps
+         pts=np.array([[-1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [0.0, 2.0]]))
+@settings(max_examples=150, deadline=None)
+def test_retry_without_the_flagged_rows_equals_each_point_alone(roots, pts):
+    plane = Chart(("x", "y"))
+    with np.errstate(all="ignore"):
+        for order in (0, 1, 2):
+            flagged, todo, jets = {}, np.arange(len(pts)), []
+            while todo.size:
+                try:
+                    jets = expr._evaluate(roots, plane, pts[todo], order)
+                    break
+                except DomainError as err:
+                    assert err.rows.shape == todo.shape and err.rows.any()
+                    flagged.update(dict.fromkeys(todo[err.rows].tolist(), str(err)))
+                    todo = todo[~err.rows]
+            for i, p in enumerate(pts):
+                try:
+                    alone = expr._evaluate(roots, plane, p[None], order)
+                except DomainError as err:
+                    # flagged exactly when it raises alone, with the same message
+                    assert flagged.get(i) == str(err)
+                    continue
+                assert i not in flagged
+                row = int(np.searchsorted(todo, i))
+                for jet, one in zip(jets, alone):
+                    for part, one_part in zip((jet.value, jet.gradient, jet.hessian),
+                                              (one.value, one.gradient, one.hessian)):
+                        assert (part is None) == (one_part is None)
+                        if part is not None:
+                            assert _bits(part[row]) == _bits(one_part[0])
 
 
 def test_signed_zeros_are_not_merged(plane):

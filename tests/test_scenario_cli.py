@@ -900,6 +900,23 @@ POINT = "kind = invert\npoint = 0.1, 0.2, -0.5"
     pytest.param("construct-1d", "f = y*exp(x)", CURVE.format(curve="custom: t, 2*t"),
                  "curve = custom: t, 2*t", "curve is not free on (-4.0, 4.0)",
                  id="custom curve not free"),
+    pytest.param("construct-1d", "f = y*exp(x)", CURVE.format(curve="custom: log(t), t^2"),
+                 "curve = custom: log(t), t^2",
+                 "curve is not defined on (-4.0, 4.0): log of a non-positive argument "
+                 "near t=-4", id="custom curve log domain"),
+    pytest.param("construct-1d", "f = y*exp(x)", CURVE.format(curve="custom: sqrt(t), t^2"),
+                 "curve = custom: sqrt(t), t^2",
+                 "curve is not defined on (-4.0, 4.0): sqrt of a negative argument near t=-4",
+                 id="custom curve sqrt domain"),
+    # the first of the 1000 points of [-4, 4] with t >= 1
+    pytest.param("construct-1d", "f = y*exp(x)", CURVE.format(curve="custom: log(1-t), t^2"),
+                 "curve = custom: log(1-t), t^2",
+                 "curve is not defined on (-4.0, 4.0): log of a non-positive argument "
+                 "near t=1.00501", id="custom curve first point outside"),
+    pytest.param("construct-1d", "f = y*exp(x)", CURVE.format(curve="custom: t, x^2"),
+                 "curve = custom: t, x^2",
+                 "curve names coordinates other than t: ['x']",
+                 id="custom curve coordinate"),
     pytest.param("invert", "kind = invert\npsi = 0, 0", POINT, "kind = invert",
                  "invert task needs one 'psi = expr, ...' line", id="invert psi"),
     pytest.param("invert", "kind = invert\npsi = 0, 0\ndg = 1, 0", POINT + "\npsi = 0, 0",

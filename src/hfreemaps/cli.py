@@ -202,9 +202,9 @@ def _run_construct_cis(sc: Scenario, seed, tol):
         sc.fail(f"need one 'curve = ...' line per 'f = ...' line, got "
                 f"{len(fs)} f and {len(curves)} curve lines", extra.line)
     if len(fs) != dist.k:
-        extra = fs[dist.k].line if len(fs) > dist.k else sc.field_lines[len(fs)]
+        fields = sc.param("field", section="distribution", each=True)
         sc.fail(f"need one 'f = ...' line per frame field, got {len(fs)} f lines "
-                f"and {dist.k} fields", extra)
+                f"and {dist.k} fields", max(fs, fields, key=len)[min(len(fs), dist.k)].line)
     built = build_cis([e.value for e in fs],
                       [e.value for e in curves] or [FreeCurve.exp()] * len(fs), sc.chart)
     points, seed_used = sc.points(seed)

@@ -26,6 +26,8 @@ from .errors import (
     DegenerateCasimirs,
     DomainError,
     NonTransversal,
+    reject,
+    reject_nonfinite,
 )
 from .expr import (
     Call,
@@ -299,8 +301,7 @@ def _bracket(spec: RPBracketSpec, rows: np.ndarray, pts: np.ndarray) -> np.ndarr
         return spec.orientation * np.linalg.det(rows)
     G = eval_jets_many([e for row in spec.metric for e in row], spec.chart, pts, order=0)
     detg = np.linalg.det(G.value.reshape(len(pts), spec.n, spec.n))
-    if np.any(detg <= 0.0):
-        raise DomainError("metric determinant must be positive")
+    reject(detg <= 0.0, "metric determinant must be positive")
     return spec.orientation * np.linalg.det(rows) / np.sqrt(detg)
 
 
@@ -315,8 +316,7 @@ def rp_bracket_many(spec: RPBracketSpec, f: Expr, g: Expr, points,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = eval_jets_many(spec.casimirs + (as_expr(f), as_expr(g)), spec.chart, pts,
                               order=1).gradient
-    if not np.all(np.isfinite(rows[:, :-2])):
-        raise DomainError("non-finite casimir gradient values")
+    reject_nonfinite("non-finite casimir gradient values", rows[:, :-2])
     if spec.casimirs:
         bad = np.flatnonzero(~full_rank(rows[:, :-2], tol))
         if bad.size:
@@ -400,8 +400,7 @@ def build_rp(spec: RPBracketSpec, h, f, curve: FreeCurve, check_points,
     # independent too, by interlacing of singular values) and {h, f}
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = eval_jets_many(spec.casimirs + (h, f), spec.chart, pts, order=1).gradient
-    if not np.all(np.isfinite(rows)):
-        raise DomainError("non-finite gradient values of the casimirs, h or f")
+    reject_nonfinite("non-finite gradient values of the casimirs, h or f", rows)
     if not full_rank(rows[:, :-1], tol).all():
         raise DegenerateCasimirs("h is not independent from the casimirs")
     brackets = _bracket(spec, rows, pts)

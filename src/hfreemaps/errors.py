@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class HfreeError(Exception):
     """Base class for every error raised by this package."""
@@ -36,10 +38,27 @@ class UnknownCoordinate(HfreeError, KeyError):
 
 
 class DomainError(HfreeError, ArithmeticError):
-    """Evaluation left the domain of a partial function (log, sqrt, /, ^);
-    a jet rule sets ``rows``, the mask of the batch rows it rejected."""
+    """Evaluation left the domain of a partial function (log, sqrt, /, ^),
+    or a batch check met a non-finite jet; :func:`reject` sets ``rows``,
+    the mask of the batch rows it rejected."""
 
     rows = None
+
+
+def reject(rows, message: str) -> None:
+    """Raise ``DomainError(message)`` flagging ``rows`` if any is set."""
+    if np.any(rows):
+        err = DomainError(message)
+        err.rows = rows
+        raise err
+
+
+def reject_nonfinite(message: str, *arrays) -> None:
+    """:func:`reject` the batch rows (the first axis) where any of ``arrays``
+    holds a non-finite entry; the mask is built only when there is one."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        reject(np.logical_or.reduce([~np.isfinite(a.reshape(len(a), -1)).all(1)
+                                     for a in arrays]), message)
 
 
 class DegenerateFrame(HfreeError):

@@ -17,7 +17,8 @@ from itertools import product
 import numpy as np
 
 from .artifacts import write_text
-from .geometry import DEFAULT_RANK_TOL, Distribution, full_rank, svd_ranks
+from .geometry import (_PROOF_BATCH, DEFAULT_RANK_TOL, Distribution, full_rank_proven,
+                       svd_ranks)
 from .hfree import _jet_rows, _stack_rows, required_rank
 
 _Z95 = 1.959963984540054
@@ -154,11 +155,15 @@ def _sweep(d: Distribution, q: int, degree: int, n_maps: int, n_points: int,
         Fgrads, Fhesses = _poly_jets(coeffs, exponents, pts)
         _, first, L2 = _jet_rows(d, pts.reshape(-1, m), Fgrads, Fhesses, tol)
         matrices = _stack_rows(first, L2, False)
-        # a clear success keeps sigma_need above 10 times the sized threshold
+        # a clear success keeps sigma_need above 10 times the sized threshold:
+        # the Gram bound proves most, as in full_rank, and one SVD splits the rest
         size = max(matrices.shape[-2:])
-        success = full_rank(matrices, tol, size, margin=10.0)
+        success = (full_rank_proven(matrices, 10.0 * tol * size) if len(matrices) >= _PROOF_BATCH
+                   else np.zeros(len(matrices), dtype=bool))
         svals, thresholds, _ = svd_ranks(matrices[~success], tol, size)
-        yield start, pts, success, svals, thresholds
+        clear = svals[:, matrices.shape[1] - 1] > 10.0 * thresholds
+        success[~success] = clear
+        yield start, pts, success, svals[~clear], thresholds[~clear]
 
 
 def genericity_trial(d: Distribution, q: int, degree: int, n_maps: int,

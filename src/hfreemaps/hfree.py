@@ -30,10 +30,10 @@ import numpy as np
 
 from .errors import (
     DegenerateFrame,
-    DomainError,
     NotHFree,
     NotImmersion,
     TooFewTargets,
+    reject_nonfinite,
 )
 from .expr import Chart, Expr, as_expr, coordinates, eval_jets_many, parse
 from .geometry import (DEFAULT_RANK_TOL, Distribution, _frame_jets, certified_ranks,
@@ -166,8 +166,7 @@ def _check_frame(d: Distribution, XV: np.ndarray, tol: float, *jets):
     """Raise :class:`DomainError` where the frame values ``XV`` or the
     ``jets`` are not finite, and :class:`DegenerateFrame` where the frame
     drops rank."""
-    if not all(np.isfinite(jet).all() for jet in (XV, *jets)):
-        raise DomainError("non-finite jet values while assembling rows")
+    reject_nonfinite("non-finite jet values while assembling rows", XV, *jets)
     bad = np.nonzero(~full_rank(XV, tol))[0]
     if bad.size:
         raise DegenerateFrame(

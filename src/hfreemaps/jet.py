@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import reject
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -34,14 +34,6 @@ def _sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a_i b_j + b_i a_j: entry (i, j) and (j, i) add the same two products,
     # so the result is exactly symmetric in floating point.
     return _outer(a, b) + _outer(b, a)
-
-
-def _reject(rows: np.ndarray, message: str) -> None:
-    """Raise ``DomainError(message)`` flagging ``rows`` if any is set."""
-    if np.any(rows):
-        err = DomainError(message)
-        err.rows = rows
-        raise err
 
 
 def _zero_parts(shape: tuple[int, ...], m: int, order: int):
@@ -115,7 +107,7 @@ class Jet2:
         return Jet2(value, grad, hess)
 
     def __truediv__(self, other: "Jet2") -> "Jet2":
-        _reject(other.value == 0.0, "division by zero")
+        reject(other.value == 0.0, "division by zero")
         q = self.value / other.value
         if self.gradient is None:
             return Jet2(q)
@@ -135,14 +127,14 @@ class Jet2:
         if n == 1:
             return self
         if n < 0:
-            _reject(self.value == 0.0, "zero raised to a negative power")
+            reject(self.value == 0.0, "zero raised to a negative power")
         v = self.value
         return self._chain(v ** n, lambda: n * v ** (n - 1),
                            lambda: n * (n - 1) * v ** (n - 2))
 
     def powf(self, r: float) -> "Jet2":
         """Real power; requires a strictly positive base."""
-        _reject(self.value <= 0.0, "non-integer power of a non-positive base")
+        reject(self.value <= 0.0, "non-integer power of a non-positive base")
         v = self.value
         return self._chain(v ** r, lambda: r * v ** (r - 1.0),
                            lambda: r * (r - 1.0) * v ** (r - 2.0))
@@ -182,13 +174,13 @@ def jexp(j: Jet2) -> Jet2:
 
 
 def jlog(j: Jet2) -> Jet2:
-    _reject(j.value <= 0.0, "log of a non-positive argument")
+    reject(j.value <= 0.0, "log of a non-positive argument")
     v = j.value
     return j._chain(np.log(v), lambda: 1.0 / v, lambda: -1.0 / (v * v))
 
 
 def jsqrt(j: Jet2) -> Jet2:
-    _reject(j.value < 0.0, "sqrt of a negative argument")
+    reject(j.value < 0.0, "sqrt of a negative argument")
     v = j.value
     s = np.sqrt(v)
     if j.order == 0:

@@ -34,12 +34,13 @@ comma-separated lists are unambiguous)::
 
 Exactly one ``[task]`` section is required; every other section is
 optional.  An ``[exprs]`` name is an identifier of at most 240
-characters, and neither a coordinate nor a function name.  The keys and
-values of every section but ``[task]`` are checked when the file is
-parsed; the ``[task]`` values, and whether the task finds the sections it
-needs, when the task runs.  ``TASK_KEYS`` lists the ``[task]`` keys of
-each kind, and any other key fails at its line, as an unknown key does in
-every other section.
+characters, and neither a coordinate nor a function name.  One table
+checks the keys when the file is parsed: ``SECTION_KEYS`` those of the
+fixed sections, ``TASK_KEYS`` those of ``[task]`` by kind.  One method,
+:meth:`Scenario.param`, reads the values of every other section: a
+single value is the last entry of its key, and a bad value fails at its
+line, when the file is parsed; the ``[task]`` values, and whether the
+task finds the sections it needs, when the task runs.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import numpy as np
 from .constructions import FreeCurve
 from .errors import ExprSyntaxError, ScenarioError
 from .expr import _IDENT_RE, FUNCTIONS, Chart, Expr, coordinates, parse
+from .genericity import _generator
 from .geometry import Distribution
 from .hfree import MapSpec
 from .lie import VectorField
@@ -74,7 +76,11 @@ TASK_KEYS = {
 # a file name holds at most 255 bytes
 _MAX_NAME = 255 - len("levels_") - len(".svg.tmp")
 
-KNOWN_SECTIONS = ("chart", "exprs", "distribution", "map", "points", "window", "task")
+# section -> the keys it reads; the names of [exprs] and, by kind, the keys
+# of [task] are checked on their own
+SECTION_KEYS = {"chart": ("coords",), "exprs": None, "distribution": ("field",),
+                "map": ("component",), "points": ("point", "count", "box", "seed"),
+                "window": ("box", "grid"), "task": None}
 
 
 @dataclass
@@ -87,33 +93,33 @@ class Entry:
 @dataclass
 class Scenario:
     path: str
-    chart: Chart
-    names: dict[str, Expr]
-    frame: list[VectorField]
-    map_components: list[Expr]
-    task: str
-    task_entries: list[Entry]
+    sections: dict[str, list[Entry]]  # the entries of each section, in file order
+    chart: Chart | None = None
+    names: dict[str, Expr] = field(default_factory=dict)
+    frame: list[VectorField] = field(default_factory=list)
+    map_components: list[Expr] = field(default_factory=list)
+    task: str = ""
+    task_line: int | None = None  # line of the task's 'kind = ...'
     point_rows: list[list[float]] = field(default_factory=list)  # [points] 'point' lines
     point_count: int = 0  # [points] drawn from point_box by point_seed
     point_box: np.ndarray | None = None
     point_seed: int = 0
     window: Window | None = None
-    task_line: int | None = None  # line of the task's 'kind = ...'
-    field_lines: list[int] = field(default_factory=list)  # line of each frame field
 
     # -- helpers used by the task runners ----------------------------------
 
     def fail(self, message: str, line: int | None = None):
         raise ScenarioError(message, self.path, line)
 
-    def param(self, key: str, read=None, default=None, *, required: bool = False,
-              each: bool = False, **options):
-        """The ``[task]`` value of ``key``: the last entry wins, and its text
-        is read by ``read(text, line, **options)``, so that a bad value fails
-        at its line.  Without an entry, ``default``, or a failure at the task
-        line when ``required``.  ``each`` returns every entry instead, as
-        :class:`Entry` objects holding the read values, in file order."""
-        hits = [e for e in self.task_entries if e.key == key]
+    def param(self, key: str, read=None, default=None, *, section: str = "task",
+              required: bool = False, each: bool = False, **options):
+        """The value of ``key`` in ``section``: the last entry wins, and its
+        text is read by ``read(text, line, **options)``, so that a bad value
+        fails at its line.  Without an entry, ``default``, or a failure at
+        the task line when ``required``.  ``each`` returns every entry
+        instead, as :class:`Entry` objects holding the read values, in file
+        order."""
+        hits = [e for e in self.sections.get(section, []) if e.key == key]
         if read is not None:
             hits = [Entry(e.key, read(e.value, e.line, **options), e.line) for e in
                     (hits if each else hits[-1:])]
@@ -142,6 +148,18 @@ class Scenario:
     def exprs(self, text: str, line: int | None = None) -> list[Expr]:
         return [self.expr(part, line) for part in text.split(",")]
 
+    def coords(self, text: str, line: int | None = None) -> Chart:
+        try:
+            return Chart(tuple(n.strip() for n in text.split(",")))
+        except ValueError as err:
+            self.fail(str(err), line)
+
+    def vector_field(self, text: str, line: int | None = None) -> VectorField:
+        comps = self.exprs(text, line)
+        if len(comps) != self.chart.dim:
+            self.fail(f"field needs {self.chart.dim} components", line)
+        return VectorField(self.chart, tuple(comps))
+
     def numbers(self, text: str, line: int | None = None,
                 count: int | None = None) -> list[float]:
         try:
@@ -151,6 +169,13 @@ class Scenario:
         if count is not None and len(values) != count:
             self.fail(f"expected {count} comma-separated numbers, got {text!r}", line)
         return values
+
+    def grid(self, text: str, line: int | None = None) -> tuple[int, int]:
+        """Two resolutions of at least 2."""
+        values = [self.integer(part, line, low=2) for part in text.split(",")]
+        if len(values) != 2:
+            self.fail("grid needs two resolutions", line)
+        return values[0], values[1]
 
     def integer(self, text: str, line: int | None = None, low: int | None = None,
                 among: tuple[int, ...] | None = None) -> int:
@@ -231,10 +256,8 @@ class Scenario:
         seed = self.point_seed if seed_override is None else seed_override
         pts = [np.array(self.point_rows)] if self.point_rows else []
         if self.point_count:
-            rng = np.random.Generator(np.random.Philox(
-                key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)))
             box, size = self.point_box, (self.point_count, self.chart.dim)
-            pts.append(rng.uniform(box[:, 0], box[:, 1], size=size))
+            pts.append(_generator(seed, 0).uniform(box[:, 0], box[:, 1], size=size))
         if not pts:
             self.fail("task needs a [points] section with points")
         return np.concatenate(pts, axis=0), seed
@@ -249,7 +272,7 @@ def _parse_sections(text: str, path: str) -> dict[str, list[Entry]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in KNOWN_SECTIONS:
+            if current not in SECTION_KEYS:
                 raise ScenarioError(f"unknown section [{current}]", path, lineno)
             sections.setdefault(current, [])
             continue
@@ -263,27 +286,17 @@ def _parse_sections(text: str, path: str) -> dict[str, list[Entry]]:
 
 
 def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
-    sections = _parse_sections(text, path)
+    sc = Scenario(path, _parse_sections(text, path))
+    for section, keys in SECTION_KEYS.items():
+        for e in sc.sections.get(section, []):
+            if keys is not None and e.key not in keys:
+                sc.fail(f"unknown key {e.key!r} in [{section}]", e.line)
 
-    chart_entries = sections.get("chart", [])
-    coords = None
-    for e in chart_entries:
-        if e.key == "coords":
-            coords = tuple(n.strip() for n in e.value.split(","))
-            coords_line = e.line
-        else:
-            raise ScenarioError(f"unknown key {e.key!r} in [chart]", path, e.line)
-    if coords is None:
-        raise ScenarioError("scenario needs a [chart] section with coords", path)
-    try:
-        chart = Chart(coords)
-    except ValueError as err:
-        raise ScenarioError(str(err), path, coords_line) from None
+    sc.chart = chart = sc.param("coords", sc.coords, section="chart")
+    if chart is None:
+        sc.fail("scenario needs a [chart] section with coords")
 
-    sc = Scenario(path=path, chart=chart, names={}, frame=[], map_components=[],
-                  task="", task_entries=[])
-
-    for e in sections.get("exprs", []):
+    for e in sc.sections.get("exprs", []):
         if not _IDENT_RE.match(e.key) or e.key in FUNCTIONS or e.key in chart.coords:
             sc.fail(f"invalid expression name {e.key!r}: a name is an identifier, and "
                     f"neither a coordinate nor a function name", e.line)
@@ -294,74 +307,42 @@ def parse_scenario(text: str, path: str = "<scenario>") -> Scenario:
             sc.fail(f"duplicate expression name {e.key!r}", e.line)
         sc.names[e.key] = sc.expr(e.value, e.line)
 
-    for e in sections.get("distribution", []):
-        if e.key != "field":
-            sc.fail(f"unknown key {e.key!r} in [distribution]", e.line)
-        comps = sc.exprs(e.value, e.line)
-        if len(comps) != chart.dim:
-            sc.fail(f"field needs {chart.dim} components", e.line)
-        if len(sc.frame) == chart.dim:
-            sc.fail(f"a distribution has at most {chart.dim} fields", e.line)
-        sc.frame.append(VectorField(chart, tuple(comps)))
-        sc.field_lines.append(e.line)
+    fields = sc.param("field", sc.vector_field, section="distribution", each=True)
+    if len(fields) > chart.dim:
+        sc.fail(f"a distribution has at most {chart.dim} fields", fields[chart.dim].line)
+    sc.frame = [e.value for e in fields]
+    components = sc.param("component", sc.expr, section="map", each=True)
+    if len(components) == 1:
+        sc.fail("a map needs at least two components", components[0].line)
+    sc.map_components = [e.value for e in components]
 
-    for e in sections.get("map", []):
-        if e.key != "component":
-            sc.fail(f"unknown key {e.key!r} in [map]", e.line)
-        sc.map_components.append(sc.expr(e.value, e.line))
-    if len(sc.map_components) == 1:
-        sc.fail("a map needs at least two components", sections["map"][-1].line)
-
-    count_line = None
-    for e in sections.get("points", []):
-        if e.key == "point":
-            sc.point_rows.append(sc.numbers(e.value, e.line, count=chart.dim))
-        elif e.key == "count":
-            sc.point_count, count_line = sc.integer(e.value, e.line, low=0), e.line
-        elif e.key == "box":
-            sc.point_box = sc.box(e.value, e.line)
-        elif e.key == "seed":
-            sc.point_seed = sc.integer(e.value, e.line)
-        else:
-            sc.fail(f"unknown key {e.key!r} in [points]", e.line)
+    rows = sc.param("point", sc.numbers, section="points", each=True, count=chart.dim)
+    sc.point_rows = [e.value for e in rows]
+    sc.point_count = sc.param("count", sc.integer, 0, section="points", low=0)
+    sc.point_box = sc.param("box", sc.box, section="points")
+    sc.point_seed = sc.param("seed", sc.integer, 0, section="points")
     if sc.point_count and sc.point_box is None:
-        sc.fail("[points] with count needs a box", count_line)
+        sc.fail("[points] with count needs a box",
+                sc.param("count", section="points", each=True)[-1].line)
 
-    window_entries = sections.get("window", [])
-    if window_entries:
-        box = None
-        grid = (101, 101)
-        for e in window_entries:
-            if e.key == "box":
-                box = sc.box(e.value, e.line, dim=2)
-            elif e.key == "grid":
-                vals = [sc.integer(v, e.line, low=2) for v in e.value.split(",")]
-                if len(vals) != 2:
-                    sc.fail("grid needs two resolutions", e.line)
-                grid = (vals[0], vals[1])
-            else:
-                sc.fail(f"unknown key {e.key!r} in [window]", e.line)
+    if sc.sections.get("window"):
+        box = sc.param("box", sc.box, section="window", dim=2)
+        grid = sc.param("grid", sc.grid, (101, 101), section="window")
         if box is None:
             sc.fail("[window] needs a box")
-        sc.window = Window(box[0, 0], box[0, 1], box[1, 0], box[1, 1],
-                           grid[0], grid[1])
+        sc.window = Window(box[0, 0], box[0, 1], box[1, 0], box[1, 1], grid[0], grid[1])
 
-    task_entries = sections.get("task")
-    if not task_entries:
-        raise ScenarioError("scenario needs exactly one [task] section", path)
-    kinds = [e for e in task_entries if e.key == "kind"]
+    if not sc.sections.get("task"):
+        sc.fail("scenario needs exactly one [task] section")
+    kinds = sc.param("kind", each=True)
     if len(kinds) != 1:
-        raise ScenarioError("[task] needs exactly one kind", path,
-                            kinds[1].line if kinds else None)
+        sc.fail("[task] needs exactly one kind", kinds[1].line if kinds else None)
     if kinds[0].value not in TASK_KEYS:
-        raise ScenarioError(
-            f"unknown task kind {kinds[0].value!r} (expected one of "
-            f"{', '.join(TASK_KEYS)})", path, kinds[0].line)
-    sc.task = kinds[0].value
-    sc.task_line = kinds[0].line
-    sc.task_entries = [e for e in task_entries if e.key != "kind"]
-    for e in sc.task_entries:
-        if e.key not in TASK_KEYS[sc.task]:
+        sc.fail(f"unknown task kind {kinds[0].value!r} (expected one of "
+                f"{', '.join(TASK_KEYS)})", kinds[0].line)
+    sc.task, sc.task_line = kinds[0].value, kinds[0].line
+    for e in sc.sections["task"]:
+        if e.key not in TASK_KEYS[sc.task] + ("kind",):
             sc.fail(f"unknown key {e.key!r} in [task] of kind {sc.task} (it reads "
                     f"{', '.join(TASK_KEYS[sc.task]) or 'no other key'})", e.line)
     return sc

@@ -178,10 +178,13 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
     out = [buf[a:a + n].reshape((len(r),) + y.shape)
            for a, n, r, y in zip(b_first.tolist(), span, reach, y0s)]
     last = np.array([float(g.times[-1]) if len(g.times) else 0.0 for g in groups])
-    # per running group: direction, time to reach and to go, step, samples written
+    # per running group: direction, time to reach and to go, step, samples
+    # written, and the time to go to the end of the last step cut by a domain
+    # error, which no step passes until the group reaches it
     direction = np.where(last > 0, 1.0, -1.0)
     total = remaining = np.abs(last)
     h, done = np.minimum(remaining, 0.1), np.zeros(len(groups), dtype=np.intp)
+    room = np.full(len(groups), np.inf)
     results: list = [None] * len(groups)         # None while the group runs
 
     def finish(i, y_i):
@@ -225,8 +228,8 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
                 act, y, live, rows = act[keep], y[take], live[take], rows[take]
                 k1 = None if k1 is None else k1[take]
                 lo, hi = lo[take], hi[take]
-                direction, total, remaining, h, done = (
-                    a[keep] for a in (direction, total, remaining, h, done))
+                direction, total, remaining, h, done, room = (
+                    a[keep] for a in (direction, total, remaining, h, done, room))
             if not len(act):
                 break
             seg, width = np.append(0, sizes[act].cumsum()), sizes[act] * y.shape[1]
@@ -241,7 +244,8 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
                             finish(i, y[seg[i]:seg[i + 1]])
                 continue
             # a step that would leave less than the smallest allowed one takes it all
-            h = np.where(h > remaining - 1e-13, remaining, h)
+            limit = np.minimum(remaining, room)
+            h = np.where(h > limit - 1e-13, limit, h)
             if np.any(h < 1e-13):
                 for g in act[h < 1e-13].tolist():
                     results[g] = BlowUp("step size underflow (trajectory is not integrable here)")
@@ -251,7 +255,7 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
             for i, exc in failed.items():
                 # a long step can reach past the field's domain: retry it shorter
                 if isinstance(exc, DomainError) and not h[i] * 0.2 < 1e-13:
-                    h[i] *= 0.2
+                    room[i], h[i] = h[i], h[i] * 0.2
                 else:
                     results[act[i]] = exc
             if values is None:
@@ -275,6 +279,8 @@ def _integrate_groups(fun, groups: list[_Group], rtol: float, atol: float) -> li
 
             start = total - remaining  # the time reached before the step
             remaining = np.where(accepted, remaining - h_step, remaining)
+            room = np.where(accepted, room - h_step, room)
+            room[room == 0.0] = np.inf  # the group reached the cut step's end
             upto = done.copy()
             upto[accepted] = [reach[g].searchsorted(t) for g, t in
                               zip(act[accepted].tolist(), (total - remaining)[accepted].tolist())]

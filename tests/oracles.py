@@ -470,10 +470,13 @@ def sequential_integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
     h = min(remaining, 0.1)
     k1 = fun(y)
     done, start = 0, 0.0  # samples written; time reached, in absolute value
+    room = np.inf  # time to go to the end of the last step cut by a domain error
     with np.errstate(over="ignore", invalid="ignore"):
         while remaining > 0.0 and np.any(alive):
-            # a step that would leave less than the smallest allowed one takes it all
-            h = remaining if h > remaining - 1e-13 else h
+            # a step that would leave less than the smallest allowed one takes it
+            # all; no step passes the end of a step cut by a domain error
+            limit = min(remaining, room)
+            h = limit if h > limit - 1e-13 else h
             if h < 1e-13:
                 raise BlowUp("step size underflow (trajectory is not integrable here)")
             ks = [k1]
@@ -487,7 +490,7 @@ def sequential_integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
                 # a long step can reach past the field's domain: retry it shorter
                 if h * 0.2 < 1e-13:
                     raise
-                h *= 0.2
+                room, h = h, h * 0.2
                 continue
             ks.append(k7)
             err = direction * h * sum(e * k for e, k in zip(_DP_E, ks))
@@ -496,6 +499,7 @@ def sequential_integrate(fun, y0: np.ndarray, times, rtol: float, atol: float,
             err_norm = float(np.sqrt(np.mean(ratios)))
             if np.isfinite(err_norm) and err_norm <= 1.0:
                 remaining -= h
+                room = np.inf if room == h else room - h
                 end = abs(last) - remaining
                 upto = np.searchsorted(reach, end)
                 s = ((reach[done:upto] - start) / h)[:, None, None]

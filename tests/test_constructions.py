@@ -13,6 +13,7 @@ from hfreemaps.constructions import (
     curve_freeness,
     hamiltonian_field,
     rp_bracket,
+    rp_bracket_many,
     verify_1d,
     verify_cis,
     verify_rp,
@@ -336,6 +337,31 @@ class TestRPBracket:
             assert not np.isfinite(rp_bracket(spec, "exp(800*y)", "z", (0.0, 1.0, 0.5)))
         with pytest.raises(DomainError):
             build_rp(spec, "exp(800*y)", "z", FreeCurve.exp(), [(0.0, 1.0, 0.5)])
+
+    @pytest.mark.parametrize("site, message, rows", [
+        ("_bracket", "metric determinant must be positive", [False, True, True, False]),
+        ("rp_bracket_many", "non-finite casimir gradient values", [False, True, False, True]),
+        ("build_rp", "non-finite gradient values of the casimirs, h or f",
+         [False, True, False, True]),
+    ])
+    def test_a_batch_domain_error_flags_its_rows(self, space, site, message, rows):
+        # each batch check flags the points it fails at, as a jet rule does
+        x, one, zero = parse("x"), parse("1"), parse("0")
+        pts = np.array([[1.0, 0.0, 0.5], [-1.0, 1.0, 0.5], [0.0, 0.0, 0.5], [2.0, 1.0, 0.5]])
+        calls = {
+            # det g = x
+            "_bracket": lambda: rp_bracket_many(RPBracketSpec(space, (parse("z"),), metric=(
+                (x, zero, zero), (zero, one, zero), (zero, zero, one))), x, parse("y"), pts),
+            # the casimir's slope is infinite where y = 1
+            "rp_bracket_many": lambda: rp_bracket_many(
+                RPBracketSpec(space, (parse("sqrt(1-y)"),)), x, parse("z"), pts),
+            # h overflows where y = 1
+            "build_rp": lambda: build_rp(RPBracketSpec(space, (parse("z"),)), "exp(800*y)",
+                                         "x", FreeCurve.exp(), pts),
+        }
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match=message) as info:
+            calls[site]()
+        assert info.value.rows.tolist() == rows
 
     def test_one_evaluation_per_bracket(self, space, monkeypatch):
         # the casimir rows of the one gradient stack serve the independence

@@ -195,6 +195,24 @@ def test_blocked_sweep_matches_per_map_path(line_dist, contact, dim, q, degree, 
         assert res.marginals > 0 and res.failures
 
 
+def test_sweep_decomposes_each_pair_at_most_once(contact, monkeypatch):
+    # at tol = 1e-3 the Gram bound leaves most pairs of this contact sweep
+    # unproven, and one SVD splits them into clear successes and the rest
+    decomposed = []
+    svd = np.linalg.svd
+
+    def counting(matrices, *args, **kwargs):
+        if matrices.shape[-2:] == (5, 5):  # freedom matrices: need = q = 5
+            decomposed.append(len(matrices))
+        return svd(matrices, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    res = genericity_trial(contact[0], q=5, degree=3, n_maps=20, n_points=40, seed=0,
+                           box=np.array([[-1.0, 1.0]] * 3), tol=1e-3)
+    # as when the unproven pairs were decomposed twice (1,208 matrices)
+    assert (res.successes, res.marginals, len(res.failures)) == (284, 510, 6)
+    assert res.marginals + len(res.failures) <= sum(decomposed) <= res.n_pairs
+
+
 def test_sweep_below_needed_targets_and_empty_sweeps(contact, line_dist):
     res = genericity_trial(contact[0], q=4, degree=3, n_maps=3, n_points=3,
                            seed=1, box=np.array([[-1.0, 1.0]] * 3))

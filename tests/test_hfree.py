@@ -141,6 +141,16 @@ class TestCertificates:
                 with pytest.raises(outcome):
                     call(dist, F, p)
 
+    def test_non_finite_jets_flag_their_rows(self, plane):
+        # the points where the map jets are not finite, as a jet rule flags them
+        dist = Distribution(plane, (parse_field(plane, "1", "0"),))
+        F = parse_map(plane, "sqrt(x)", "y")
+        pts = np.array([[1.0, 0.5], [0.0, 0.5], [2.0, 0.5], [0.0, 1.0]])
+        with np.errstate(all="ignore"), pytest.raises(
+                DomainError, match="non-finite jet values while assembling rows") as info:
+            freedom_matrix_many(dist, F, pts)
+        assert info.value.rows.tolist() == [False, True, False, True]
+
 
 class TestInducedMetric:
     def test_euclidean_pullback(self, plane):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hfreemaps.cli import main
 from hfreemaps.errors import BlowUp, CoverageGap, HfreeError
 from hfreemaps.expr import Chart, parse
 from hfreemaps.lie import VectorField, parse_field
@@ -95,6 +96,28 @@ class TestFlow:
         xi = parse_field(plane, "1+x^2", "0")
         with pytest.raises(BlowUp):
             flow(xi, (0.0, 0.0), 3.0)
+
+    @pytest.mark.parametrize("field, p, edge", [
+        (("1", "-sqrt(y-0.5)"), (0.0, 0.6), 0.5),
+        (("1", "sqrt(1.5-y)"), (0.0, 1.4), 1.5),
+    ])
+    def test_flow_onto_the_edge_of_the_domain_ends(self, plane, deadline, field, p, edge):
+        # the flow reaches the edge y = edge before t = 1 and stays there: a
+        # step past the edge is cut, and no later step passes the cut step's
+        # end before the flow reaches it, so x does not creep
+        xi = parse_field(plane, *field)
+        calls = []
+
+        def fun(y):
+            calls.append(len(y))
+            return _field_fun(xi)(y)
+        with deadline(10):
+            q = _integrate(fun, np.array(p), [1.0], 1e-10, 1e-10)[-1]
+        assert len(calls) < 2000
+        assert np.abs(q - [1.0, edge]).max() <= 1e-9
+        # the sequential loop cuts its steps by the same rule
+        want = sequential_integrate(_field_fun(xi), np.array(p), [1.0], 1e-10, 1e-10)
+        assert q.tobytes() == want[-1].tobytes()
 
     @pytest.mark.parametrize("t", [0.1 + 2 ** -55, 0.10000000000000009, 0.6 + 1e-14])
     def test_time_just_past_a_step_is_reached(self, plane, t):
@@ -295,6 +318,19 @@ class TestTubes:
         # the unit orthogonal field has no limit: BlowUp, not an endless creep
         with deadline(10), pytest.raises(BlowUp, match="step size underflow"):
             build_tube(parse_field(plane, *field), seed, Window(-1, 1, -1, 1))
+
+    def test_tube_across_the_edge_of_the_domain_exits_1(self, tmp_path, capsys, deadline):
+        # the flow of (sqrt(y - 0.5), -1) leaves the field's domain across
+        # y = 0.5: its steps shrink to the smallest one there, then the
+        # DomainError ends the run
+        path = tmp_path / "edge.ini"
+        path.write_text("[chart]\ncoords = x, y\n[distribution]\nfield = sqrt(y-0.5), -1\n"
+                        "[window]\nbox = -0.2:0.2, 0.55:0.65\ngrid = 11, 11\n[task]\n"
+                        "kind = transversal\nseed = 0, 0.6\nt_span = 1.0\n", encoding="utf-8")
+        with deadline(10):
+            assert main([str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: DomainError: sqrt of a negative argument")
 
     def test_unclassifiable_node_raises(self, plane):
         # truncate the transversal so nodes straight above its endpoint

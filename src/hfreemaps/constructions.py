@@ -38,6 +38,7 @@ from .expr import (
     as_expr,
     coordinates,
     derivative,
+    eval_jet_groups,
     eval_jets_many,
     fold_add,
     fold_mul,
@@ -45,7 +46,7 @@ from .expr import (
     parse,
     substitute,
 )
-from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_jets, full_rank
+from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_parts, full_rank
 from .hfree import MapSpec, freedom_certificates
 from .lie import VectorField, lie_rows
 
@@ -204,8 +205,8 @@ def _verify_product(d: Distribution, built: CisMap, points, tol: float,
     if d.k != n:
         raise ValueError(f"distribution has k={d.k}, map was built for n={n}")
     pts = np.asarray(points, dtype=float)
-    fjet = eval_jets_many(built.fs, d.chart, pts, order=1)
-    L = lie_rows(_frame_jets(d, pts).value, fjet.gradient)  # L_{xi_i} f^j
+    fjet, frame = eval_jet_groups(((built.fs, 1), (d.components, 0)), d.chart, pts)
+    L = lie_rows(_frame_parts(d, frame)[0], fjet.gradient)  # L_{xi_i} f^j
     g = np.einsum("bii->bi", L).copy()
     if commuting:
         scale = np.maximum(1.0, np.max(np.abs(g), axis=1))[:, None, None]

@@ -24,9 +24,16 @@ components or gradient rows) is compiled once, without recursion, into a
 plan: a flat tuple of ``jet.py`` rules over numbered slots, in which
 nodes of equal structure (leaves by coordinate name or by the bits of
 the constant, operations by rule and operand slots) share one step.
-The plan is cached on the first root, keyed by the identity of the
-others, and holds no node, so it dies with its trees.  Each call replays
-it and frees every slot after its last reader.  No source text is
+``eval_jet_groups`` replays one plan for several groups of roots, each at
+its own order (a map at order 2 with its frame at order 1, say): the
+replay of a plan for given root orders evaluates every node at the
+highest order at which a root above it is read, leaves at that order
+and a truncation step wherever a node needs less than its operands
+carry, so a node that groups share runs once and none runs higher than
+it is read.  The plan and its replays are cached on the first root,
+keyed by the identity of the others, and hold no node, so they die with
+their trees.  Each call replays it and frees every slot after its last
+reader.  No source text is
 generated: compiling it costs more than the few calls a fresh tree of
 the linearized inversion gets.  A single point is evaluated as a batch
 of one, so its jet equals the batched one bit for bit.
@@ -323,7 +330,7 @@ def _render(e: Expr, ctx: int) -> str:
 def coordinates(*exprs: Expr) -> set[str]:
     """Names of all coordinates referenced by ``exprs``: the leaves of
     their plan, which a later evaluation of the same tuple reuses."""
-    return {rule for rule, a, _, _ in _plan(exprs)[0] if a is None and type(rule) is str}
+    return {rule for rule, a, _ in _plan(exprs)[0] if a is None and type(rule) is str}
 
 
 _UNARY = {"sin": jsin, "cos": jcos, "exp": jexp, "log": jlog,
@@ -331,6 +338,9 @@ _UNARY = {"sin": jsin, "cos": jcos, "exp": jexp, "log": jlog,
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": jpow}
+
+# the leading parts of a jet, sharing its arrays, by the order kept
+_TRUNCATE = (lambda jet: Jet2(jet.value), lambda jet: Jet2(jet.value, jet.gradient))
 
 _BITS = struct.Struct("<d").pack  # a constant's key: its bits, so 0.0 and -0.0 differ
 _PLANS_PER_HEAD = 8
@@ -366,11 +376,10 @@ def _node(node: Expr):
 
 
 def _compile(roots: tuple[Expr, ...]):
-    """The plan of ``roots``: ``(steps, outputs)``.  Step
-    ``(rule, a, b, freed)`` fills the next slot with a leaf (``rule`` is
-    a coordinate name or a constant) or with ``rule`` applied to operand
-    slots ``a`` and ``b`` (``None`` where absent), then frees the slots it
-    read last; ``outputs`` are the root slots, never freed.  Steps follow
+    """The plan of ``roots``: ``(steps, outputs)``.  Step ``(rule, a, b)``
+    fills the next slot with a leaf (``rule`` is a coordinate name or a
+    constant) or with ``rule`` applied to operand slots ``a`` and ``b``
+    (``None`` where absent); ``outputs`` are the root slots.  Steps follow
     a recursive left-to-right evaluation of one root after the other, so
     a domain error is the one the first failing node raises."""
     steps, slot_of = [], {}  # slot_of: structural key -> slot
@@ -399,51 +408,97 @@ def _compile(roots: tuple[Expr, ...]):
         if slot == len(steps):
             steps.append((rule, a, b))
         done[id(node)] = node, slot
-    outputs = tuple([done[id(root)][1] for root in roots])
+    return tuple(steps), tuple([done[id(root)][1] for root in roots])
+
+
+def _schedule(steps, outputs, orders: list):
+    """The replay of a plan whose root ``r`` is read at ``orders[r]``:
+    ``(steps, outputs)`` with step ``(rule, a, b, freed)``.  Every node is
+    evaluated at the highest order at which a root above it is read, which
+    a leaf step names in ``b`` (its ``a`` is ``None``); where all operands
+    of a node carry more, a truncation step hands one operand's leading
+    parts on.  Each step frees the slots it read last."""
+    for order in set(orders) - {0, 1, 2}:
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    need = [max(orders, default=0)] * len(steps)
+    if len(set(orders)) > 1:  # then some nodes are read below the highest order
+        need = [0] * len(steps)
+        for slot, order in zip(outputs, orders):
+            need[slot] = max(need[slot], order)
+        for i in range(len(steps) - 1, -1, -1):  # operands precede their readers
+            for s in steps[i][1:]:
+                if s is not None and need[s] < need[i]:
+                    need[s] = need[i]
+    replay, new, cut = [], [], {}  # new: structural slot -> replay slot
+
+    def read(s, order):  # the replay slot of node s at the lower ``order``
+        if (s, order) not in cut:
+            cut[s, order] = len(replay)
+            replay.append((_TRUNCATE[order], new[s], None))
+        return cut[s, order]
+
+    for (rule, a, b), order in zip(steps, need):
+        if a is None:
+            replay.append((rule, None, order))
+        elif b is None:
+            replay.append((rule, new[a] if need[a] == order else read(a, order), None))
+        elif need[a] > order < need[b]:
+            replay.append((rule, read(a, order), new[b]))
+        else:
+            replay.append((rule, new[a], new[b]))
+        new.append(len(replay) - 1)
+    outputs = tuple([new[s] for s in outputs])
     plan, kept = [], {None, *outputs}  # kept: results, and slots a later step reads
-    for rule, a, b in reversed(steps):
-        freed = tuple({a, b} - kept)
+    for rule, a, b in reversed(replay):
+        freed = () if a is None else tuple({a, b} - kept)
         kept.update(freed)
         plan.append((rule, a, b, freed))
     return tuple(plan[::-1]), outputs
 
 
 def _plan(roots: tuple[Expr, ...]):
-    """The plan of ``roots``, compiled on first use and cached on
-    ``roots[0]`` under ``roots[1:]``, which a later call must match by
-    identity; the newest few plans are kept per head."""
+    """The plan of ``roots`` and its replays by root orders, compiled on
+    first use and cached on ``roots[0]`` under ``roots[1:]``, which a
+    later call must match by identity; the newest few plans are kept per
+    head."""
     if not roots:
-        return (), ()
+        return (), (), {}
     head, rest = roots[0], roots[1:]
     cache = vars(head).setdefault("_plans", [])
     for key, plan in cache:
         if len(key) == len(rest) and all(map(operator.is_, key, rest)):
             return plan
-    plan = _compile(roots)
+    plan = (*_compile(roots), {})
     cache.insert(0, (rest, plan))
     del cache[_PLANS_PER_HEAD:]
     return plan
 
 
 def _evaluate(roots: tuple[Expr, ...], chart: Chart, pts: np.ndarray,
-              order: int) -> list[Jet2]:
-    """Jets of ``roots`` at ``pts`` truncated at ``order``, one per root,
-    from a replay of their plan: each step runs once, and every slot but
-    a root's is dropped after its last reader."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    steps, outputs = _plan(roots)
+              order) -> list[Jet2]:
+    """Jets of ``roots`` at ``pts``, one per root, truncated at ``order``,
+    or at its own order in each group ``((count, order), ...)`` of
+    consecutive roots, from one replay of their plan: each step runs
+    once, and every slot but a root's is dropped after its last reader."""
+    plan = _plan(roots)
+    replay = plan[2].get(order)
+    if replay is None:
+        orders = ([o for count, o in order for _ in range(count)]
+                  if isinstance(order, tuple) else [order] * len(roots))
+        replay = plan[2][order] = _schedule(plan[0], plan[1], orders)
+    steps, outputs = replay
     m, batch, slots = chart.dim, pts.shape[:-1], []
     for rule, a, b, freed in steps:
-        if b is not None:
-            jet = rule(slots[a], slots[b])
-        elif a is not None:
+        if a is None:  # a leaf, at order b
+            if type(rule) is str:
+                index = chart.index(rule)
+                jet = Jet2.coordinate(pts[..., index], index, m, b)
+            else:
+                jet = Jet2.constant(rule, m, batch, b)
+        elif b is None:
             jet = rule(slots[a])
-        elif type(rule) is str:
-            index = chart.index(rule)
-            jet = Jet2.coordinate(pts[..., index], index, m, order)
         else:
-            jet = Jet2.constant(rule, m, batch, order)
+            jet = rule(slots[a], slots[b])
         slots.append(jet)
         for s in freed:
             slots[s] = None
@@ -475,18 +530,43 @@ def eval_jet2_many(e: Expr, chart: Chart, points, order: int = 2) -> Jet2:
     return _evaluate((e,), chart, _batch(points, chart), order)[0]
 
 
+def _stack(jets: list[Jet2], order: int, batch: int, m: int) -> Jet2:
+    """``jets`` stacked on axis 1, up to ``order``; filled in place, since
+    at one point np.stack costs as much as a small tree."""
+    parts = [np.empty((batch, len(jets)) + (m,) * i) for i in range(order + 1)]
+    for r, jet in enumerate(jets):
+        for stacked, part in zip(parts, (jet.value, jet.gradient, jet.hessian)):
+            stacked[:, r] = part
+    return Jet2(*parts)
+
+
+def eval_jet_groups(groups, chart: Chart, points) -> list[Jet2]:
+    """Jets of groups ``((exprs, order), ...)`` of expressions from one
+    replay, each group stacked as :func:`eval_jets_many` stacks it and
+    truncated at its own order.  A node that groups share runs once, at
+    the highest order a group reads it; group ``g`` equals
+    ``eval_jets_many(*groups[g], ...)`` bit for bit, and the groups replay
+    in turn, so a domain error is the one those calls would raise first."""
+    pts, roots, shape = _batch(points, chart), (), ()
+    for exprs, order in groups:
+        exprs = tuple(exprs)
+        roots += exprs
+        shape += ((len(exprs), order),)
+    jets, stacks, start = _evaluate(roots, chart, pts, shape), [], 0
+    for count, order in shape:
+        stacks.append(_stack(jets[start:start + count], order, len(pts), chart.dim))
+        start += count
+    return stacks
+
+
 def eval_jets_many(exprs, chart: Chart, points, order: int = 2) -> Jet2:
     """Jets of a sequence of ``R`` expressions from one walk, stacked on
     axis 1: ``points (B, m)`` gives value ``(B, R)``, gradient
     ``(B, R, m)``, Hessian ``(B, R, m, m)``, up to ``order``.  Slice
-    ``r`` equals ``eval_jet2_many(exprs[r], ...)`` bit for bit."""
+    ``r`` equals ``eval_jet2_many(exprs[r], ...)`` bit for bit; the one
+    group of :func:`eval_jet_groups`."""
     pts, exprs = _batch(points, chart), tuple(exprs)
-    # filled in place: at one point np.stack costs as much as a small tree
-    parts = [np.empty((len(pts), len(exprs)) + (chart.dim,) * i) for i in range(order + 1)]
-    for r, jet in enumerate(_evaluate(exprs, chart, pts, order)):
-        for stacked, part in zip(parts, (jet.value, jet.gradient, jet.hessian)):
-            stacked[:, r] = part
-    return Jet2(*parts)
+    return _stack(_evaluate(exprs, chart, pts, order), order, len(pts), chart.dim)
 
 
 def eval_value(e: Expr, chart: Chart, p) -> float:

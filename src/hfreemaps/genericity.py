@@ -17,8 +17,9 @@ from itertools import product
 import numpy as np
 
 from .artifacts import write_text
-from .geometry import (_PROOF_BATCH, DEFAULT_RANK_TOL, Distribution, full_rank_proven,
-                       svd_ranks)
+from .expr import eval_jets_many
+from .geometry import (_PROOF_BATCH, DEFAULT_RANK_TOL, Distribution, _frame_parts,
+                       full_rank_proven, svd_ranks)
 from .hfree import _jet_rows, _stack_rows, required_rank
 
 _Z95 = 1.959963984540054
@@ -153,7 +154,8 @@ def _sweep(d: Distribution, q: int, degree: int, n_maps: int, n_points: int,
         pts = np.stack([_generator(seed, (1 << 32) + i + 1).uniform(
             box[:, 0], box[:, 1], size=(n_points, m)) for i in maps])
         Fgrads, Fhesses = _poly_jets(coeffs, exponents, pts)
-        _, first, L2 = _jet_rows(d, pts.reshape(-1, m), Fgrads, Fhesses, tol)
+        frame = eval_jets_many(d.components, d.chart, pts.reshape(-1, m), 1)
+        _, first, L2 = _jet_rows(d, Fgrads, Fhesses, *_frame_parts(d, frame), tol)
         matrices = _stack_rows(first, L2, False)
         # a clear success keeps sigma_need above 10 times the sized threshold:
         # the Gram bound proves most, as in full_rank, and one SVD splits the rest

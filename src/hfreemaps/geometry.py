@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .expr import Chart, eval_jets_many
+from .expr import Chart, Expr, eval_jets_many
 from .jet import Jet2
 from .lie import VectorField
 
@@ -136,19 +137,22 @@ class Distribution:
     def k(self) -> int:
         return len(self.frame)
 
+    @cached_property
+    def components(self) -> tuple[Expr, ...]:
+        """The components of the frame, field by field: one group of roots."""
+        return tuple(comp for field in self.frame for comp in field.components)
 
-def _frame_jets(d: Distribution, points, order: int = 0) -> Jet2:
-    """Jets of the frame components at ``points (B, m)`` from one walk:
-    value ``XV (B, k, m)`` and, at ``order`` 1, gradient
-    ``XG (B, k, m, m)`` with ``XG[b, a, alpha, beta] = d_beta xi_a^alpha``."""
-    comps = [comp for field in d.frame for comp in field.components]
-    jet = eval_jets_many(comps, d.chart, points, order)
+
+def _frame_parts(d: Distribution, jet: Jet2):
+    """Frame values ``XV (B, k, m)`` and, above order 0, gradients
+    ``XG (B, k, m, m)`` with ``XG[b, a, alpha, beta] = d_beta xi_a^alpha``,
+    from the stacked jet of ``d.components``."""
     shape = (len(jet.value), d.k, d.chart.dim)
-    return Jet2(*(None if part is None else part.reshape(shape + part.shape[2:])
-                  for part in (jet.value, jet.gradient, jet.hessian)))
+    return (jet.value.reshape(shape),
+            None if jet.gradient is None else jet.gradient.reshape(shape + (d.chart.dim,)))
 
 
 def frame_rank(d: Distribution, p, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the ``k x m`` frame component matrix at ``p``."""
-    return int(svd_ranks(_frame_jets(d, np.asarray(p, dtype=float)[None, :]).value,
-                         tol, 1)[2][0])
+    jet = eval_jets_many(d.components, d.chart, np.asarray(p, dtype=float)[None, :], 0)
+    return int(svd_ranks(_frame_parts(d, jet)[0], tol, 1)[2][0])

@@ -25,6 +25,7 @@ wrap the batch of size one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from .errors import (
     TooFewTargets,
     reject_nonfinite,
 )
-from .expr import Chart, Expr, as_expr, coordinates, eval_jets_many, parse
-from .geometry import (DEFAULT_RANK_TOL, Distribution, _frame_jets, certified_ranks,
+from .expr import Chart, Expr, as_expr, coordinates, eval_jet_groups, parse
+from .geometry import (DEFAULT_RANK_TOL, Distribution, _frame_parts, certified_ranks,
                        full_rank, svd_ranks)
 from .lie import _lie2_tensor, lie_rows
 
@@ -174,25 +175,32 @@ def _check_frame(d: Distribution, XV: np.ndarray, tol: float, *jets):
             f"(first batch index {int(bad[0])})")
 
 
+def _map_and_frame(d: Distribution, F: MapSpec, points, map_order: int):
+    """The stacked map jet at ``map_order`` and the frame values and
+    gradients (order ``map_order - 1``) at ``points (B, m)``, from one
+    replay; non-finite map jets pass without a warning."""
+    if F.chart != d.chart:
+        raise ValueError("map and distribution must share one chart")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        Fjet, frame = eval_jet_groups(((F.components, map_order),
+                                       (d.components, map_order - 1)), F.chart, points)
+    return Fjet, *_frame_parts(d, frame)
+
+
 def _lie_rows(d: Distribution, F: MapSpec, points: np.ndarray, tol: float):
     """Frame values ``XV``, first-order rows ``L_a F^i (B, k, q)`` and the
     iterated derivatives ``L_a L_c F^i (B, k, k, q)``, from one evaluation
     of the map and frame jets."""
-    if F.chart != d.chart:
-        raise ValueError("map and distribution must share one chart")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        Fjet = eval_jets_many(F.components, F.chart, points)
-    return _jet_rows(d, points, Fjet.gradient, Fjet.hessian, tol)
+    Fjet, XV, XG = _map_and_frame(d, F, points, 2)
+    return _jet_rows(d, Fjet.gradient, Fjet.hessian, XV, XG, tol)
 
 
-def _jet_rows(d: Distribution, points: np.ndarray, Fgrads: np.ndarray,
-              Fhesses: np.ndarray, tol: float):
+def _jet_rows(d: Distribution, Fgrads: np.ndarray, Fhesses: np.ndarray,
+              XV: np.ndarray, XG: np.ndarray, tol: float):
     """:func:`_lie_rows` from map jets ``Fgrads (B, q, m)`` and
-    ``Fhesses (B, q, m, m)`` at ``points (B, m)``; the frame jets are
-    evaluated here.  Raises :class:`DomainError` on non-finite jets and
-    :class:`DegenerateFrame` where the frame drops rank."""
-    frame = _frame_jets(d, points, order=1)
-    XV, XG = frame.value, frame.gradient
+    ``Fhesses (B, q, m, m)`` and frame jets ``XV (B, k, m)`` and
+    ``XG (B, k, m, m)``.  Raises :class:`DomainError` on non-finite jets
+    and :class:`DegenerateFrame` where the frame drops rank."""
     _check_frame(d, XV, tol, Fgrads, Fhesses, XG)
     return XV, lie_rows(XV, Fgrads), _lie2_tensor(XV, XG, Fgrads, Fhesses)
 
@@ -272,26 +280,31 @@ def is_hfree_at(d: Distribution, F: MapSpec, p,
 def is_h_immersion_at(d: Distribution, F: MapSpec, p,
                       tol: float = DEFAULT_RANK_TOL) -> bool:
     """True when the first-order block ``(L_a F^i)`` has rank ``k``."""
-    pts = np.asarray(p, dtype=float)[None, :]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        Fgrads = eval_jets_many(F.components, F.chart, pts, order=1).gradient
-    XV = _frame_jets(d, pts).value
-    _check_frame(d, XV, tol, Fgrads)
-    block = lie_rows(XV, Fgrads)
+    Fjet, XV, _ = _map_and_frame(d, F, np.asarray(p, dtype=float)[None, :], 1)
+    _check_frame(d, XV, tol, Fjet.gradient)
+    block = lie_rows(XV, Fjet.gradient)
     _, _, ranks = svd_ranks(block, tol, max(block.shape[-2:]))
     return int(ranks[0]) == d.k
+
+
+@lru_cache
+def _upper(k: int) -> np.ndarray:
+    """The upper triangle of a ``k x k`` matrix, diagonal included, as a mask."""
+    mask = ~np.tri(k, k, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def induced_metric_many(d: Distribution, F: MapSpec, points) -> np.ndarray:
     """Gram matrices ``g_ab = sum_i L_a F^i L_b F^i`` at ``points (B, m)``
     as ``(B, k, k)``.  Non-finite map jets give a non-finite metric, not an
     error, and the cli records such a point as not positive definite."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        Fgrads = eval_jets_many(F.components, F.chart, points, order=1).gradient
-    block = lie_rows(_frame_jets(d, points).value, Fgrads)
+    Fjet, XV, _ = _map_and_frame(d, F, points, 1)
+    block = lie_rows(XV, Fjet.gradient)
     g = block @ np.swapaxes(block, -1, -2)
-    # mirror the upper triangle so symmetry is exact
-    return np.triu(g) + np.swapaxes(np.triu(g, 1), -1, -2)
+    # mirror the upper triangle so symmetry is exact; + 0.0 turns -0.0 into
+    # 0.0, as adding the zeroed triangle did
+    return np.where(_upper(d.k), g, np.swapaxes(g, -1, -2)) + 0.0
 
 
 def induced_metric(d: Distribution, F: MapSpec, p) -> InducedMetric:
@@ -338,9 +351,9 @@ def infinitesimal_invert(d: Distribution, F: MapSpec, p, dg, psi,
     system = _stack_rows(first, L2, True)[0]
 
     # the right-hand side reads values of psi and dg and gradients of psi
-    psi_jet = eval_jets_many(psi, d.chart, pts, order=1)
-    dg_values = eval_jets_many([dg[a][b] for a, b in pair_order(k)], d.chart, pts,
-                               order=0).value[0]
+    psi_jet, dg_jet = eval_jet_groups(((psi, 1), ([dg[a][b] for a, b in pair_order(k)], 0)),
+                                      d.chart, pts)
+    dg_values = dg_jet.value[0]
     L_psi = lie_rows(XV, psi_jet.gradient)[0]  # L_a psi_b
     rhs = [float(v) for v in psi_jet.value[0]]
     for (a, b), dg_ab in zip(pair_order(k), dg_values):

@@ -15,8 +15,9 @@ read values only, so they fire at every order; a failing one raises
 
 Arrays may carry a leading batch axis: ``value (B,)``,
 ``gradient (B, m)``, ``hessian (B, m, m)`` evaluate a whole point set in
-one pass.  Scalar jets use shapes ``()``, ``(m,)``, ``(m, m)``.  Both
-operands of a binary operation have the same order.
+one pass.  Scalar jets use shapes ``()``, ``(m,)``, ``(m, m)``.  A
+binary operation stops at the lower of its operands' orders, so a jet
+that one caller reads at a higher order serves another as it is.
 """
 
 from __future__ import annotations
@@ -82,24 +83,28 @@ class Jet2:
         return Jet2(-self.value, -self.gradient, hess)
 
     def __add__(self, other: "Jet2") -> "Jet2":
-        if self.gradient is None:
+        if self.gradient is None or other.gradient is None:
             return Jet2(self.value + other.value)
-        hess = None if self.hessian is None else self.hessian + other.hessian
-        return Jet2(self.value + other.value, self.gradient + other.gradient, hess)
+        if self.hessian is None or other.hessian is None:
+            return Jet2(self.value + other.value, self.gradient + other.gradient)
+        return Jet2(self.value + other.value, self.gradient + other.gradient,
+                    self.hessian + other.hessian)
 
     def __sub__(self, other: "Jet2") -> "Jet2":
-        if self.gradient is None:
+        if self.gradient is None or other.gradient is None:
             return Jet2(self.value - other.value)
-        hess = None if self.hessian is None else self.hessian - other.hessian
-        return Jet2(self.value - other.value, self.gradient - other.gradient, hess)
+        if self.hessian is None or other.hessian is None:
+            return Jet2(self.value - other.value, self.gradient - other.gradient)
+        return Jet2(self.value - other.value, self.gradient - other.gradient,
+                    self.hessian - other.hessian)
 
     def __mul__(self, other: "Jet2") -> "Jet2":
         value = self.value * other.value
-        if self.gradient is None:
+        if self.gradient is None or other.gradient is None:
             return Jet2(value)
         u, v = self.value[..., None], other.value[..., None]
         grad = u * other.gradient + v * self.gradient
-        if self.hessian is None:
+        if self.hessian is None or other.hessian is None:
             return Jet2(value, grad)
         hess = (self.value[..., None, None] * other.hessian
                 + other.value[..., None, None] * self.hessian
@@ -109,10 +114,10 @@ class Jet2:
     def __truediv__(self, other: "Jet2") -> "Jet2":
         reject(other.value == 0.0, "division by zero")
         q = self.value / other.value
-        if self.gradient is None:
+        if self.gradient is None or other.gradient is None:
             return Jet2(q)
         grad = (self.gradient - q[..., None] * other.gradient) / other.value[..., None]
-        if self.hessian is None:
+        if self.hessian is None or other.hessian is None:
             return Jet2(q, grad)
         hess = (self.hessian
                 - q[..., None, None] * other.hessian

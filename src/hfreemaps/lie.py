@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (Chart, Expr, Num, _is_zero, coordinates, derivative, eval_jet2_many,
+from .expr import (Chart, Expr, Num, _is_zero, coordinates, derivative, eval_jet_groups,
                    eval_jets_many, fold_add, fold_mul, parse)
 
 
@@ -67,10 +67,16 @@ def _lie2_tensor(XV, XG, Fgrads, Fhesses):
 
 def lie(xi: VectorField, f: Expr, p) -> float:
     """Directional derivative of ``f`` along ``xi`` at ``p``: the batch of
-    one of :func:`lie_rows`."""
-    pts = np.asarray(p, dtype=float)[None, :]
-    gradient = eval_jet2_many(f, xi.chart, pts, order=1).gradient
-    return float(lie_rows(xi.values(pts)[:, None, :], gradient[:, None, :])[0, 0, 0])
+    one of :func:`value_and_lie`."""
+    return float(value_and_lie(xi, f, np.asarray(p, dtype=float)[None, :])[1][0])
+
+
+def value_and_lie(xi: VectorField, f: Expr, points: np.ndarray):
+    """Values of ``f`` and of its derivative along ``xi`` at
+    ``points (B, m)``, both ``(B,)``, from one replay of ``f`` at order 1
+    and ``xi`` at order 0."""
+    fjet, field = eval_jet_groups((((f,), 1), (xi.components, 0)), xi.chart, points)
+    return fjet.value[:, 0], lie_rows(field.value[:, None, :], fjet.gradient)[:, 0, 0]
 
 
 def lie_expr(xi: VectorField, f: Expr) -> Expr:

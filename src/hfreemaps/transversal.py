@@ -29,8 +29,7 @@ import numpy as np
 
 from .artifacts import write_text
 from .errors import BlowUp, CoverageGap, DomainError, HfreeError, OutsideTube
-from .expr import eval_jet2_many
-from .lie import VectorField, lie_rows
+from .lie import VectorField, value_and_lie
 
 __all__ = [
     "Window",
@@ -571,28 +570,33 @@ def _locate_times(tube: Tube, window: Window) -> np.ndarray:
     smallest ``|t|`` wins; of equal ``|t|``, the one in the lowest cell.
     """
     S, T = tube.states.shape[:2]
-    p00, p10, p01, p11 = (tube.states[i:S - 1 + i, j:T - 1 + j].reshape(-1, 2)
-                          for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
-
-    lo = np.minimum(np.minimum(p00, p10), np.minimum(p01, p11))
-    hi = np.maximum(np.maximum(p00, p10), np.maximum(p01, p11))
+    # the corners of every cell, as views (S-1, T-1, 2) of the states
+    corners = [tube.states[i:S - 1 + i, j:T - 1 + j] for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    lo = np.minimum(np.minimum(corners[0], corners[1]),
+                    np.minimum(corners[2], corners[3])).reshape(-1, 2)
+    hi = np.maximum(np.maximum(corners[0], corners[1]),
+                    np.maximum(corners[2], corners[3])).reshape(-1, 2)
     wlo, whi = window.padded_box(0.0)
     diag = float(np.linalg.norm(whi - wlo))
+    cells = np.flatnonzero(_across(np.logical_and, (lo <= whi) & (hi >= wlo)
+                                   & np.isfinite(lo) & np.isfinite(hi)))
+    # only the cells whose box meets the window get corners and edges
+    p00, p10, p01, p11 = (c[cells // (T - 1), cells % (T - 1)] for c in corners)
     edge = np.maximum.reduce([np.sqrt(_across(np.add, d * d))
                               for d in (p10 - p00, p01 - p00, p11 - p10, p11 - p01)])
     # discard cells sheared apart by frozen trajectories; genuine cells
     # stay small, at the scale of one sample spacing times the flow speed
-    keep = (_across(np.logical_and, (lo <= whi) & (hi >= wlo) & np.isfinite(lo)
-                    & np.isfinite(hi)) & (edge <= 0.25 * diag) & (edge > 0.0))
-    cells = np.nonzero(keep)[0]
+    keep = (edge <= 0.25 * diag) & (edge > 0.0)
+    cells, lo, hi = cells[keep], lo[cells[keep]], hi[cells[keep]]
+    p00, p10, p01, p11 = (p[keep] for p in (p00, p10, p01, p11))
     best_t = np.full(window.nx * window.ny, np.nan)
 
     # the nodes with lo <= node <= hi, as index ranges [first, stop) per axis
     xs, ys = window.xs(), window.ys()
-    ix = np.searchsorted(xs, lo[cells, 0], side="left")
-    iy = np.searchsorted(ys, lo[cells, 1], side="left")
-    nx = np.searchsorted(xs, hi[cells, 0], side="right") - ix
-    ny = np.searchsorted(ys, hi[cells, 1], side="right") - iy
+    ix = np.searchsorted(xs, lo[:, 0], side="left")
+    iy = np.searchsorted(ys, lo[:, 1], side="left")
+    nx = np.searchsorted(xs, hi[:, 0], side="right") - ix
+    ny = np.searchsorted(ys, hi[:, 1], side="right") - iy
     counts = nx * ny
     pos = np.repeat(np.arange(len(cells)), counts)
     if pos.size == 0:
@@ -603,10 +607,10 @@ def _locate_times(tube: Tube, window: Window) -> np.ndarray:
     line = np.repeat(iy, counts) + local // width
     qx, qy = xs[col], ys[line]
     # only the pairs that the solve might accept go through it
-    near = np.flatnonzero(~_outside_cells(qx, qy, pos, *(p[cells] for p in (p00, p10, p01, p11))))
+    near = np.flatnonzero(~_outside_cells(qx, qy, pos, p00, p10, p01, p11))
     node, cand = (line * window.nx + col)[near], cells[pos[near]]
     _, v, ok = _invert_bilinear(np.column_stack([qx[near], qy[near]]),
-                                *(np.take(p, cand, axis=0) for p in (p00, p10, p01, p11)))
+                                *(np.take(p, pos[near], axis=0) for p in (p00, p10, p01, p11)))
     node, cand, v = node[ok], cand[ok], v[ok]
     t_val = tube.times[cand % (T - 1)] + v * np.diff(tube.times)[cand % (T - 1)]
     # stable, so that the pairs of a node keep their cell order on ties
@@ -759,8 +763,7 @@ def verify_transversal(xi: VectorField, f, window: Window) -> TransversalReport:
     returns the minimum over the nodes where it is finite, where it is
     attained, and how many nodes are not finite."""
     nodes = window.nodes()
-    jf = eval_jet2_many(f, xi.chart, nodes, order=1)
-    lie_vals = lie_rows(xi.values(nodes)[:, None, :], jf.gradient[:, None, :])[:, 0, 0]
+    values, lie_vals = value_and_lie(xi, f, nodes)
     finite = np.isfinite(lie_vals)
     n_finite = int(np.count_nonzero(finite))
     if n_finite:
@@ -772,7 +775,7 @@ def verify_transversal(xi: VectorField, f, window: Window) -> TransversalReport:
     return TransversalReport(
         min_value=min_value,
         argmin=argmin,
-        values=jf.value.reshape(shape),
+        values=values.reshape(shape),
         lie_values=lie_vals.reshape(shape),
         n_nonfinite=lie_vals.size - n_finite,
     )

@@ -18,7 +18,9 @@ replaced, and ``bin_raster_locate_times`` the tube location that paired
 cells with nodes through a 64 x 64 raster of bins and a sort, which the
 node raster replaced.  ``per_node_render_levels`` is the level render
 that evaluated every node alone once the batch left the domain, which
-the retry without the flagged nodes replaced.  ``step_deriv`` is the
+the retry without the flagged nodes replaced.  ``two_call_lie_rows`` is
+the row assembly that evaluated the map and the frame in two replays,
+which the grouped replay replaced.  ``step_deriv`` is the
 closed-form derivative of the tube step, which the library never needs.
 """
 
@@ -37,7 +39,7 @@ from hfreemaps.genericity import RandomMapSpec, _coefficients, _monomials
 from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import MapSpec, freedom_matrix_many
 from hfreemaps.jet import Jet2, jpow
-from hfreemaps.lie import VectorField, lie_expr
+from hfreemaps.lie import VectorField, _lie2_tensor, lie_expr, lie_rows
 from hfreemaps.transversal import (_DP_A, _DP_B5, _DP_D, _DP_E, _STEP_RATE, Tube, Window,
                                    _invert_bilinear)
 
@@ -60,6 +62,18 @@ def lie2(xi: VectorField, eta: VectorField, f, p) -> float:
 def anticommutator(xi: VectorField, eta: VectorField, f, p) -> float:
     """Symmetrized second derivative ``L_xi L_eta f + L_eta L_xi f``."""
     return lie2(xi, eta, f, p) + lie2(eta, xi, f, p)
+
+
+def two_call_lie_rows(d: Distribution, F: MapSpec, points: np.ndarray):
+    """Frame values, first-order rows and iterated derivatives from one
+    evaluation of the map's 2-jets and another of the frame's 1-jets."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        Fjet = eval_jets_many(F.components, F.chart, points)
+    comps = [comp for field in d.frame for comp in field.components]
+    frame = eval_jets_many(comps, d.chart, points, 1)
+    shape = (len(points), d.k, d.chart.dim)
+    XV, XG = frame.value.reshape(shape), frame.gradient.reshape(shape + (d.chart.dim,))
+    return XV, lie_rows(XV, Fjet.gradient), _lie2_tensor(XV, XG, Fjet.gradient, Fjet.hessian)
 
 
 def brute_force_cis_constant(n: int) -> float:

@@ -123,11 +123,6 @@ def _write_report(outdir: str, report: dict) -> bool:
     return finite
 
 
-def _records(points, **columns) -> _Table:
-    """The report table: per point, its coordinates and each column's entry."""
-    return _Table({"point": points, **columns})
-
-
 def _certified(seed_used, points, certificate, passed, columns: dict, summary: dict,
                **extra) -> tuple[bool, dict, dict]:
     """Report of a rank-checking task: per point, the certificate columns of
@@ -137,7 +132,7 @@ def _certified(seed_used, points, certificate, passed, columns: dict, summary: d
     summary = {**summary, "n_failures": failures,
                "n_uncertain": int(np.count_nonzero(certificate["uncertain"]))}
     return failures == 0, {"seed": seed_used, "summary": summary, **extra,
-                           "points": _records(points, **certificate, **columns)}, {}
+                           "points": _Table({"point": points, **certificate, **columns})}, {}
 
 
 def _run_check_hfree(sc: Scenario, seed, tol) -> tuple[bool, dict, dict]:
@@ -157,7 +152,8 @@ def _run_induced_metric(sc: Scenario, seed, tol):
     metrics = induced_metric_many(dist, F, points)
     positive = positive_definite_many(metrics)
     return True, {"seed": seed_used, "summary": {"n_positive_definite": int(np.sum(positive))},
-                  "points": _records(points, metric=metrics, positive_definite=positive)}, {}
+                  "points": _Table({"point": points, "metric": metrics,
+                                     "positive_definite": positive})}, {}
 
 
 def _run_invert(sc: Scenario, seed, tol):
@@ -245,7 +241,7 @@ def _run_rp_bracket(sc: Scenario, seed, tol):
     g = sc.param("g", sc.expr, required=True)
     points, seed_used = sc.points(seed)
     values = rp_bracket_many(spec, f, g, points, tol)
-    return True, {"seed": seed_used, "points": _records(points, bracket=values),
+    return True, {"seed": seed_used, "points": _Table({"point": points, "bracket": values}),
                   "summary": {"min": float(values.min()), "max": float(values.max())}}, {}
 
 
@@ -266,7 +262,7 @@ def _run_transversal(sc: Scenario, seed, tol):
         summary = {"min_lie": result.min_value, "n_nonfinite": result.n_nonfinite}
     else:
         weights = sc.param("weights", sc.numbers, [1.0] * len(seeds), count=len(seeds))
-        t_span = sc.param("t_span", sc.numbers, [3.0], count=1)[0]
+        t_span = sc.param("t_span", sc.positive, 3.0)
         tubes = build_tubes(xi, [e.value for e in seeds], window, t_span=t_span)
         result = glue(tubes, weights)
         ok, summary = result.ok, {"min_lie_interior": result.min_interior, "n_tubes": len(tubes)}

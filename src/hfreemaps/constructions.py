@@ -64,7 +64,6 @@ class FreeCurve:
 
     kind: str
     components: tuple[Expr, Expr]
-    domain: str = "line"
 
     @staticmethod
     def exp() -> "FreeCurve":
@@ -72,20 +71,17 @@ class FreeCurve:
 
     @staticmethod
     def circle() -> "FreeCurve":
-        return FreeCurve("circle",
-                         (Call("cos", Coord(CURVE_VAR)), Call("sin", Coord(CURVE_VAR))),
-                         domain="circle")
+        return FreeCurve("circle", (Call("cos", Coord(CURVE_VAR)), Call("sin", Coord(CURVE_VAR))))
 
     @staticmethod
-    def custom(a, b, domain: str = "line",
-               interval: tuple[float, float] = (-4.0, 4.0)) -> "FreeCurve":
+    def custom(a, b, interval: tuple[float, float] = (-4.0, 4.0)) -> "FreeCurve":
         """Build a curve from two expressions in ``t`` alone after checking
         its freeness, and that it is defined, on ``interval`` at 1000 points."""
         a = parse(a) if isinstance(a, str) else as_expr(a)
         b = parse(b) if isinstance(b, str) else as_expr(b)
         if other := coordinates(a, b) - {CURVE_VAR}:
             raise ValueError(f"curve names coordinates other than {CURVE_VAR}: {sorted(other)}")
-        curve = FreeCurve("custom", (a, b), domain=domain)
+        curve = FreeCurve("custom", (a, b))
         ts = np.linspace(interval[0], interval[1], 1000)
         try:
             vals = curve_freeness_many(curve, ts)
@@ -383,9 +379,6 @@ class RpMap:
 
     map_spec: MapSpec
     field: VectorField
-    h: Expr
-    f: Expr
-    curve: FreeCurve
 
 
 def build_rp(spec: RPBracketSpec, h, f, curve: FreeCurve, check_points,
@@ -409,8 +402,7 @@ def build_rp(spec: RPBracketSpec, h, f, curve: FreeCurve, check_points,
         worst = pts[int(np.argmin(brackets))]
         raise NonTransversal(
             f"{{h, f}} = {float(np.min(brackets)):.3e} <= 0 at {worst}")
-    return RpMap(compose_1d(f, curve, spec.chart).map_spec, hamiltonian_field(spec, h),
-                 h, f, curve)
+    return RpMap(compose_1d(f, curve, spec.chart).map_spec, hamiltonian_field(spec, h))
 
 
 def verify_rp(spec: RPBracketSpec, built: RpMap, points,

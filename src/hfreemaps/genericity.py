@@ -24,9 +24,9 @@ from .hfree import _jet_rows, _stack_rows, required_rank
 
 _Z95 = 1.959963984540054
 
-# (map, point) pairs per block of a sweep; bounds the memory of the
-# basis jets, which grows with the pairs times the monomials
-_BLOCK_PAIRS = 4096
+# (map, point) pairs times monomials per block of a sweep: the memory of
+# the basis jets grows with that product
+_BLOCK_ENTRIES = 4096 * 10
 
 __all__ = ["RandomMapSpec", "GenericityResult", "genericity_trial", "write_trials_csv"]
 
@@ -137,8 +137,8 @@ def _wilson(successes: int, n: int) -> tuple[float, float]:
 
 def _sweep(d: Distribution, q: int, degree: int, n_maps: int, n_points: int,
            seed: int, box: np.ndarray, tol: float):
-    """Certify the sweep's maps in blocks of whole maps, at most
-    ``_BLOCK_PAIRS`` pairs each (one map when it alone has more points).
+    """Certify the sweep's maps in blocks of whole maps, each of at most
+    ``_BLOCK_ENTRIES`` pairs times monomials (one map when it has more).
     Yields ``(first map index, points (K, P, m), success (K*P,), singular
     values (U, R), thresholds (U,))`` per block, pairs in map-major order:
     ``success`` marks the clear successes, and the singular values and
@@ -147,7 +147,7 @@ def _sweep(d: Distribution, q: int, degree: int, n_maps: int, n_points: int,
     if n_maps > 0:
         RandomMapSpec(m, q, degree, seed)  # validates the degree
     exponents = np.array(_monomials(m, degree))
-    per_block = max(1, _BLOCK_PAIRS // max(n_points, 1))
+    per_block = max(1, _BLOCK_ENTRIES // (max(n_points, 1) * len(exponents)))
     for start in range(0, n_maps, per_block):
         maps = range(start, min(start + per_block, n_maps))
         coeffs = np.stack([_coefficients(seed, i + 1, q, len(exponents)) for i in maps])

@@ -39,10 +39,10 @@ def svd_ranks(matrices: np.ndarray, tol: float, size):
     return (svals, *certified_ranks(svals, tol, size))
 
 
-def full_rank(matrices: np.ndarray, tol: float, size=1, margin: float = 1.0) -> np.ndarray:
+def full_rank(matrices: np.ndarray, tol: float) -> np.ndarray:
     """Whether each matrix of a stack ``(..., rows, cols)`` has full row
-    rank, its ``rows``-th singular value above ``margin`` times the
-    threshold of :func:`certified_ranks`; never with more rows than
+    rank, its ``rows``-th singular value above the threshold of
+    :func:`certified_ranks` with ``size = 1``; never with more rows than
     columns.  On stacks of at least ``_PROOF_BATCH`` matrices, those that
     :func:`full_rank_proven` proves need no SVD."""
     rows, cols = matrices.shape[-2:]
@@ -50,13 +50,13 @@ def full_rank(matrices: np.ndarray, tol: float, size=1, margin: float = 1.0) -> 
         return np.zeros(matrices.shape[:-2], dtype=bool)
     stack = matrices.reshape(-1, rows, cols)
     if len(stack) < _PROOF_BATCH:
-        svals, thresholds, _ = svd_ranks(matrices, tol, size)
-        return svals[..., rows - 1] > margin * thresholds
-    full = full_rank_proven(stack, margin * tol * size)
+        svals, thresholds, _ = svd_ranks(matrices, tol, 1)
+        return svals[..., rows - 1] > thresholds
+    full = full_rank_proven(stack, tol)
     rest = ~full
     if rest.any():
-        svals, thresholds, _ = svd_ranks(stack[rest], tol, size)
-        full[rest] = svals[:, rows - 1] > margin * thresholds
+        svals, thresholds, _ = svd_ranks(stack[rest], tol, 1)
+        full[rest] = svals[:, rows - 1] > thresholds
     return full.reshape(matrices.shape[:-2])
 
 

@@ -99,8 +99,6 @@ class FreedomMatrix:
     singular_values: np.ndarray  # non-increasing
     certified_rank: int
     threshold: float
-    point: np.ndarray
-    k: int
 
     def det(self) -> float:
         rows, cols = self.entries.shape
@@ -123,7 +121,6 @@ class InducedMetric:
     """Pullback of the Euclidean metric restricted to the distribution."""
 
     matrix: np.ndarray
-    point: np.ndarray
 
     def is_positive_definite(self) -> bool:
         return bool(positive_definite_many(self.matrix[None])[0])
@@ -205,18 +202,12 @@ def _jet_rows(d: Distribution, Fgrads: np.ndarray, Fhesses: np.ndarray,
     return XV, lie_rows(XV, Fgrads), _lie2_tensor(XV, XG, Fgrads, Fhesses)
 
 
-def _assemble_many(d: Distribution, F: MapSpec, points: np.ndarray,
-                   tol: float, doubled_diagonal: bool = False):
-    _, first, L2 = _lie_rows(d, F, points, tol)
-    return _stack_rows(first, L2, doubled_diagonal)
-
-
 def freedom_matrix_many(d: Distribution, F: MapSpec, points,
                         tol: float = DEFAULT_RANK_TOL):
     """Batched assembly: returns ``(matrices (B, R, q), singular values,
     thresholds, certified ranks)``."""
-    pts = np.asarray(points, dtype=float)
-    matrices = _assemble_many(d, F, pts, tol)
+    _, first, L2 = _lie_rows(d, F, np.asarray(points, dtype=float), tol)
+    matrices = _stack_rows(first, L2, False)
     svals, thresholds, ranks = svd_ranks(matrices, tol, max(matrices.shape[-2:]))
     return matrices, svals, thresholds, ranks
 
@@ -231,8 +222,6 @@ def freedom_matrix(d: Distribution, F: MapSpec, p,
         singular_values=svals[0],
         certified_rank=int(ranks[0]),
         threshold=float(thresholds[0]),
-        point=np.asarray(p, dtype=float),
-        k=d.k,
     )
 
 
@@ -309,8 +298,7 @@ def induced_metric_many(d: Distribution, F: MapSpec, points) -> np.ndarray:
 
 def induced_metric(d: Distribution, F: MapSpec, p) -> InducedMetric:
     """Gram matrix ``g_ab = sum_i L_a F^i L_b F^i`` at ``p``."""
-    point = np.asarray(p, dtype=float)
-    return InducedMetric(matrix=induced_metric_many(d, F, point[None, :])[0], point=point)
+    return InducedMetric(matrix=induced_metric_many(d, F, np.asarray(p, dtype=float)[None, :])[0])
 
 
 def infinitesimal_invert(d: Distribution, F: MapSpec, p, dg, psi,

@@ -168,7 +168,16 @@ class Scenario:
             self.fail(f"expected comma-separated numbers, got {text!r}", line)
         if count is not None and len(values) != count:
             self.fail(f"expected {count} comma-separated numbers, got {text!r}", line)
+        if not np.isfinite(values).all():
+            self.fail(f"expected finite numbers, got {text!r}", line)
         return values
+
+    def positive(self, text: str, line: int | None = None) -> float:
+        """One finite number above zero."""
+        value = self.numbers(text, line, count=1)[0]
+        if not value > 0.0:
+            self.fail(f"expected a positive number, got {text!r}", line)
+        return value
 
     def grid(self, text: str, line: int | None = None) -> tuple[int, int]:
         """Two resolutions of at least 2."""

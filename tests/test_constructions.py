@@ -432,7 +432,7 @@ class TestBuildRp:
         spec = RPBracketSpec(torus, (parse("t3"),))
         pts = rng.uniform(-np.pi, np.pi, size=(40, 3))
         built = build_rp(spec, "t1", "t2", FreeCurve.circle(), pts)
-        assert built.curve.domain == "circle"
+        assert [render(c) for c in built.map_spec.components] == ["cos(t2)", "sin(t2)"]
         assert verify_rp(spec, built, pts).all()
 
     def test_verify_matches_pointwise_certificates(self, space, rng):

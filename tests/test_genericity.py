@@ -195,6 +195,18 @@ def test_blocked_sweep_matches_per_map_path(line_dist, contact, dim, q, degree, 
         assert res.marginals > 0 and res.failures
 
 
+def test_every_block_keeps_pairs_times_monomials_within_the_budget(contact):
+    # degree 12 in 3-D has 455 monomials: three maps of 30 points fill a block
+    n_maps, n_points, n_terms = 10, 30, 455
+    assert len(genericity._monomials(3, 12)) == n_terms
+    blocks = [(start, pts.shape[:2]) for start, pts, *_ in genericity._sweep(
+        contact[0], 5, 12, n_maps, n_points, 0, np.array([[-1.0, 1.0]] * 3), 1e-9)]
+    assert [start for start, _ in blocks] == [0, 3, 6, 9]
+    for _, (maps, points) in blocks:
+        assert points == n_points
+        assert maps * points * n_terms <= genericity._BLOCK_ENTRIES
+
+
 def test_sweep_decomposes_each_pair_at_most_once(contact, monkeypatch):
     # at tol = 1e-3 the Gram bound leaves most pairs of this contact sweep
     # unproven, and one SVD splits them into clear successes and the rest

@@ -8,6 +8,8 @@ from hfreemaps.expr import Num, eval_value, parse
 from hfreemaps.geometry import Distribution
 from hfreemaps.hfree import (
     MapSpec,
+    _lie_rows,
+    _stack_rows,
     freedom_matrix,
     freedom_matrix_many,
     induced_metric,
@@ -246,8 +248,7 @@ class TestInvert:
         p = rng.uniform(-1, 1, size=3)
         df = infinitesimal_invert(dist, F, p, dg, [zero, zero])
         # rebuild the system rows and check the residual directly
-        from hfreemaps.hfree import _assemble_many
-        system = _assemble_many(dist, F, p[None, :], 1e-9, doubled_diagonal=True)[0]
+        system = _stack_rows(*_lie_rows(dist, F, p[None, :], 1e-9)[1:], True)[0]
         rhs = np.array([0.0, 0.0, -1.0, 0.0, -1.0])
         assert np.linalg.norm(system @ df - rhs) <= 1e-8 * (1 + np.linalg.norm(rhs))
 
@@ -267,21 +268,18 @@ class TestInvert:
     def test_minimum_norm_solution(self, contact, rng):
         # widen the target so the system is underdetermined, then check
         # the returned solution has no component in the null space
-        from hfreemaps.hfree import _assemble_many
         dist, F = contact
         wide = MapSpec(F.chart, F.components + (parse("x*y+z^2"),))
         zero, one = Num(0.0), Num(1.0)
         dg = [[one, zero], [zero, one]]
         for p in rng.uniform(-1, 1, size=(10, 3)):
             df = infinitesimal_invert(dist, wide, p, dg, [zero, one])
-            system = _assemble_many(dist, wide, p[None, :], 1e-9,
-                                    doubled_diagonal=True)[0]
+            system = _stack_rows(*_lie_rows(dist, wide, p[None, :], 1e-9)[1:], True)[0]
             _, svals, vh = np.linalg.svd(system)
             null_basis = vh[np.count_nonzero(svals > 1e-9 * svals[0]):]
             assert np.abs(null_basis @ df).max() <= 1e-10 * max(1.0, np.linalg.norm(df))
 
     def test_residual_bound_on_k1_fixture(self, stripe, rng):
-        from hfreemaps.hfree import _assemble_many
         dist, f, _ = stripe
         F = MapSpec(dist.chart, (f, parse("exp(y*exp(x))")))
         for _ in range(10):
@@ -289,8 +287,7 @@ class TestInvert:
             dg = [[Num(float(rng.uniform(-2, 2)))]]
             psi = [parse("x+y^2")]
             df = infinitesimal_invert(dist, F, p, dg, psi)
-            system = _assemble_many(dist, F, p[None, :], 1e-9,
-                                    doubled_diagonal=True)[0]
+            system = _stack_rows(*_lie_rows(dist, F, p[None, :], 1e-9)[1:], True)[0]
             from hfreemaps.lie import lie
             rhs = np.array([
                 eval_value(psi[0], dist.chart, p),
@@ -302,7 +299,6 @@ class TestInvert:
     def test_right_hand_side_matches_lie(self, contact, stripe, rng):
         # the solve reads L_a psi_b from the frame values it assembled; the
         # solution equals the one from the textbook right-hand side via lie()
-        from hfreemaps.hfree import _assemble_many
         from hfreemaps.lie import lie
         cross = parse("x*z-y")
         cases = [(*contact, [parse("x*y-z^2+sin(y)"), parse("exp(x)*z+y^3")],
@@ -313,7 +309,7 @@ class TestInvert:
         for dist, F, psi, dg in cases:
             for p in rng.uniform(-1, 1, size=(10, dist.chart.dim)):
                 df = infinitesimal_invert(dist, F, p, dg, psi)
-                system = _assemble_many(dist, F, p[None, :], 1e-9, doubled_diagonal=True)[0]
+                system = _stack_rows(*_lie_rows(dist, F, p[None, :], 1e-9)[1:], True)[0]
                 rhs = [eval_value(e, dist.chart, p) for e in psi]
                 for a, b in pair_order(dist.k):
                     lhs = lie(dist.frame[a], psi[b], p) + lie(dist.frame[b], psi[a], p)

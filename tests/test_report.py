@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfreemaps.cli import _RECORDS_PER_BLOCK, _records, _write_report, run
+from hfreemaps.cli import _RECORDS_PER_BLOCK, _Table, _write_report, run
 
 SCENARIOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos",
                                           "scenarios", "*.ini")))
@@ -101,7 +101,7 @@ def _canonical(text: str) -> bool:
 def test_table_encoder_writes_the_dump_of_the_dict_form(parts):
     points, columns, rest = parts
     with tempfile.TemporaryDirectory() as tmp:
-        finite = _write_report(tmp, {**rest, "points": _records(points, **columns)})
+        finite = _write_report(tmp, {**rest, "points": _Table({"point": points, **columns})})
         with open(os.path.join(tmp, "report.json"), encoding="utf-8") as handle:
             text = handle.read()
     assert (text, finite) == _oracle(points, columns, rest)
@@ -123,7 +123,7 @@ def test_records_split_across_blocks_are_the_dump_of_the_dict_form(tmp_path):
     points, columns = _check_hfree_table(n, np.random.default_rng(4))
     columns["det"][-1] = math.nan
     rest = {"task": "check-hfree", "summary": {"n_points": n}}
-    finite = _write_report(tmp_path, {**rest, "points": _records(points, **columns)})
+    finite = _write_report(tmp_path, {**rest, "points": _Table({"point": points, **columns})})
     text = (tmp_path / "report.json").read_text(encoding="utf-8")
     assert (text, finite) == _oracle(points, columns, rest)
     assert finite is False
@@ -133,7 +133,7 @@ def test_report_memory_does_not_grow_with_the_point_count(tmp_path):
     n = 10_000
     points, columns = _check_hfree_table(n, np.random.default_rng(5))
     report = {"task": "check-hfree", "summary": {"n_points": n},
-              "points": _records(points, **columns)}
+              "points": _Table({"point": points, **columns})}
     tracemalloc.start()
     try:
         _write_report(tmp_path, report)

@@ -870,6 +870,19 @@ POINT = "kind = invert\npoint = 0.1, 0.2, -0.5"
                  id="window box bound"),
     pytest.param("render-levels", "grid = 11, 11", "grid = 11", "grid = 11",
                  "grid needs two resolutions", id="one grid value"),
+    # a number that is not finite fails at its line, not in the library
+    pytest.param("check-hfree", "seed = 7", "seed = 7\npoint = nan, 0, 0", "point = nan, 0, 0",
+                 "expected finite numbers, got 'nan, 0, 0'", id="nan point"),
+    pytest.param("induced-metric", "point = 0.1, 0.2", "point = 0.1, 1e999",
+                 "point = 0.1, 1e999", "expected finite numbers, got '0.1, 1e999'",
+                 id="overflowing point"),
+    pytest.param("invert", "kind = invert", "kind = invert\npoint = inf, 0, 0",
+                 "point = inf, 0, 0", "expected finite numbers, got 'inf, 0, 0'",
+                 id="invert point inf"),
+    *(pytest.param("transversal", "seed = 0, 0.9", f"seed = 0, 0.9\nt_span = {span}",
+                   f"t_span = {span}", f"expected {rule}, got '{span}'", id=f"t_span {span}")
+      for span, rule in [("nan", "finite numbers"), ("inf", "finite numbers"),
+                         ("0", "a positive number"), ("-1", "a positive number")]),
     pytest.param("render-levels", "box = -1:1, -1:1\n", "", None,
                  "[window] needs a box", id="window without box"),
     pytest.param("check-hfree", "kind = check-hfree", "kind = check-hfree\nkind = invert",

@@ -35,6 +35,7 @@ from .expr import (
     Coord,
     Expr,
     Num,
+    _batch,
     as_expr,
     coordinates,
     derivative,
@@ -43,7 +44,7 @@ from .expr import (
     fold_add,
     fold_mul,
     fold_sub,
-    parse,
+    point_batch,
     substitute,
 )
 from .geometry import DEFAULT_RANK_TOL, Distribution, _frame_parts, full_rank
@@ -77,8 +78,7 @@ class FreeCurve:
     def custom(a, b, interval: tuple[float, float] = (-4.0, 4.0)) -> "FreeCurve":
         """Build a curve from two expressions in ``t`` alone after checking
         its freeness, and that it is defined, on ``interval`` at 1000 points."""
-        a = parse(a) if isinstance(a, str) else as_expr(a)
-        b = parse(b) if isinstance(b, str) else as_expr(b)
+        a, b = as_expr(a), as_expr(b)
         if other := coordinates(a, b) - {CURVE_VAR}:
             raise ValueError(f"curve names coordinates other than {CURVE_VAR}: {sorted(other)}")
         curve = FreeCurve("custom", (a, b))
@@ -159,7 +159,7 @@ class CisMap:
 
 
 def build_cis(fs: Sequence, curves: Sequence[FreeCurve], chart: Chart) -> CisMap:
-    fs = tuple(parse(f) if isinstance(f, str) else as_expr(f) for f in fs)
+    fs = tuple(as_expr(f) for f in fs)
     curves = tuple(curves)
     if len(fs) != len(curves):
         raise ValueError("need one curve per function")
@@ -200,7 +200,7 @@ def _verify_product(d: Distribution, built: CisMap, points, tol: float,
     n = built.n
     if d.k != n:
         raise ValueError(f"distribution has k={d.k}, map was built for n={n}")
-    pts = np.asarray(points, dtype=float)
+    pts = _batch(points, d.chart)
     fjet, frame = eval_jet_groups(((built.fs, 1), (d.components, 0)), d.chart, pts)
     L = lie_rows(_frame_parts(d, frame)[0], fjet.gradient)  # L_{xi_i} f^j
     g = np.einsum("bii->bi", L).copy()
@@ -267,8 +267,7 @@ class RPBracketSpec:
     orientation: int = 1
 
     def __post_init__(self):
-        if isinstance(self.casimirs, list):
-            object.__setattr__(self, "casimirs", tuple(self.casimirs))
+        object.__setattr__(self, "casimirs", tuple(self.casimirs))
         n = self.chart.dim
         if n < 2:
             raise ValueError("bracket needs dimension >= 2")
@@ -309,7 +308,7 @@ def rp_bracket_many(spec: RPBracketSpec, f: Expr, g: Expr, points,
     independence check.  A :class:`DomainError` in evaluating them, or at
     a non-finite casimir row, is therefore raised before
     :class:`DegenerateCasimirs`, with no numpy warning."""
-    pts = np.asarray(points, dtype=float)
+    pts = _batch(points, spec.chart)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows = eval_jets_many(spec.casimirs + (as_expr(f), as_expr(g)), spec.chart, pts,
                               order=1).gradient
@@ -324,9 +323,7 @@ def rp_bracket_many(spec: RPBracketSpec, f: Expr, g: Expr, points,
 
 def rp_bracket(spec: RPBracketSpec, f, g, p, tol: float = DEFAULT_RANK_TOL) -> float:
     """Bracket value: ``orientation * det(casimir/f/g gradients) / sqrt(det metric)``."""
-    f = parse(f) if isinstance(f, str) else as_expr(f)
-    g = parse(g) if isinstance(g, str) else as_expr(g)
-    return float(rp_bracket_many(spec, f, g, np.asarray(p, dtype=float)[None, :], tol)[0])
+    return float(rp_bracket_many(spec, f, g, point_batch(p, spec.chart), tol)[0])
 
 
 def _det_expr(rows: list[list[Expr]]) -> Expr:
@@ -353,10 +350,9 @@ def _negate(e: Expr) -> Expr:
 def hamiltonian_field(spec: RPBracketSpec, h) -> VectorField:
     """Field ``xi_h`` with ``L_{xi_h} g = {h, g}`` for all ``g``, from the
     cofactor expansion of the casimir/h gradient matrix."""
-    h = parse(h) if isinstance(h, str) else as_expr(h)
     n = spec.n
     rows = [_grad_exprs(c, spec.chart) for c in spec.casimirs]
-    rows.append(_grad_exprs(h, spec.chart))
+    rows.append(_grad_exprs(as_expr(h), spec.chart))
     comps: list[Expr] = []
     for beta in range(n):
         minor = [[row[c] for c in range(n) if c != beta] for row in rows]
@@ -386,9 +382,8 @@ def build_rp(spec: RPBracketSpec, h, f, curve: FreeCurve, check_points,
     """Map ``(a(f), b(f))`` along ``xi_h``; requires ``{h, f} > 0`` at
     every check point (:class:`NonTransversal` otherwise), from finite
     casimir, ``h`` and ``f`` gradients (:class:`DomainError` otherwise)."""
-    h = parse(h) if isinstance(h, str) else as_expr(h)
-    f = parse(f) if isinstance(f, str) else as_expr(f)
-    pts = np.asarray(check_points, dtype=float)
+    h, f = as_expr(h), as_expr(f)
+    pts = _batch(check_points, spec.chart)
     # one stack of gradient rows serves the independence check of the
     # casimirs and h (its first n - 1 rows; the casimirs alone are then
     # independent too, by interlacing of singular values) and {h, f}

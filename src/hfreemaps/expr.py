@@ -65,11 +65,11 @@ def _operator(op: str, reflected: bool = False):
 class Expr:
     """Base class of expression nodes.
 
-    Nodes are immutable; the operators build new trees, coercing plain
-    numbers to literals, which makes symbolic assembly of products,
-    sums and compositions convenient.  A node's ``__dict__`` holds only
-    the evaluation plans cached on it, which stay out of ``==`` and
-    ``hash``.
+    Nodes are immutable; the operators build new trees, coercing numbers
+    and text through :func:`as_expr`, which makes symbolic assembly of
+    products, sums and compositions convenient.  A node's ``__dict__``
+    holds only the evaluation plans cached on it, which stay out of ``==``
+    and ``hash``.
     """
 
     __slots__ = ()
@@ -115,8 +115,11 @@ class Bin(Expr):
 
 
 def as_expr(x) -> Expr:
+    """``x`` as it is, a number as a literal, text through :func:`parse`."""
     if isinstance(x, Expr):
         return x
+    if isinstance(x, str):
+        return parse(x)
     if isinstance(x, (int, float, np.integer, np.floating)):
         return Num(float(x))
     raise TypeError(f"cannot interpret {x!r} as an expression")
@@ -129,8 +132,7 @@ class Chart:
     coords: tuple[str, ...]
 
     def __post_init__(self):
-        if isinstance(self.coords, list):
-            object.__setattr__(self, "coords", tuple(self.coords))
+        object.__setattr__(self, "coords", tuple(self.coords))
         if len(self.coords) < 1:
             raise ValueError("chart needs at least one coordinate")
         if len(set(self.coords)) != len(self.coords):
@@ -512,14 +514,19 @@ def _batch(points, chart: Chart) -> np.ndarray:
     return pts
 
 
+def point_batch(p, chart: Chart) -> np.ndarray:
+    """The point ``p`` as a copied batch ``(1, m)``: every single-point
+    entry point converts here, so that numpy takes the paths of a batch."""
+    pts = np.array(p, dtype=float)
+    if pts.shape != (chart.dim,):
+        raise ValueError(f"point must have {chart.dim} entries, got shape {pts.shape}")
+    return pts[None, :]
+
+
 def eval_jet2(e: Expr, chart: Chart, p, order: int = 2) -> Jet2:
     """Exact jet of ``e`` at a single point ``p``, truncated at ``order``
     (0: value, 1: value and gradient, 2: value, gradient and Hessian)."""
-    pts = np.asarray(p, dtype=float)
-    if pts.shape != (chart.dim,):
-        raise ValueError(f"point must have {chart.dim} entries, got shape {pts.shape}")
-    # a batch of one, so that numpy takes the same paths as for a batch
-    jet, = _evaluate((e,), chart, pts[None, :], order)
+    jet, = _evaluate((e,), chart, point_batch(p, chart), order)
     return Jet2(*[None if part is None else part[0]
                   for part in (jet.value, jet.gradient, jet.hessian)])
 

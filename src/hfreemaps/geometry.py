@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Chart, Expr, eval_jets_many
+from .expr import Chart, Expr, eval_jets_many, point_batch
 from .jet import Jet2
 from .lie import VectorField
 
@@ -124,8 +124,7 @@ class Distribution:
     frame: tuple[VectorField, ...]
 
     def __post_init__(self):
-        if isinstance(self.frame, list):
-            object.__setattr__(self, "frame", tuple(self.frame))
+        object.__setattr__(self, "frame", tuple(self.frame))
         k = len(self.frame)
         if not 1 <= k <= self.chart.dim:
             raise ValueError(f"frame size {k} out of range for dimension {self.chart.dim}")
@@ -154,5 +153,5 @@ def _frame_parts(d: Distribution, jet: Jet2):
 
 def frame_rank(d: Distribution, p, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the ``k x m`` frame component matrix at ``p``."""
-    jet = eval_jets_many(d.components, d.chart, np.asarray(p, dtype=float)[None, :], 0)
+    jet = eval_jets_many(d.components, d.chart, point_batch(p, d.chart), 0)
     return int(svd_ranks(_frame_parts(d, jet)[0], tol, 1)[2][0])

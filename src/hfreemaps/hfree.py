@@ -19,7 +19,7 @@ checks that the inputs are independent (the frame check, ``frame_rank``,
 the casimir and Hamiltonian checks of Riemann-Poisson brackets) pass 1.
 
 All assemblies are batched over point sets; single-point entry points
-wrap the batch of size one.
+wrap the batch of one that :func:`~hfreemaps.expr.point_batch` makes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     TooFewTargets,
     reject_nonfinite,
 )
-from .expr import Chart, Expr, as_expr, coordinates, eval_jet_groups, parse
+from .expr import Chart, Expr, as_expr, coordinates, eval_jet_groups, parse, point_batch
 from .geometry import (DEFAULT_RANK_TOL, Distribution, _frame_parts, certified_ranks,
                        full_rank, svd_ranks)
 from .lie import _lie2_tensor, lie_rows
@@ -69,8 +69,7 @@ class MapSpec:
     components: tuple[Expr, ...]
 
     def __post_init__(self):
-        if isinstance(self.components, list):
-            object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) < 2:
             raise ValueError("maps need at least two components")
         undeclared = coordinates(*self.components) - set(self.chart.coords)
@@ -206,7 +205,7 @@ def freedom_matrix_many(d: Distribution, F: MapSpec, points,
                         tol: float = DEFAULT_RANK_TOL):
     """Batched assembly: returns ``(matrices (B, R, q), singular values,
     thresholds, certified ranks)``."""
-    _, first, L2 = _lie_rows(d, F, np.asarray(points, dtype=float), tol)
+    _, first, L2 = _lie_rows(d, F, points, tol)
     matrices = _stack_rows(first, L2, False)
     svals, thresholds, ranks = svd_ranks(matrices, tol, max(matrices.shape[-2:]))
     return matrices, svals, thresholds, ranks
@@ -215,8 +214,7 @@ def freedom_matrix_many(d: Distribution, F: MapSpec, points,
 def freedom_matrix(d: Distribution, F: MapSpec, p,
                    tol: float = DEFAULT_RANK_TOL) -> FreedomMatrix:
     """Assemble and rank-certify the freedom matrix at one point."""
-    pts = np.asarray(p, dtype=float)[None, :]
-    matrices, svals, thresholds, ranks = freedom_matrix_many(d, F, pts, tol)
+    matrices, svals, thresholds, ranks = freedom_matrix_many(d, F, point_batch(p, d.chart), tol)
     return FreedomMatrix(
         entries=matrices[0],
         singular_values=svals[0],
@@ -269,7 +267,7 @@ def is_hfree_at(d: Distribution, F: MapSpec, p,
 def is_h_immersion_at(d: Distribution, F: MapSpec, p,
                       tol: float = DEFAULT_RANK_TOL) -> bool:
     """True when the first-order block ``(L_a F^i)`` has rank ``k``."""
-    Fjet, XV, _ = _map_and_frame(d, F, np.asarray(p, dtype=float)[None, :], 1)
+    Fjet, XV, _ = _map_and_frame(d, F, point_batch(p, d.chart), 1)
     _check_frame(d, XV, tol, Fjet.gradient)
     block = lie_rows(XV, Fjet.gradient)
     _, _, ranks = svd_ranks(block, tol, max(block.shape[-2:]))
@@ -298,16 +296,16 @@ def induced_metric_many(d: Distribution, F: MapSpec, points) -> np.ndarray:
 
 def induced_metric(d: Distribution, F: MapSpec, p) -> InducedMetric:
     """Gram matrix ``g_ab = sum_i L_a F^i L_b F^i`` at ``p``."""
-    return InducedMetric(matrix=induced_metric_many(d, F, np.asarray(p, dtype=float)[None, :])[0])
+    return InducedMetric(matrix=induced_metric_many(d, F, point_batch(p, d.chart))[0])
 
 
 def infinitesimal_invert(d: Distribution, F: MapSpec, p, dg, psi,
                          tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Minimum-norm solution of the linearized metric-inducing system.
 
-    ``psi`` is a length-``k`` sequence of expressions (numbers are
-    promoted to constants); ``dg`` is a symmetric ``k x k`` matrix of
-    expressions.  The solved rows are::
+    ``psi`` is a length-``k`` sequence of expressions (numbers and text
+    through :func:`~hfreemaps.expr.as_expr`); ``dg`` is a symmetric
+    ``k x k`` matrix of them.  The solved rows are::
 
         sum_i L_a F^i  df^i                    = psi_a(p)
         sum_i (L_a L_b + L_b L_a) F^i  df^i    = L_a psi_b + L_b psi_a - dg_ab
@@ -330,7 +328,7 @@ def infinitesimal_invert(d: Distribution, F: MapSpec, p, dg, psi,
     need = _required_targets(d, F)
     # one evaluation of the map and frame jets gives both the certified
     # freedom matrix and the system with doubled diagonal rows
-    pts = np.asarray(p, dtype=float)[None, :]
+    pts = point_batch(p, d.chart)
     XV, first, L2 = _lie_rows(d, F, pts, tol)
     matrices = _stack_rows(first, L2, False)
     _, _, ranks = svd_ranks(matrices, tol, max(matrices.shape[-2:]))
@@ -362,8 +360,7 @@ def wintergarten_rank(d: Distribution, F: MapSpec, p,
     second-order rows; equals ``k(k+1)/2`` exactly when the map is
     H-free at ``p``."""
     k = d.k
-    pts = np.asarray(p, dtype=float)[None, :]
-    _, first, L2 = _lie_rows(d, F, pts, tol)
+    _, first, L2 = _lie_rows(d, F, point_batch(p, d.chart), tol)
     rows = _stack_rows(first, L2, doubled_diagonal=True)[0]
     first, second = rows[:k], rows[k:]
     # one full SVD of the first-order block gives both the H-immersion

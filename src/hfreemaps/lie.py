@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (Chart, Expr, Num, _is_zero, coordinates, derivative, eval_jet_groups,
-                   eval_jets_many, fold_add, fold_mul, parse)
+                   eval_jets_many, fold_add, fold_mul, parse, point_batch)
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,7 @@ class VectorField:
     components: tuple[Expr, ...]
 
     def __post_init__(self):
-        if isinstance(self.components, list):
-            object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) != self.chart.dim:
             raise ValueError(
                 f"field needs {self.chart.dim} components, got {len(self.components)}")
@@ -68,7 +67,7 @@ def _lie2_tensor(XV, XG, Fgrads, Fhesses):
 def lie(xi: VectorField, f: Expr, p) -> float:
     """Directional derivative of ``f`` along ``xi`` at ``p``: the batch of
     one of :func:`value_and_lie`."""
-    return float(value_and_lie(xi, f, np.asarray(p, dtype=float)[None, :])[1][0])
+    return float(value_and_lie(xi, f, point_batch(p, xi.chart))[1][0])
 
 
 def value_and_lie(xi: VectorField, f: Expr, points: np.ndarray):

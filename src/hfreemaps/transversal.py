@@ -29,6 +29,7 @@ import numpy as np
 
 from .artifacts import write_text
 from .errors import BlowUp, CoverageGap, DomainError, HfreeError, OutsideTube
+from .expr import point_batch
 from .lie import VectorField, value_and_lie
 
 __all__ = [
@@ -358,7 +359,7 @@ def _unit_orthogonal(v: np.ndarray, floor) -> np.ndarray:
 def flow(xi: VectorField, p, t: float, *, rtol: float = 1e-10,
          atol: float = 1e-10) -> np.ndarray:
     """Point reached from ``p`` after flowing along ``xi`` for time ``t``."""
-    return _integrate(_field_fun(xi), np.asarray(p, dtype=float), [float(t)], rtol, atol)[-1]
+    return _integrate(_field_fun(xi), point_batch(p, xi.chart)[0], [float(t)], rtol, atol)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +407,7 @@ def build_tubes(xi: VectorField, seeds, window: Window, *, t_span: float = 3.0,
     saturation, two groups per tube (one per time direction).  Raises the
     first error that building the tubes seed by seed would raise; the
     seeds after a failed floor or leaf are not integrated further."""
-    seeds = [np.asarray(seed, dtype=float) for seed in seeds]
+    seeds = [point_batch(seed, xi.chart)[0] for seed in seeds]
     ds = max(window.x1 - window.x0, window.y1 - window.y0) / 150.0
     pad, rtol, atol = 0.75, 1e-10, 1e-10
     lo, hi = window.padded_box(pad)
